@@ -21,8 +21,9 @@ run, and every run of a seed, times exactly the same operations.
   and as compiled Asm, on a narrow and a wide store.
 
 No check uses the library as its oracle: verdicts are compared with the
-reference semantics in :mod:`perfbench.reference` and ``tests/bigstep.py``,
-and final stores and step counts with closed forms.
+reference semantics in :mod:`perfbench.reference`, final stores and step
+counts with closed forms, and registers with the reference machine.
+``tests/bigstep.py`` counts source steps for the report.
 """
 
 from __future__ import annotations
@@ -438,13 +439,13 @@ def build_long_run(root: str, seed: int, size: dict, workdir: str) -> Pass:
 def finish_long_run(p: Pass) -> None:
     out = []
     for name, imp_path, asm_path, unit, env, (imp_steps, asm_steps) in p.ops:
-        machine = bigstep.run_machine(unit, 0, {}, {}, max_blocks=10**7)
-        if machine.outcome != "exit" or machine.mem != env:
-            raise RuntimeError(f"reference machine disagrees with the closed form on {name}")
+        # The memory is checked against the closed form, the registers
+        # against the reference machine (which keeps its own arithmetic).
+        regs = reference.run_asm(unit, {}, 0, 10**7)[3]
         out.append(Op(f"run-imp:{name}", lambda path=imp_path: capture(["run-imp", path]),
                       _imp_check(imp_steps, env), imp_steps, "cli.main"))
         out.append(Op(f"run-asm:{name}", lambda path=asm_path: capture(["run-asm", path]),
-                      _asm_check(asm_steps, env, machine.regs), asm_steps, "cli.main"))
+                      _asm_check(asm_steps, env, regs), asm_steps, "cli.main"))
     p.ops = out
 
 
