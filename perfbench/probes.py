@@ -157,71 +157,75 @@ def program_probes(pass_, tracer, workdir: str, between):
 
     for i, probe in enumerate(pass_.probes):
         between()
-        with tracer.span("probe", op=probe.name):
-            stmt, dt = _timed(tracer, "imp.parse_imp", lambda: imp.parse_imp(probe.text))
-            acc["imp_parse"] += dt
-            unit_, dt = _timed(tracer, "compiler.compile_stmt", lambda: compiler.compile_stmt(stmt))
-            acc["compile"] += dt
-            text = asm.print_asm(unit_)
-            if asm.print_asm(compiler.compile_stmt(stmt)) != text:
-                failures.append((probe.name, "compiling twice gave different code"))
-            counts["compiler.asm_instrs"] += sum(len(b.instrs) for b in unit_.code)
-            _, dt = _timed(tracer, "asm.parse_asm", lambda: asm.parse_asm(text))
-            acc["asm_parse"] += dt
+        try:
+            with tracer.span("probe", op=probe.name):
+                stmt, dt = _timed(tracer, "imp.parse_imp", lambda: imp.parse_imp(probe.text))
+                acc["imp_parse"] += dt
+                unit_, dt = _timed(tracer, "compiler.compile_stmt",
+                                   lambda: compiler.compile_stmt(stmt))
+                acc["compile"] += dt
+                text = asm.print_asm(unit_)
+                if asm.print_asm(compiler.compile_stmt(stmt)) != text:
+                    failures.append((probe.name, "compiling twice gave different code"))
+                counts["compiler.asm_instrs"] += sum(len(b.instrs) for b in unit_.code)
+                _, dt = _timed(tracer, "asm.parse_asm", lambda: asm.parse_asm(text))
+                acc["asm_parse"] += dt
 
-            want = bigstep.run_reference(stmt, {}, 10**7)[0]
-            (env, nodes), dt = _timed(tracer, "imp.denote_stmt",
-                                      lambda: drive_imp(imp.denote_stmt(stmt)))
-            acc["imp_denote"] += dt
-            counts["imp.denote_nodes"] += nodes
-            if env != want:
-                failures.append((probe.name, f"Imp denotation ends in {env}, reference {want}"))
-            (mem, nodes), dt = _timed(
-                tracer, "asm.den_asm",
-                lambda: drive_asm(asm.den_asm(unit_)(label(0, unit_.entries))))
-            acc["asm_denote"] += dt
-            counts["asm.den_asm_nodes"] += nodes
-            if mem != want:
-                failures.append((probe.name, f"Asm denotation ends in {mem}, reference {want}"))
+                want = bigstep.run_reference(stmt, {}, 10**7)[0]
+                (env, nodes), dt = _timed(tracer, "imp.denote_stmt",
+                                          lambda: drive_imp(imp.denote_stmt(stmt)))
+                acc["imp_denote"] += dt
+                counts["imp.denote_nodes"] += nodes
+                if env != want:
+                    failures.append((probe.name, f"Imp denotation ends in {env}, reference {want}"))
+                (mem, nodes), dt = _timed(
+                    tracer, "asm.den_asm",
+                    lambda: drive_asm(asm.den_asm(unit_)(label(0, unit_.entries))))
+                acc["asm_denote"] += dt
+                counts["asm.den_asm_nodes"] += nodes
+                if mem != want:
+                    failures.append((probe.name, f"Asm denotation ends in {mem}, reference {want}"))
 
-            t_imp, t_asm = imp_tree(stmt), asm_tree(unit_)
-            steps, dt = _timed(tracer, "interp.drain_imp", lambda: _drain(t_imp, probe.name))
-            acc["imp_drain"] += dt
-            counts["interp.imp_steps"] += steps
-            steps, dt = _timed(tracer, "interp.drain_asm", lambda: _drain(t_asm, probe.name))
-            acc["asm_drain"] += dt
-            counts["interp.asm_steps"] += steps
+                t_imp, t_asm = imp_tree(stmt), asm_tree(unit_)
+                steps, dt = _timed(tracer, "interp.drain_imp", lambda: _drain(t_imp, probe.name))
+                acc["imp_drain"] += dt
+                counts["interp.imp_steps"] += steps
+                steps, dt = _timed(tracer, "interp.drain_asm", lambda: _drain(t_asm, probe.name))
+                acc["asm_drain"] += dt
+                counts["interp.asm_steps"] += steps
 
-            rel = compiler.StateInvariantSpec().relspec()
-            tau_budget, depth = probe.cfg.budgets()
-            t_imp, t_asm = imp_tree(stmt), asm_tree(unit_)
-            verdict, dt = _timed(tracer, "bisim.eutt", lambda: eutt(
-                rel, t_imp, t_asm, tau_budget, depth, probe.cfg.nat_probe_set))
-            acc["eutt"] += dt
-            if not verdict.proven:
-                failures.append((probe.name, f"eutt on the honest compilation gave {verdict!r}"))
+                rel = compiler.StateInvariantSpec().relspec()
+                tau_budget, depth = probe.cfg.budgets()
+                t_imp, t_asm = imp_tree(stmt), asm_tree(unit_)
+                verdict, dt = _timed(tracer, "bisim.eutt", lambda: eutt(
+                    rel, t_imp, t_asm, tau_budget, depth, probe.cfg.nat_probe_set))
+                acc["eutt"] += dt
+                if not verdict.proven:
+                    failures.append((probe.name, f"eutt on the honest pair gave {verdict!r}"))
 
-            with tracer.span("compiler.check_equivalent"):
-                verdicts = _verdicts(probe)
-            for mutation, verdict in verdicts:
-                counts[f"bisim.verdict_{verdict.status.value}"] += 1
-                if mutation is None and not verdict.proven:
-                    failures.append((probe.name, f"honest compilation checked {verdict!r}"))
-                if not verdict.refuted or mutation is None:
-                    continue
-                counts["bisim.witness_steps"] += len(verdict.witness)
-                with tracer.span("bisim.describe_witness"):
-                    counts["bisim.witness_chars"] += len(describe_witness(verdict.witness))
-                ok, dt = _timed(tracer, "bisim.replay_witness",
-                                lambda: workloads.replays(stmt, mutation, verdict.witness))
-                acc["replay"] += dt
-                replayed += 1
-                if not ok:
-                    failures.append((probe.name, f"{mutation}: witness does not replay"))
+                with tracer.span("compiler.check_equivalent"):
+                    verdicts = _verdicts(probe)
+                for mutation, verdict in verdicts:
+                    counts[f"bisim.verdict_{verdict.status.value}"] += 1
+                    if mutation is None and not verdict.proven:
+                        failures.append((probe.name, f"honest compilation checked {verdict!r}"))
+                    if not verdict.refuted or mutation is None:
+                        continue
+                    counts["bisim.witness_steps"] += len(verdict.witness)
+                    with tracer.span("bisim.describe_witness"):
+                        counts["bisim.witness_chars"] += len(describe_witness(verdict.witness))
+                    ok, dt = _timed(tracer, "bisim.replay_witness",
+                                    lambda: workloads.replays(stmt, mutation, verdict.witness))
+                    acc["replay"] += dt
+                    replayed += 1
+                    if not ok:
+                        failures.append((probe.name, f"{mutation}: witness does not replay"))
 
-            if i < 3:
-                acc["cli"] += _cli_overhead(tracer, probe, workdir)
-                cli_programs += 1
+                if i < 3:
+                    acc["cli"] += _cli_overhead(tracer, probe, workdir)
+                    cli_programs += 1
+        except Exception as exc:  # a probe that raises is a failure, not a crash
+            failures.append((probe.name, f"raised {exc!r}"))
 
     n_probe = len(pass_.probes)
     ms, us = 1000.0, 1_000_000.0
@@ -231,13 +235,13 @@ def program_probes(pass_, tracer, workdir: str, between):
         "compiler.compile_ms": acc["compile"] * ms / n_probe,
         "imp.parse_ms": acc["imp_parse"] * ms / n_probe,
         "asm.parse_ms": acc["asm_parse"] * ms / n_probe,
-        "imp.denote_us_per_node": acc["imp_denote"] * us / counts["imp.denote_nodes"],
-        "asm.den_asm_us_per_node": acc["asm_denote"] * us / counts["asm.den_asm_nodes"],
-        "interp.imp_us_per_step": acc["imp_drain"] * us / imp_steps,
-        "interp.asm_us_per_step": acc["asm_drain"] * us / asm_steps,
+        "imp.denote_us_per_node": acc["imp_denote"] * us / max(1, counts["imp.denote_nodes"]),
+        "asm.den_asm_us_per_node": acc["asm_denote"] * us / max(1, counts["asm.den_asm_nodes"]),
+        "interp.imp_us_per_step": acc["imp_drain"] * us / max(1, imp_steps),
+        "interp.asm_us_per_step": acc["asm_drain"] * us / max(1, asm_steps),
         "interp.stack_self_us_per_step":
             (acc["imp_drain"] + acc["asm_drain"] - acc["imp_denote"] - acc["asm_denote"])
-            * us / (imp_steps + asm_steps),
+            * us / max(1, imp_steps + asm_steps),
         "bisim.eutt_ms": acc["eutt"] * ms / n_probe,
         "bisim.eutt_self_ms": (acc["eutt"] - acc["imp_drain"] - acc["asm_drain"]) * ms / n_probe,
         "bisim.replay_ms": acc["replay"] * ms / replayed if replayed else 0.0,

@@ -204,7 +204,7 @@ def provenance(args) -> dict:
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "size": args.size,
         "python": platform.python_version(), "implementation": platform.python_implementation(),
-        "machine": platform.machine(), "nproc": os.cpu_count(),
+        "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0)),
         "commit": git_commit(), "source_sha256": digest.hexdigest(),
     }
 
@@ -329,27 +329,34 @@ def tail(latencies):
     return xs[n - 11], 100.0 * (n - 10) / n, 10
 
 
-def op_latencies(passes, raw: bool = False) -> list:
-    """Each operation's median latency over the run's passes."""
-    return [statistics.median((p.raw if raw else p.latencies)[i] for p in passes)
-            for i in range(len(passes[0].latencies))]
+def request_latencies(pass_, passes, raw: bool = False) -> list:
+    """Each request's median latency over the run's passes.
+
+    A request is one operation, or the operations that share a ``group``
+    (a ``mutants`` program checked against all five mutations)."""
+    groups = {}
+    for i, op in enumerate(pass_.ops):
+        groups.setdefault(op.group or op.name, []).append(i)
+    return [statistics.median(sum((p.raw if raw else p.latencies)[i] for i in members)
+                              for p in passes)
+            for members in groups.values()]
 
 
-def end_to_end(passes, steps, setup_s: float, raw: bool = False) -> tuple[dict, dict]:
-    """Figures of one pass in which every operation takes its median time."""
-    lat = op_latencies(passes, raw)
+def end_to_end(pass_, passes, setup_s: float, raw: bool = False) -> tuple[dict, dict]:
+    """Figures of one pass in which every request takes its median time."""
+    lat = request_latencies(pass_, passes, raw)
     busy = sum(lat)
     value, pct, beyond = tail(lat)
     metrics = {
         "setup_s": setup_s,
-        "ops_per_s": len(lat) / busy,
+        "ops_per_s": len(pass_.ops) / busy,
         "op_p50_ms": statistics.median(lat) * 1e3,
         "op_tail_ms": value * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     detail = {
-        "steps_per_s": steps / busy,
-        "passes": len(passes), "ops_per_pass": len(lat),
+        "steps_per_s": sum(op.steps for op in pass_.ops) / busy,
+        "passes": len(passes), "ops_per_pass": len(pass_.ops), "requests_per_pass": len(lat),
         "tail_percentile": pct, "tail_samples_beyond": beyond,
         "busy_s": sum(sum(p.raw) for p in passes),
     }
@@ -379,19 +386,27 @@ def traced_run(pass_, args, prov, workdir, tracing, probes):
     start = time.perf_counter()
     failures = []
     samples = [calibrate()]
+    layer = dict.fromkeys(PER_LAYER, 0.0)
+    attempted, failed = len(pass_.probes) + 3, 0
     with tracer.span("phase.layers"):
-        layer = probes.micro_probes(args.size, tracer)
+        try:
+            layer.update(probes.micro_probes(args.size, tracer))
+        except Exception as exc:  # reported as a failure, not a crash
+            failures.append(f"micro probes raised {exc!r}")
+            failed += 1
         samples.append(calibrate())
         metrics, counts, probe_failures = probes.program_probes(
             pass_, tracer, workdir, lambda: samples.append(calibrate()))
     layer_spans = len(tracer.spans)
     layer.update(metrics)
     layer.update(counts)
-    attempted = len(pass_.probes) + 2
     failures += [f"{name}: {msg}" for name, msg in probe_failures]
-    failed = len({name for name, _ in probe_failures})
+    failed += len({name for name, _ in probe_failures})
 
-    again = probes.exact_counts(pass_)
+    try:
+        again = probes.exact_counts(pass_)
+    except Exception as exc:
+        again = f"raised {exc!r}"
     exact = {k: counts[k] for k in EXACT}
     if again != exact:
         failures.append(f"exact counts differ between two passes of one run: {exact} vs {again}")
@@ -417,9 +432,8 @@ def traced_run(pass_, args, prov, workdir, tracing, probes):
             layer[name] *= scale
 
     passes = [p for r in rounds for p in r]
-    steps = sum(op.steps for op in pass_.ops)
-    e2e_plain, _ = end_to_end([r[0] for r in rounds], steps, 0.0)
-    e2e_traced, _ = end_to_end([r[1] for r in rounds], steps, 0.0)
+    e2e_plain, _ = end_to_end(pass_, [r[0] for r in rounds], 0.0)
+    e2e_traced, _ = end_to_end(pass_, [r[1] for r in rounds], 0.0)
     detail = {
         "overhead_passes": len(rounds),
         "untraced": {k: e2e_plain[k] for k in ("ops_per_s", "op_p50_ms", "op_tail_ms")},
@@ -471,9 +485,8 @@ def main(argv=None) -> int:
         units = PER_LAYER
     else:
         passes = [r[0] for r in repeat_passes(pass_, args.seconds, [tracing.NullTracer()])]
-        steps = sum(op.steps for op in pass_.ops)
-        metrics, detail = end_to_end(passes, steps, setup_s)
-        detail["uncalibrated"] = end_to_end(passes, steps, 0.0, raw=True)[0]
+        metrics, detail = end_to_end(pass_, passes, setup_s)
+        detail["uncalibrated"] = end_to_end(pass_, passes, 0.0, raw=True)[0]
         attempted, failed, failures = 0, 0, []
         units = END_TO_END
     attempted += sum(p.attempted for p in passes)

@@ -113,7 +113,8 @@ class Op:
     """One timed operation: ``run`` is timed, ``check`` is not.
 
     ``check`` returns None or a failure message.  ``steps`` is the work the
-    operation stands for, in the workload's step unit.
+    operation stands for, in the workload's step unit.  Operations with the
+    same ``group`` form one request for the latency percentiles.
     """
 
     name: str
@@ -121,6 +122,7 @@ class Op:
     check: Callable[[object], str | None]
     steps: int
     call: str = "compiler.check_equivalent"
+    group: str | None = None
 
 
 @dataclass
@@ -347,6 +349,7 @@ def finish_mutants(p: Pass) -> None:
                 compiler.check_equivalent(prog, MUTANT_CFG, mutation=mutation),
             _mutant_check(prog, mutation, predicted),
             steps[s],
+            group=f"seed{s}",
         ))
     p.ops = out
 
