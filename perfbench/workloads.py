@@ -74,7 +74,7 @@ SIZES = {
     # width and loop count.  probe_scale divides long_run loop counts for
     # the per-layer probes.
     "full": dict(harness_stride=1, harness_pool=1500, corpus=True, mutant_stride=1,
-                 loop_n=3000, wide_width=512, wide_n=200, probe_scale=10),
+                 loop_n=3000, wide_width=512, wide_n=200, probe_scale=20),
     "tiny": dict(harness_stride=20, harness_pool=0, corpus=False, mutant_stride=6,
                  loop_n=30, wide_width=16, wide_n=5, probe_scale=3),
 }
