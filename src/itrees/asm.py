@@ -16,9 +16,10 @@ from typing import Callable, Sequence, Union
 from .combinators import KTree, loop
 from .core import ITree, bind, ret, trigger
 from .events import LEFT, RIGHT, EventSig, KindSpec, event
-from .interp import handler_bimap, handler_id, Handler, ITREES, interp, interp_map
+from .interp import interp_stores
 from .values import (
     EMPTY_T,
+    NAT_MASK,
     NAT_T,
     SYM_T,
     UNIT_T,
@@ -403,50 +404,18 @@ def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
 
 # Stateful interpretation: registers inner, memory outer.
 
-def _reg_map_sig(default: int) -> EventSig:
-    from .events import map_default_sig
-
-    return map_default_sig(NAT_T, NAT_T, nat(default))
-
-
-def _mem_map_sig(default: int) -> EventSig:
-    from .events import map_default_sig
-
-    return map_default_sig(SYM_T, NAT_T, nat(default))
-
-
-def _h_reg(map_sig: EventSig) -> Handler:
-    def apply(e):
-        if e.kind == "GetReg":
-            return trigger(event(map_sig, "LookupDefault", e.args[0]))
-        if e.kind == "SetReg":
-            return trigger(event(map_sig, "Insert", e.args[0], e.args[1]))
-        raise ValueError(f"not a register event: {e!r}")
-
-    return Handler(REG_E, ITREES, apply)
-
-
-def _h_mem(map_sig: EventSig) -> Handler:
-    def apply(e):
-        if e.kind == "Load":
-            return trigger(event(map_sig, "LookupDefault", e.args[0]))
-        if e.kind == "Store":
-            return trigger(event(map_sig, "Insert", e.args[0], e.args[1]))
-        raise ValueError(f"not a memory event: {e!r}")
-
-    return Handler(MEM_E, ITREES, apply)
-
-
 def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree:
     """Realize register and memory events as finite maps (absent cells read
-    ``default``).  The result tree returns Pair(mem, Pair(regs, result))."""
-    h = handler_bimap(
-        _h_reg(_reg_map_sig(default)),
-        handler_bimap(_h_mem(_mem_map_sig(default)), handler_id(None)),
-    )
-    translated = interp(h, t)
-    regs_done = interp_map(translated, regs0)
-    return interp_map(regs_done, mem0)
+    ``default``).  The result tree returns Pair(mem, Pair(regs, result));
+    ``Done`` passes through."""
+    absent = nat(default)
+    routes = {
+        (_REG_PATH, "GetReg"): (1, absent),
+        (_REG_PATH, "SetReg"): (1, None),
+        (_MEM_PATH, "Load"): (0, absent),
+        (_MEM_PATH, "Store"): (0, None),
+    }
+    return interp_stores(t, (mem0, regs0), routes, _DONE_PATH)
 
 
 # Text format.
@@ -504,6 +473,8 @@ def _parse_operand(text: str, line: int) -> Operand:
     if m:
         return Oreg(int(m.group(1)))
     if text.isdigit():
+        if int(text) > NAT_MASK:
+            raise AsmSyntaxError(f"immediate {text} does not fit in 64 bits", line)
         return Oimm(int(text))
     raise AsmSyntaxError(f"bad operand {text!r}", line)
 

@@ -23,6 +23,7 @@ DEFAULT_NAT_PROBES = (0, 1, 2, 9, 17)
 class Reason(Enum):
     TAU_BUDGET = "tau-budget"
     DEPTH_BUDGET = "depth-budget"
+    NODE_BUDGET = "node-budget"
     ANSWER_SPACE = "answer-space-too-large"
 
 
@@ -195,7 +196,7 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
     worst = PROVEN
     while pending:
         if budget == 0:
-            return worst if worst.refuted else unknown(Reason.DEPTH_BUDGET)
+            return worst if worst.refuted else unknown(Reason.NODE_BUDGET)
         a, b, fuel, prefix = pending.pop()
         oa, ob = observe(a), observe(b)
         strip_a = strip_b = tau_budget
@@ -205,7 +206,7 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
         while True:
             budget -= 1
             if budget == 0:
-                worst = unknown(Reason.DEPTH_BUDGET)
+                worst = unknown(Reason.NODE_BUDGET)
                 break
             ta, tb = type(oa), type(ob)
             if ta is TauO and tb is TauO:

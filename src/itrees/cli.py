@@ -3,7 +3,7 @@
 Subcommands: run-imp, compile, run-asm, trace, check-equiv, demo-echo.
 Outputs are deterministic (maps print in key order) so they can be frozen
 as golden files; check-equiv exits 0 for proven, 1 for refuted, 2 for
-unknown.
+unknown and 3 for unusable input, where the other subcommands exit 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,18 @@ from .core import RetO, TauO, VisO, observe, run_to_head
 from .imp import ImpSyntaxError, denote_stmt, env_of, interp_imp, parse_imp
 from .samples import echo
 from .traces import enumerate_traces, render_trace
-from .values import UValue, fst, label, map_items, nat, render_value, snd, umap, unit
+from .values import (
+    AnswerTagMismatch,
+    UValue,
+    fst,
+    label,
+    map_items,
+    nat,
+    render_value,
+    snd,
+    umap,
+    unit,
+)
 
 DEFAULT_FUEL = 1_000_000
 
@@ -188,7 +199,7 @@ def main(argv=None) -> int:
         if args.command == "check-equiv":
             return cmd_check_equiv(args.path, args.fuel, args.tau_budget, args.seed)
         return cmd_demo_echo()
-    except (ImpSyntaxError, AsmSyntaxError, BoundViolation) as err:
+    except (ImpSyntaxError, AsmSyntaxError, BoundViolation, AnswerTagMismatch) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3 if args.command == "check-equiv" else 1
     except OSError as err:

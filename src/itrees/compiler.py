@@ -139,9 +139,6 @@ def compile_stmt(s: Stmt, low: _Lowering = _CLEAN) -> AsmUnit:
     return _while_asm(compile_expr(0, s.cond, low), compile_stmt(s.body, low), low)
 
 
-compile = compile_stmt
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Budgets for the bounded-equivalence check."""

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 from typing import Union
 
 from .combinators import KTree, iterate
-from .core import ITree, bind, ret, trigger
-from .events import LEFT, EventSig, KindSpec, event, map_default_sig
-from .interp import handler_bimap, handler_id, Handler, ITREES, interp, interp_map
+from .core import ITree, RetO, bind, ret, run_to_head, trigger
+from .events import LEFT, RIGHT, EventSig, KindSpec, event
+from .interp import interp_stores
 from .values import (
+    NAT_MASK,
     NAT_T,
     SYM_T,
     UNIT_T,
     UValue,
+    fst,
     inl,
     inr,
     nat,
@@ -213,6 +215,8 @@ class _Parser:
     def factor(self) -> Expr:
         kind, text, line, col = self.peek()
         if kind == "num":
+            if int(text) > NAT_MASK:
+                raise ImpSyntaxError(f"literal {text} does not fit in 64 bits", line, col)
             self.i += 1
             return Lit(int(text))
         if kind == "ident":
@@ -274,8 +278,6 @@ IMP_STATE = EventSig(
     ),
 )
 
-ENV_MAP = map_default_sig(SYM_T, NAT_T, nat(0))
-
 
 def get_var(name: str) -> ITree:
     return trigger(event(IMP_STATE, "GetVar", sym(name), path=(LEFT,)))
@@ -336,20 +338,12 @@ def denote_stmt(s: Stmt) -> ITree:
     return iterate(KTree(step))(unit())
 
 
-denote_imp = denote_stmt
-
-
-def _h_imp_state() -> Handler:
-    """Translate variable events into map events over the env signature."""
-
-    def apply(e):
-        if e.kind == "GetVar":
-            return trigger(event(ENV_MAP, "LookupDefault", e.args[0]))
-        if e.kind == "SetVar":
-            return trigger(event(ENV_MAP, "Insert", e.args[0], e.args[1]))
-        raise ValueError(f"not an ImpState event: {e!r}")
-
-    return Handler(IMP_STATE, ITREES, apply)
+# Variable events read and write the one store, absent variables reading 0;
+# events classified right belong to the caller's alphabet and pass through.
+_IMP_ROUTES = {
+    ((LEFT,), "GetVar"): (0, nat(0)),
+    ((LEFT,), "SetVar"): (0, None),
+}
 
 
 def interp_imp(t: ITree, env0: UValue) -> ITree:
@@ -358,8 +352,7 @@ def interp_imp(t: ITree, env0: UValue) -> ITree:
     Returns a tree over E computing Pair(final env, result); reads of absent
     variables see 0.
     """
-    translated = interp(handler_bimap(_h_imp_state(), handler_id(None)), t)
-    return interp_map(translated, env0)
+    return interp_stores(t, (env0,), _IMP_ROUTES, (RIGHT,))
 
 
 def env_of(bindings: dict[str, int] | None = None) -> UValue:
@@ -375,9 +368,6 @@ class ImpRun:
 
 def run_imp(s: Stmt, env0: UValue, fuel: int) -> ImpRun:
     """Burn up to ``fuel`` silent steps of the interpreted denotation."""
-    from .core import RetO, run_to_head
-    from .values import fst
-
     ob, steps = run_to_head(interp_imp(denote_stmt(s), env0), fuel)
     if type(ob) is RetO:
         return ImpRun(True, fst(ob.value), steps)

@@ -5,6 +5,8 @@ folds it over a tree.  Two targets are supported: trees themselves, and
 state transformers stacked over a tree target.  The fold spends one
 target-level silent step per source node consumed (silent or visible), so
 step counts are deterministic and the weak checker absorbs them.
+``interp_stores`` fuses a renaming fold and one map fold per store into a
+single pass with the same step counts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,21 @@ from .events import (
     map_default_of,
     state_sig,
 )
-from .values import MAP_T, UValue, VType, fst, map_get, map_remove, map_set, pair, snd, unit
+from .values import (
+    MAP_T,
+    UNIT,
+    UValue,
+    VType,
+    fst,
+    map_get,
+    map_items,
+    map_remove,
+    map_set,
+    pair,
+    snd,
+    umap,
+    unit,
+)
 
 
 class UnhandledEvent(ValueError):
@@ -200,8 +216,9 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 
     This is the state-transformer instance of ``interp`` unrolled by hand —
     same one-silent-step-per-node discipline, but it threads the map
-    directly instead of stacking closures, since every store-passing
-    pipeline in the library bottoms out here.
+    directly instead of stacking closures.  Stacked under a renaming
+    ``interp`` it is the layered specification that ``interp_stores``
+    fuses.
     """
     MAP_T.check(m0, "initial map")
     defaults: dict = {}  # id(sig) -> (sig, default); sigs are shared objects
@@ -242,3 +259,74 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
         raise UnhandledEvent(f"{e!r} reached interp_map unclassified")
 
     return lazy(lambda: go(t, m0))
+
+
+# The fused store-passing fold.
+
+def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
+                  outward: tuple[str, ...]) -> ITree:
+    """Interpret a tree's store events over several finite maps in one pass.
+
+    This is the fusion of a renaming ``interp`` by nested ``handler_bimap``
+    handlers (each store event becomes a map event of its own layer) with
+    one ``interp_map`` per store, which interpreting a composed handler
+    equals composing the interpretations licenses.
+
+    ``routes`` maps (classification path, kind) to (slot, default): the
+    event's first argument is a key of ``stores[slot]``, read with
+    ``default`` for absent keys, or, when ``default`` is None, written with
+    the second argument.  Events under the ``outward`` path prefix are
+    re-emitted with the prefix stripped; anything else raises
+    :class:`UnhandledEvent`.  The result tree returns
+    Pair(stores[0], Pair(stores[1], ... result)).
+
+    Silent steps match the layered stack: each source silent step costs
+    one, and each event costs one for the renaming fold, one per
+    ``handler_bimap`` level its path descends and one per map layer it
+    reaches, the last slot's layer running first and an outward event
+    reaching them all.  An outward event pays its steps before it surfaces
+    and none after its answer.
+    """
+    for m in stores:
+        MAP_T.check(m, "initial map")
+    n = len(stores)
+    table = {(path, kind): (slot, default, 1 + len(path) + n - slot)
+             for (path, kind), (slot, default) in routes.items()}
+    cut = len(outward)
+    outward_steps = 1 + cut + n
+
+    def go(t, dicts):
+        ob = observe(t)
+        kind = type(ob)
+        if kind is TauO:
+            rest = ob.rest
+            return tau(lazy(lambda: go(rest, dicts)))
+        if kind is RetO:
+            v = ob.value
+            for d in reversed(dicts):
+                v = pair(umap(d), v)
+            return ret(v)
+        e, k = ob.event, ob.k
+        path = e.path
+        route = table.get((path, e.kind))
+        if route is not None:
+            slot, default, steps = route
+            key = e.args[0].payload
+            if default is None:
+                d = dict(dicts[slot])
+                d[key] = e.args[1]
+                after = dicts[:slot] + (d,) + dicts[slot + 1:]
+                nxt = lazy(lambda: go(k(UNIT), after))
+            else:
+                answer = dicts[slot].get(key, default)
+                nxt = lazy(lambda: go(k(answer), dicts))
+        elif path[:cut] == outward:
+            steps = outward_steps
+            nxt = vis(e.at(path[cut:]), lambda x: lazy(lambda: go(k(x), dicts)))
+        else:
+            raise UnhandledEvent(f"{e!r} has no route in interp_stores")
+        for _ in range(steps):
+            nxt = tau(nxt)
+        return nxt
+
+    return lazy(lambda: go(t, tuple(dict(map_items(m)) for m in stores)))

@@ -13,23 +13,48 @@ import random
 
 from itrees import (
     BOOL_T,
+    ITREES,
     NAT_T,
+    SYM_T,
     UNIT_T,
     EventSig,
+    Handler,
     KindSpec,
     boolean,
     enumerate_answers,
     event,
+    handler_bimap,
+    handler_id,
+    interp,
+    interp_map,
     label_t,
+    map_default_sig,
     nat,
     observe,
     ret,
     tau,
+    trigger,
     unit,
     vis,
 )
 from itrees.core import RetO, TauO, bind
-from itrees.asm import AsmUnit, Bbrz, Bjmp, Block, Iadd, Iload, Imov, Imul, Istore, Isub, Oimm, Oreg
+from itrees.asm import (
+    MEM_E,
+    REG_E,
+    AsmUnit,
+    Bbrz,
+    Bjmp,
+    Block,
+    Iadd,
+    Iload,
+    Imov,
+    Imul,
+    Istore,
+    Isub,
+    Oimm,
+    Oreg,
+)
+from itrees.imp import IMP_STATE
 
 T3 = EventSig(
     "T3",
@@ -289,3 +314,37 @@ def gen_ktree(rng: random.Random, n_a: int, n_b: int, ev_gen=None) -> KTree:
 
     trees = [tree_for(i) for i in range(n_a)]
     return KTree(lambda v: trees[v.payload], label_t(n_a))
+
+
+# The layered interpretation stacks: a renaming ``interp`` that turns each
+# language's store events into map events, then one ``interp_map`` per store.
+# They are the specification the library's fused ``interp_imp`` and
+# ``interp_asm`` are compared against.
+
+def _to_map_events(source, get_kind, set_kind, map_sig):
+    """Translate a get/set alphabet into LookupDefault/Insert of ``map_sig``."""
+
+    def apply(e):
+        if e.kind == get_kind:
+            return trigger(event(map_sig, "LookupDefault", e.args[0]))
+        if e.kind == set_kind:
+            return trigger(event(map_sig, "Insert", e.args[0], e.args[1]))
+        raise ValueError(f"not a {source.name} event: {e!r}")
+
+    return Handler(source, ITREES, apply)
+
+
+def layered_interp_imp(t, env0):
+    env_map = map_default_sig(SYM_T, NAT_T, nat(0))
+    h = handler_bimap(_to_map_events(IMP_STATE, "GetVar", "SetVar", env_map), handler_id(None))
+    return interp_map(interp(h, t), env0)
+
+
+def layered_interp_asm(t, mem0, regs0, default=0):
+    reg_map = map_default_sig(NAT_T, NAT_T, nat(default))
+    mem_map = map_default_sig(SYM_T, NAT_T, nat(default))
+    h = handler_bimap(
+        _to_map_events(REG_E, "GetReg", "SetReg", reg_map),
+        handler_bimap(_to_map_events(MEM_E, "Load", "Store", mem_map), handler_id(None)),
+    )
+    return interp_map(interp_map(interp(h, t), regs0), mem0)

@@ -155,6 +155,12 @@ def test_parse_asm_errors():
         parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r0 5\n  jmp 0")
     with pytest.raises(BoundViolation):
         parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  jmp 3")
+    head = "asm entries=1 exits=1 internal=0\nblock 0:\n"
+    assert parse_asm(head + "  mov r0, 18446744073709551615\n  jmp 0").code[0].instrs == (
+        Imov(0, Oimm(2**64 - 1)),)
+    with pytest.raises(AsmSyntaxError) as err:
+        parse_asm(head + "  mov r0, 1\n  add r0, r0, 18446744073709551616\n  jmp 0")
+    assert err.value.line == 4
 
 
 def test_machine_oracle_agrees_with_denotation():

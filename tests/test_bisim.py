@@ -38,6 +38,8 @@ def test_eutt_examples():
     assert eutt(EQ, vis(input_ev(), ret), ret(nat(1)), 5, 10).refuted
     verdict = eutt(EQ, spin(), ret(nat(1)), 5, 10)
     assert verdict.unknown and verdict.reason is Reason.TAU_BUDGET
+    verdict = eutt(EQ, spin(), spin(), 10, 10**6, max_nodes=50)
+    assert verdict.unknown and verdict.reason is Reason.NODE_BUDGET
 
 
 def test_eutt_heterogeneous_relation():

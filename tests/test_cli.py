@@ -102,6 +102,24 @@ def test_syntax_errors_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_of_range_input_is_an_error_not_a_verdict(tmp_path, capsys):
+    big = "99999999999999999999999"
+    imp_src = tmp_path / "big.imp"
+    imp_src.write_text(f"x := {big}\n")
+    assert cli.main(["check-equiv", str(imp_src)]) == 3
+    assert cli.main(["run-imp", str(imp_src)]) == 1
+    head = "asm entries=1 exits=1 internal=0\nblock 0:\n"
+    literal = tmp_path / "big.asm"
+    literal.write_text(head + f"  mov r0, {big}\n  jmp 0\n")
+    assert cli.main(["run-asm", str(literal)]) == 1
+    # a register index is no value of the program, so it is caught at run time
+    register = tmp_path / "reg.asm"
+    register.write_text(head + f"  mov r{big}, 1\n  jmp 0\n")
+    assert cli.main(["run-asm", str(register)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4 and "Traceback" not in err
+
+
 def test_echo_demo_scripted():
     code, out = run_cli(None, stdin_text="5\n12\n0\n7\n3\n")
     assert code == 0

@@ -80,6 +80,11 @@ def test_parse_errors_have_positions():
     with pytest.raises(ImpSyntaxError) as err:
         parse_imp("x := 1;\ny := $")
     assert err.value.line == 2
+    # literals must fit the 64-bit naturals the semantics computes with
+    assert parse_imp("x := 18446744073709551615") == Assign("x", Lit(2**64 - 1))
+    with pytest.raises(ImpSyntaxError) as err:
+        parse_imp("x := 1;\ny := 2 + 18446744073709551616")
+    assert (err.value.line, err.value.col) == (2, 10)
 
 
 def test_pretty_round_trip_random_programs():
