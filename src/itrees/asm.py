@@ -472,7 +472,7 @@ def _parse_operand(text: str, line: int) -> Operand:
     m = _REG.match(text)
     if m:
         return Oreg(int(m.group(1)))
-    if text.isdigit():
+    if text.isdecimal():
         if int(text) > NAT_MASK:
             raise AsmSyntaxError(f"immediate {text} does not fit in 64 bits", line)
         return Oimm(int(text))
@@ -517,7 +517,7 @@ def _parse_line(text: str, line: int):
         return Istore(_parse_addr(args[0], line), _parse_operand(args[1], line))
     if word == "jmp":
         arity(1)
-        if not args[0].isdigit():
+        if not args[0].isdecimal():
             raise AsmSyntaxError(f"bad jump target {args[0]!r}", line)
         return Bjmp(int(args[0]))
     if word == "brz":
@@ -526,7 +526,7 @@ def _parse_line(text: str, line: int):
             raise AsmSyntaxError("brz needs 'rK -> yes, no'", line)
         test = _parse_reg(parts[0].strip(), line)
         targets = [t.strip() for t in parts[1].split(",")]
-        if len(targets) != 2 or not all(t.isdigit() for t in targets):
+        if len(targets) != 2 or not all(t.isdecimal() for t in targets):
             raise AsmSyntaxError("brz needs two numeric targets", line)
         return Bbrz(test, int(targets[0]), int(targets[1]))
     if word == "halt":

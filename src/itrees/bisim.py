@@ -12,12 +12,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .core import ITree, RetO, TauO, VisO, observe
 from .values import Tag, UValue, boolean, label, nat, unit
 
 DEFAULT_NAT_PROBES = (0, 1, 2, 9, 17)
+
+_TAU, _TAUL, _TAUR = ("tau",), ("taul",), ("taur",)
 
 
 class Reason(Enum):
@@ -208,31 +211,60 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
             if budget == 0:
                 worst = unknown(Reason.NODE_BUDGET)
                 break
+            # A silent case takes j steps at once, j stopping short of every
+            # budget's edge, so a budget runs out at the step it would one
+            # step at a time; ``budget`` already paid for the first of them.
             ta, tb = type(oa), type(ob)
             if ta is TauO and tb is TauO:
                 if fuel <= 0:
                     worst = unknown(Reason.DEPTH_BUDGET)
                     break
-                fuel -= 1
+                j = oa.run if oa.run < ob.run else ob.run
+                if fuel < j:
+                    j = fuel
+                if 0 < budget < j:
+                    j = budget
+                budget -= j - 1
+                fuel -= j
                 strip_a = strip_b = tau_budget
-                path.append(("tau",))
-                oa, ob = observe(oa.rest), observe(ob.rest)
+                if j == 1:
+                    path.append(_TAU)
+                    oa, ob = observe(oa.rest), observe(ob.rest)
+                else:
+                    path.extend(repeat(_TAU, j))
+                    oa, ob = observe(oa.after(j)), observe(ob.after(j))
                 continue
             if ta is TauO:
                 if strip_a <= 0:
                     worst = unknown(Reason.TAU_BUDGET)
                     break
-                strip_a -= 1
-                path.append(("taul",))
-                oa = observe(oa.rest)
+                j = oa.run if oa.run < strip_a else strip_a
+                if 0 < budget < j:
+                    j = budget
+                budget -= j - 1
+                strip_a -= j
+                if j == 1:
+                    path.append(_TAUL)
+                    oa = observe(oa.rest)
+                else:
+                    path.extend(repeat(_TAUL, j))
+                    oa = observe(oa.after(j))
                 continue
             if tb is TauO:
                 if strip_b <= 0:
                     worst = unknown(Reason.TAU_BUDGET)
                     break
-                strip_b -= 1
-                path.append(("taur",))
-                ob = observe(ob.rest)
+                j = ob.run if ob.run < strip_b else strip_b
+                if 0 < budget < j:
+                    j = budget
+                budget -= j - 1
+                strip_b -= j
+                if j == 1:
+                    path.append(_TAUR)
+                    ob = observe(ob.rest)
+                else:
+                    path.extend(repeat(_TAUR, j))
+                    ob = observe(ob.after(j))
                 continue
             if ta is RetO and tb is RetO:
                 if not r.relates(oa.value, ob.value):

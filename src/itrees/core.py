@@ -4,12 +4,13 @@ A tree is observed one node at a time: ``observe`` resolves deferred
 producers and pending bind continuations until a genuine return, silent
 step, or event node surfaces.  Trees are immutable; binding is constant
 work because the continuation is queued rather than pushed through the
-structure.
+structure.  A run of silent steps may be held as one counted node
+(``taus``); it observes one step at a time like nested ``tau`` nodes, and
+``TauO.after`` lets a consumer skip any part of it at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .values import AnswerTagMismatch, UValue
@@ -23,10 +24,13 @@ class _RetN:
 
 
 class _TauN:
-    __slots__ = ("rest",)
+    """``n`` silent steps, then ``rest``."""
 
-    def __init__(self, rest):
+    __slots__ = ("rest", "n")
+
+    def __init__(self, rest, n=1):
         self.rest = rest
+        self.n = n
 
 
 class _VisN:
@@ -99,20 +103,101 @@ class ITree:
         return f"<ITree at {id(self):#x}>"
 
 
-@dataclass(frozen=True)
 class RetO:
-    value: UValue
+    """The tree returns ``value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: UValue):
+        self.value = value
+
+    def __eq__(self, other):
+        if type(other) is not RetO:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"RetO(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class TauO:
-    rest: ITree
+    """The tree takes a silent step; ``rest`` is the tree after exactly one.
+
+    ``run`` is the number of silent steps known to follow from here (at
+    least one), and ``after(j)`` skips ``j`` of them, ``1 <= j <= run``, in
+    constant time.  For a counted run, ``rest`` holds the remaining
+    ``run - 1`` steps as one node.
+    """
+
+    __slots__ = ("rest", "run")
+
+    def __init__(self, rest: ITree, run: int = 1):
+        self.rest = rest
+        self.run = run
+
+    def after(self, j: int) -> ITree:
+        if j == 1:
+            return self.rest
+        run = self.run
+        if not 1 <= j <= run:
+            raise ValueError(f"cannot skip {j} of a run of {run} silent steps")
+        rest = self.rest
+        tail = rest._head.rest
+        if j == run:
+            return ITree(tail._head, _cat(tail._konts, rest._konts))
+        return ITree(_TauN(tail, run - j), rest._konts)
+
+    def __eq__(self, other):
+        if type(other) is not TauO:
+            return NotImplemented
+        return self.rest is other.rest and self.run == other.run
+
+    def __hash__(self):
+        return hash((id(self.rest), self.run))
+
+    def __repr__(self):
+        return f"TauO(rest={self.rest!r})"
 
 
-@dataclass(frozen=True)
 class VisO:
-    event: object
-    k: Callable[[UValue], ITree]
+    """The tree emits ``event``; ``k(x)`` is the tree after the answer ``x``.
+
+    ``k`` checks the answer against the event's declared answer shape,
+    raising :class:`AnswerTagMismatch` on a mismatch, before applying the
+    node's continuation and re-attaching the binds pending above it.
+    """
+
+    __slots__ = ("event", "_kont", "_konts")
+
+    def __init__(self, event, kont: Callable[[UValue], ITree], konts=None):
+        self.event = event
+        self._kont = kont
+        self._konts = konts
+
+    def k(self, x: UValue) -> ITree:
+        answer = self.event.answer
+        if not answer.accepts(x):
+            raise AnswerTagMismatch(f"answer {x!r} does not fit {answer}")
+        nxt = self._kont(x)
+        konts = self._konts
+        if konts is None:
+            return nxt
+        return ITree(nxt._head, _cat(nxt._konts, konts))
+
+    def __eq__(self, other):
+        if type(other) is not VisO:
+            return NotImplemented
+        return (self.event == other.event and self._kont is other._kont
+                and self._konts is other._konts)
+
+    def __hash__(self):
+        return hash((self.event, id(self._kont), id(self._konts)))
+
+    def __repr__(self):
+        return f"VisO(event={self.event!r}, k={self._kont!r})"
 
 
 Observation = RetO | TauO | VisO
@@ -130,20 +215,22 @@ def tau(t: ITree) -> ITree:
     return ITree(_TauN(t))
 
 
+def taus(n: int, t: ITree) -> ITree:
+    """``n`` silent steps, then ``t``, held as one node: observing it steps
+    once at a time like ``n`` nested ``tau``, and ``TauO.after`` skips any
+    part of the run at once.  ``n`` is at least one."""
+    if n < 1:
+        raise ValueError(f"a run needs at least one silent step, got {n}")
+    return ITree(_TauN(t, n))
+
+
 def vis(event, kont: Callable[[UValue], ITree]) -> ITree:
     """Emit ``event`` and continue with the environment's answer.
 
-    The continuation is wrapped so that answers whose tag disagrees with the
-    event's declared answer type raise :class:`AnswerTagMismatch` when
-    applied.
+    Answers whose tag disagrees with the event's declared answer type raise
+    :class:`AnswerTagMismatch` when ``VisO.k`` applies them.
     """
-    answer = event.answer
-
-    def checked(x, _answer=answer, _kont=kont):
-        _answer.check(x, "answer")
-        return _kont(x)
-
-    return ITree(_VisN(event, checked))
+    return ITree(_VisN(event, kont))
 
 
 def lazy(fn: Callable[[], ITree]) -> ITree:
@@ -188,39 +275,42 @@ def observe(t: ITree) -> Observation:
             head = nxt._head
         elif tp is _TauN:
             rest = head.rest
+            n = head.n
+            if n != 1:
+                return TauO(ITree(_TauN(rest, n - 1), konts), n)
             if konts is None:
                 return TauO(rest)
             return TauO(ITree(rest._head, _cat(rest._konts, konts)))
         else:
-            event, kf = head.event, head.kont
-            if konts is None:
-                return VisO(event, kf)
-
-            def resumed(x, _kf=kf, _ks=konts):
-                nxt = _kf(x)
-                return ITree(nxt._head, _cat(nxt._konts, _ks))
-
-            return VisO(event, resumed)
+            return VisO(head.event, head.kont, konts)
 
 
 def burn(n: int, t: ITree) -> ITree:
-    """Strip up to ``n`` leading silent steps."""
-    for _ in range(n):
+    """Strip up to ``n`` leading silent steps, whole runs at a time."""
+    while n > 0:
         ob = observe(t)
         if type(ob) is not TauO:
             break
-        t = ob.rest
+        j = min(ob.run, n)
+        t = ob.after(j)
+        n -= j
     return t
 
 
 def run_to_head(t: ITree, fuel: int) -> tuple[Observation, int]:
-    """Burn silent steps up to ``fuel``; return the last observation and the
-    number of steps consumed."""
+    """Burn silent steps up to ``fuel``, whole runs at a time; return the
+    last observation and the number of steps consumed."""
     steps = 0
     ob = observe(t)
     while type(ob) is TauO and steps < fuel:
-        steps += 1
-        ob = observe(ob.rest)
+        j = ob.run
+        if j == 1:
+            steps += 1
+            ob = observe(ob.rest)
+        else:
+            j = min(j, fuel - steps)
+            steps += j
+            ob = observe(ob.after(j))
     return ob, steps
 
 

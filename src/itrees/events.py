@@ -42,15 +42,16 @@ class EventSig:
     params: tuple = ()
 
     def __post_init__(self):
-        names = [k.name for k in self.kinds]
-        if len(set(names)) != len(names):
+        by_name = {k.name: k for k in self.kinds}
+        if len(by_name) != len(self.kinds):
             raise WrongSignature(f"duplicate kind names in {self.name}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def kind(self, name: str) -> KindSpec:
-        for k in self.kinds:
-            if k.name == name:
-                return k
-        raise WrongSignature(f"signature {self.name} has no kind {name}")
+        spec = self._by_name.get(name)
+        if spec is None:
+            raise WrongSignature(f"signature {self.name} has no kind {name}")
+        return spec
 
     def __repr__(self):
         return f"EventSig({self.name})"
@@ -71,25 +72,38 @@ LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass(frozen=True)
 class EventInstance:
     """A concrete event occurrence.
 
     ``sig`` is the leaf signature the event comes from; ``path`` classifies
-    it within an enclosing sum (empty for a bare event).
+    it within an enclosing sum (empty for a bare event).  ``answer``, the
+    shape the environment must answer with, is looked up once at
+    construction.  Instances compare and hash by (sig, kind, args, path)
+    and are never assigned to after construction.
     """
 
-    sig: EventSig
-    kind: str
-    args: tuple[UValue, ...] = ()
-    path: tuple[str, ...] = ()
+    __slots__ = ("sig", "kind", "args", "path", "answer")
 
-    @property
-    def answer(self) -> VType:
-        return self.sig.kind(self.kind).answer
+    def __init__(self, sig: EventSig, kind: str, args: tuple[UValue, ...] = (),
+                 path: tuple[str, ...] = (), answer: VType | None = None):
+        self.sig = sig
+        self.kind = kind
+        self.args = args
+        self.path = path
+        self.answer = sig.kind(kind).answer if answer is None else answer
 
     def at(self, path: tuple[str, ...]) -> "EventInstance":
-        return EventInstance(self.sig, self.kind, self.args, path)
+        return EventInstance(self.sig, self.kind, self.args, path, self.answer)
+
+    def __eq__(self, other):
+        if type(other) is not EventInstance:
+            return NotImplemented
+        return (self.kind == other.kind and self.args == other.args
+                and self.path == other.path
+                and (self.sig is other.sig or self.sig == other.sig))
+
+    def __hash__(self):
+        return hash((self.sig, self.kind, self.args, self.path))
 
     def __repr__(self):
         inside = ",".join(repr(a.payload) for a in self.args)
@@ -104,7 +118,7 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
         raise WrongSignature(f"{kind} takes {len(spec.params)} args, got {len(args)}")
     for vt, a in zip(spec.params, args):
         vt.check(a, f"argument of {kind}")
-    return EventInstance(sig, kind, tuple(args), tuple(path))
+    return EventInstance(sig, kind, args, tuple(path), spec.answer)
 
 
 @dataclass(frozen=True)

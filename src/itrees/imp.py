@@ -161,10 +161,15 @@ class _Parser:
         return tok
 
     def stmts(self) -> Stmt:
-        s = self.stmt()
-        if self.peek()[0] == "op" and self.peek()[1] == ";":
+        # A loop, not recursion, so long straight-line programs parse; the
+        # chain is rebuilt right-nested, as ``a; (b; c)``.
+        items = [self.stmt()]
+        while self.peek()[0] == "op" and self.peek()[1] == ";":
             self.i += 1
-            return Seq(s, self.stmts())
+            items.append(self.stmt())
+        s = items.pop()
+        while items:
+            s = Seq(items.pop(), s)
         return s
 
     def stmt(self) -> Stmt:
@@ -255,12 +260,19 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
 
 
 def pretty_stmt(s: Stmt) -> str:
+    if isinstance(s, Seq):
+        # Walk the right spine of a Seq chain in a loop; only nested
+        # (left) chains recurse.
+        parts = []
+        while isinstance(s, Seq):
+            parts.append(pretty_stmt(s.first))
+            s = s.second
+        parts.append(pretty_stmt(s))
+        return "; ".join(parts)
     if isinstance(s, Skip):
         return "skip"
     if isinstance(s, Assign):
         return f"{s.name} := {pretty_expr(s.expr)}"
-    if isinstance(s, Seq):
-        return f"{pretty_stmt(s.first)}; {pretty_stmt(s.second)}"
     if isinstance(s, If):
         return (f"if {pretty_expr(s.cond)} then {pretty_stmt(s.then)} "
                 f"else {pretty_stmt(s.orelse)} end")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, trigger, vis
+from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, taus, trigger, vis
 from .events import (
     LEFT,
     RIGHT,
@@ -285,7 +285,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     ``handler_bimap`` level its path descends and one per map layer it
     reaches, the last slot's layer running first and an outward event
     reaching them all.  An outward event pays its steps before it surfaces
-    and none after its answer.
+    and none after its answer.  Each event's padding is one counted node
+    (``taus``), so consumers that take silent runs whole skip it at once.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -325,8 +326,6 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             nxt = vis(e.at(path[cut:]), lambda x: lazy(lambda: go(k(x), dicts)))
         else:
             raise UnhandledEvent(f"{e!r} has no route in interp_stores")
-        for _ in range(steps):
-            nxt = tau(nxt)
-        return nxt
+        return taus(steps, nxt)
 
     return lazy(lambda: go(t, tuple(dict(map_items(m)) for m in stores)))

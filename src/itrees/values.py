@@ -30,7 +30,6 @@ class AnswerTagMismatch(TypeError):
     """A value with the wrong tag reached a tagged continuation or port."""
 
 
-@dataclass(frozen=True)
 class UValue:
     """A tagged runtime value.
 
@@ -43,11 +42,27 @@ class UValue:
       SYM   -> nonempty identifier string
       MAP   -> tuple of (key, UValue) pairs sorted by key; keys are str or int
       EMPTY -> never constructed (answer tag of halting events only)
+
+    Values compare and hash by (tag, payload, bound) and are never assigned
+    to after construction; a plain slotted class keeps that construction a
+    single small allocation.
     """
 
-    tag: Tag
-    payload: object = None
-    bound: int | None = None
+    __slots__ = ("tag", "payload", "bound")
+
+    def __init__(self, tag: Tag, payload: object = None, bound: int | None = None):
+        self.tag = tag
+        self.payload = payload
+        self.bound = bound
+
+    def __eq__(self, other):
+        if type(other) is not UValue:
+            return NotImplemented
+        return (self.tag is other.tag and self.payload == other.payload
+                and self.bound == other.bound)
+
+    def __hash__(self):
+        return hash((self.tag, self.payload, self.bound))
 
     def __repr__(self):
         return f"UValue<{render_value(self)}>"
@@ -181,13 +196,10 @@ class VType:
     bound: int | None = None
 
     def accepts(self, v: UValue) -> bool:
-        if self.tag is Tag.EMPTY:
+        tag = self.tag
+        if v.tag is not tag or tag is Tag.EMPTY:
             return False
-        if v.tag is not self.tag:
-            return False
-        if self.tag is Tag.LABEL and self.bound is not None:
-            return v.bound == self.bound
-        return True
+        return tag is not Tag.LABEL or self.bound is None or v.bound == self.bound
 
     def check(self, v: UValue, what: str = "value") -> UValue:
         if not self.accepts(v):

@@ -113,6 +113,14 @@ def gen_kont(rng: random.Random, depth: int):
     return lambda v: bind(fixed, lambda _w: ret(v))
 
 
+def nested_taus(n: int, t):
+    """``n`` silent steps before ``t``, one node each: the step-at-a-time
+    counterpart of ``taus(n, t)``."""
+    for _ in range(n):
+        t = tau(t)
+    return t
+
+
 def with_extra_taus(rng: random.Random, t, amount: float = 0.6):
     """Rebuild a finite tree, sprinkling and occasionally deleting silent
     steps; the result is weakly equivalent to the input."""

@@ -161,6 +161,11 @@ def test_parse_asm_errors():
     with pytest.raises(AsmSyntaxError) as err:
         parse_asm(head + "  mov r0, 1\n  add r0, r0, 18446744073709551616\n  jmp 0")
     assert err.value.line == 4
+    # digits int() cannot parse (superscripts) are syntax errors, not crashes
+    for body in ("  mov r0, \u00b2\n  jmp 0", "  jmp \u00b2", "  brz r0 -> \u00b2, 0"):
+        with pytest.raises(AsmSyntaxError) as err:
+            parse_asm(head + body)
+        assert err.value.line == 3
 
 
 def test_machine_oracle_agrees_with_denotation():

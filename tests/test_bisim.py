@@ -16,13 +16,16 @@ from itrees import (
     replay_witness,
     ret,
     spin,
+    bind,
     strong_bisim,
     tau,
+    taus,
+    trigger,
     vis,
 )
 from itrees.samples import input_ev
 
-from helpers import gen_tree, mutate_tree, with_extra_taus
+from helpers import gen_tree, mutate_tree, nested_taus, with_extra_taus
 
 
 def test_strong_examples():
@@ -108,3 +111,40 @@ def test_ktree_equiv_examples():
     f = kt_pure(lambda v: nat(v.payload + 1))
     g = kt_pure(lambda v: nat(v.payload + 2))
     assert ktree_equiv(EQ, f, g, [nat(0)]).refuted
+
+
+def _echo_after(mk, before, after, bump=0):
+    return mk(before, bind(trigger(input_ev()),
+                           lambda x: mk(after, ret(nat((x.payload + bump) % 7)))))
+
+
+# Pairs of trees built by ``mk``, either ``taus`` (one counted node per run)
+# or ``nested_taus`` (one node per step): aligned runs of unequal length,
+# one-sided runs, refutations after a run, and runs around events.
+EUTT_PAIRS = [
+    lambda mk: (mk(5, ret(nat(1))), mk(3, ret(nat(1)))),
+    lambda mk: (mk(2, mk(4, ret(nat(1)))), mk(6, ret(nat(1)))),
+    lambda mk: (mk(6, ret(nat(1))), ret(nat(1))),
+    lambda mk: (ret(nat(1)), mk(7, ret(nat(1)))),
+    lambda mk: (mk(4, ret(nat(1))), mk(2, ret(nat(2)))),
+    lambda mk: (mk(3, spin()), mk(5, ret(nat(1)))),
+    lambda mk: (_echo_after(mk, 3, 4), _echo_after(mk, 1, 2)),
+    lambda mk: (_echo_after(mk, 2, 5), _echo_after(mk, 4, 1, bump=1)),
+]
+
+
+def test_eutt_counted_runs_match_single_steps():
+    # budgets placed before, on and after every run's edge in these pairs
+    grid = [(tb, d, nodes) for tb in range(9) for d in range(9)
+            for nodes in [None] + list(range(1, 26))]
+    reasons = set()
+    for make in EUTT_PAIRS:
+        whole, single = make(taus), make(nested_taus)
+        for tb, d, nodes in grid:
+            a = eutt(EQ, *whole, tb, d, max_nodes=nodes)
+            b = eutt(EQ, *single, tb, d, max_nodes=nodes)
+            assert (a.status, a.reason, a.witness) == (b.status, b.reason, b.witness), (
+                make, tb, d, nodes)
+            reasons.add((a.status.value, a.reason))
+    assert {("proven", None), ("refuted", None), ("unknown", Reason.TAU_BUDGET),
+            ("unknown", Reason.DEPTH_BUDGET), ("unknown", Reason.NODE_BUDGET)} <= reasons

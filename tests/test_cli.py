@@ -3,10 +3,14 @@
 import contextlib
 import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itrees import cli
+from itrees.asm import AsmSyntaxError, BoundViolation, parse_asm
+from itrees.imp import ImpSyntaxError, parse_imp
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -120,6 +124,24 @@ def test_out_of_range_input_is_an_error_not_a_verdict(tmp_path, capsys):
     assert err.count("error: ") == 4 and "Traceback" not in err
 
 
+def test_non_decimal_digits_are_an_error_not_a_traceback(tmp_path, capsys):
+    src = tmp_path / "sup.asm"
+    src.write_text("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r0, \u00b2\n  jmp 1\n",
+                   encoding="utf-8")
+    assert cli.main(["run-asm", str(src)]) == 1
+    assert cli.main(["trace", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: line 3: ") == 2 and "Traceback" not in err
+
+
+def test_long_straight_line_program_runs(tmp_path):
+    src = tmp_path / "long.imp"
+    src.write_text("x := 0;\n" * 3000 + "skip\n")
+    code, out = run_cli(["run-imp", str(src)])
+    assert code == 0
+    assert out == "outcome: finished\nsteps: 9000\nx=0\n"
+
+
 def test_echo_demo_scripted():
     code, out = run_cli(None, stdin_text="5\n12\n0\n7\n3\n")
     assert code == 0
@@ -131,3 +153,48 @@ def test_outputs_are_deterministic():
     first = run_cli(["run-imp", path])
     second = run_cli(["run-imp", path])
     assert first == second
+
+
+# Arbitrary text never ends in a traceback.  Tokens are glued without
+# separators, so "r" + "1" makes a register and "x" + ":=" an assignment;
+# superscript two is a digit int() rejects, Arabic-Indic three one it accepts.
+DIGITS = ["0", "1", "9", "18446744073709551616", "\u00b2", "\u0663"]
+IMP_TOKENS = ["skip", "if", "then", "else", "end", "while", "do", "x", "y",
+              ":=", ";", "+", "-", "*", "(", ")", " ", "\n"] + DIGITS
+IMP_TEXT = st.lists(st.sampled_from(IMP_TOKENS), max_size=14).map("".join)
+# Asm lines start with an instruction word, so the operand parsers are reached.
+ASM_WORDS = ["mov", "add", "sub", "mul", "load", "store", "jmp", "brz", "halt", "block 1:"]
+ASM_OPERANDS = ["r", "@", "x", ",", "->", " "] + DIGITS
+ASM_LINE = st.builds(lambda w, ops: w + " " + "".join(ops), st.sampled_from(ASM_WORDS),
+                     st.lists(st.sampled_from(ASM_OPERANDS), max_size=4))
+ASM_TEXT = st.lists(ASM_LINE, min_size=1, max_size=4).map(
+    lambda lines: "asm entries=1 exits=1 internal=0\nblock 0:\n" + "\n".join(lines) + "\n")
+
+
+def _cli_exit(command, suffix, text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "prog" + suffix)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([command, path, "--fuel", "1000"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(IMP_TEXT)
+def test_imp_text_never_tracebacks(text):
+    try:
+        parse_imp(text)
+    except ImpSyntaxError:
+        pass
+    assert _cli_exit("run-imp", ".imp", text) in {0, 1, 2, 3}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ASM_TEXT)
+def test_asm_text_never_tracebacks(text):
+    try:
+        parse_asm(text)
+    except (AsmSyntaxError, BoundViolation):
+        pass
+    assert _cli_exit("run-asm", ".asm", text) in {0, 1, 2, 3}

@@ -8,24 +8,30 @@ from hypothesis import given, settings, strategies as st
 from itrees import (
     AnswerTagMismatch,
     EQ,
+    IOE,
     RetO,
     TauO,
     VisO,
     bind,
+    boolean,
     burn,
+    event,
     eutt,
     nat,
     observe,
     ret,
+    run_to_head,
     spin,
     strong_bisim,
     tau,
+    taus,
     trigger,
     unit,
 )
+from itrees.imp import set_var
 from itrees.samples import echo, input_ev, kill9
 
-from helpers import gen_kont, gen_tree
+from helpers import gen_kont, gen_tree, nested_taus
 
 
 def test_observe_ret():
@@ -170,3 +176,88 @@ def test_structural_laws_random_trees():
         ob2 = observe(ev_tree)
         assert type(ob2) is VisO
         assert strong_bisim(ob2.k(nat(2)), bind(ret(nat(2)), k), 100).proven
+
+
+# Counted silent steps: a run held as one node must behave exactly like the
+# same number of nested single steps, whether taken one at a time or whole.
+
+def _walk(t, limit=100):
+    """Step through silent steps one at a time via ``rest``; return the
+    step count and the head reached, with events answered by 4."""
+    shape, steps = [], 0
+    for _ in range(limit):
+        ob = observe(t)
+        if type(ob) is TauO:
+            steps += 1
+            t = ob.rest
+            continue
+        shape.append(steps)
+        steps = 0
+        if type(ob) is RetO:
+            shape.append(ob.value)
+            return shape
+        shape.append(ob.event)
+        t = ob.k(nat(4))
+    return shape + ["cut", steps]
+
+
+def _head(ob):
+    if type(ob) is RetO:
+        return ("ret", ob.value)
+    if type(ob) is VisO:
+        return ("vis", ob.event, _walk(ob.k(nat(4))))
+    return ("tau", _walk(ob.rest))
+
+
+COUNTED_SHAPES = [
+    ("plain", lambda mk, n: mk(n, ret(nat(1)))),
+    ("bound", lambda mk, n: bind(mk(n, ret(nat(2))),
+                                  lambda x: mk(n + 1, ret(nat(x.payload + 1))))),
+    ("adjacent", lambda mk, n: mk(n, mk(2, trigger(input_ev())))),
+    ("event-inside", lambda mk, n: bind(mk(n, trigger(input_ev())), lambda x: mk(n, ret(x)))),
+]
+
+
+@pytest.mark.parametrize("name,build", COUNTED_SHAPES, ids=[c[0] for c in COUNTED_SHAPES])
+def test_counted_runs_match_nested_taus(name, build):
+    for n in (1, 2, 3, 7):
+        whole, single = build(taus, n), build(nested_taus, n)
+        assert _walk(whole) == _walk(single)
+        total = _walk(single)[0]
+        for fuel in range(total + 3):
+            ob_w, steps_w = run_to_head(build(taus, n), fuel)
+            ob_s, steps_s = run_to_head(build(nested_taus, n), fuel)
+            assert steps_w == steps_s and _head(ob_w) == _head(ob_s), (n, fuel)
+            assert _walk(burn(fuel, build(taus, n))) == _walk(burn(fuel, build(nested_taus, n)))
+
+
+def test_tau_observation_skips_within_its_run():
+    t = bind(taus(5, ret(nat(1))), lambda x: tau(ret(x)))
+    ob = observe(t)
+    assert type(ob) is TauO and ob.run == 5
+    assert _walk(ob.rest) == [5, nat(1)]
+    for j in range(1, 6):
+        assert _walk(ob.after(j)) == [6 - j, nat(1)]
+    for j in (0, 6):
+        with pytest.raises(ValueError):
+            ob.after(j)
+    assert observe(tau(ret(nat(1)))).run == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            taus(n, t)
+
+
+def test_answer_and_argument_tags_are_checked():
+    # the answer check holds with binds pending above the event too
+    for t in (trigger(input_ev()), bind(taus(3, trigger(input_ev())), lambda x: ret(x))):
+        ob, _ = run_to_head(t, 10)
+        assert type(ob) is VisO
+        with pytest.raises(AnswerTagMismatch):
+            ob.k(unit())
+        assert observe(ob.k(nat(5))) == RetO(nat(5))
+    with pytest.raises(AnswerTagMismatch):
+        event(IOE, "Output", unit())
+    with pytest.raises(AnswerTagMismatch):
+        set_var("x", boolean(True))
+    with pytest.raises(AnswerTagMismatch):
+        ret(5)

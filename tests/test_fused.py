@@ -12,6 +12,7 @@ from itrees import (
     EQ,
     IOE,
     AnswerTagMismatch,
+    Reason,
     RetO,
     TauO,
     UnhandledEvent,
@@ -90,6 +91,32 @@ def test_fused_check_equivalent_matches_layered(monkeypatch):
     monkeypatch.setattr(asm, "interp_asm", layered_interp_asm)
     assert outcomes() == fused
     assert any(status.value == "refuted" for status, _, _ in fused)
+
+
+def test_eutt_on_fused_and_layered_trees_agree_under_node_budgets():
+    # The fused trees hold each event's padding as one counted run; the
+    # layered ones take it one node at a time.  eutt must not tell them apart,
+    # even where the node budget runs out.
+    rel = compiler.StateInvariantSpec().relspec()
+    reasons = set()
+    for s, seed in list(_programs())[::3]:
+        for mutation in (None, "wrong-default"):
+            low = MUTATIONS[mutation] if mutation else compiler._CLEAN
+            unit_ = compile_stmt(s, low)
+            env0 = initial_stores(CFG, seed)[-1]
+
+            def outcome(run_imp, run_asm, nodes):
+                t_imp = run_imp(denote_stmt(s), env0)
+                t_asm = run_asm(den_asm(unit_)(label(0, 1)), env0, umap(), low.asm_default)
+                v = eutt(rel, t_imp, t_asm, FUEL, FUEL, max_nodes=nodes)
+                return v.status, v.reason, v.witness
+
+            for nodes in (60, 333, 2000):
+                fused = outcome(interp_imp, interp_asm, nodes)
+                assert fused == outcome(layered_interp_imp, layered_interp_asm, nodes)
+                reasons.add((fused[0].value, fused[1]))
+    assert ("unknown", Reason.NODE_BUDGET) in reasons
+    assert {"proven", "refuted"} <= {status for status, _ in reasons}
 
 
 def test_halt_and_outward_events_cost_the_same_steps():
