@@ -227,12 +227,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 budget -= j - 1
                 fuel -= j
                 strip_a = strip_b = tau_budget
-                if j == 1:
-                    path.append(_TAU)
-                    oa, ob = observe(oa.rest), observe(ob.rest)
-                else:
-                    path.extend(repeat(_TAU, j))
-                    oa, ob = observe(oa.after(j)), observe(ob.after(j))
+                path.extend(repeat(_TAU, j))
+                oa, ob = observe(oa.after(j)), observe(ob.after(j))
                 continue
             if ta is TauO:
                 if strip_a <= 0:
@@ -243,12 +239,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     j = budget
                 budget -= j - 1
                 strip_a -= j
-                if j == 1:
-                    path.append(_TAUL)
-                    oa = observe(oa.rest)
-                else:
-                    path.extend(repeat(_TAUL, j))
-                    oa = observe(oa.after(j))
+                path.extend(repeat(_TAUL, j))
+                oa = observe(oa.after(j))
                 continue
             if tb is TauO:
                 if strip_b <= 0:
@@ -259,12 +251,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     j = budget
                 budget -= j - 1
                 strip_b -= j
-                if j == 1:
-                    path.append(_TAUR)
-                    ob = observe(ob.rest)
-                else:
-                    path.extend(repeat(_TAUR, j))
-                    ob = observe(ob.after(j))
+                path.extend(repeat(_TAUR, j))
+                ob = observe(ob.after(j))
                 continue
             if ta is RetO and tb is RetO:
                 if not r.relates(oa.value, ob.value):

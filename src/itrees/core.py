@@ -11,6 +11,7 @@ structure.  A run of silent steps may be held as one counted node
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .values import AnswerTagMismatch, UValue
@@ -103,26 +104,12 @@ class ITree:
         return f"<ITree at {id(self):#x}>"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class RetO:
-    """The tree returns ``value``."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: UValue):
-        self.value = value
-
-    def __eq__(self, other):
-        if type(other) is not RetO:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"RetO(value={self.value!r})"
+    value: UValue
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class TauO:
     """The tree takes a silent step; ``rest`` is the tree after exactly one.
 
@@ -132,11 +119,8 @@ class TauO:
     ``run - 1`` steps as one node.
     """
 
-    __slots__ = ("rest", "run")
-
-    def __init__(self, rest: ITree, run: int = 1):
-        self.rest = rest
-        self.run = run
+    rest: ITree
+    run: int = field(default=1, repr=False)
 
     def after(self, j: int) -> ITree:
         if j == 1:
@@ -150,18 +134,8 @@ class TauO:
             return ITree(tail._head, _cat(tail._konts, rest._konts))
         return ITree(_TauN(tail, run - j), rest._konts)
 
-    def __eq__(self, other):
-        if type(other) is not TauO:
-            return NotImplemented
-        return self.rest is other.rest and self.run == other.run
 
-    def __hash__(self):
-        return hash((id(self.rest), self.run))
-
-    def __repr__(self):
-        return f"TauO(rest={self.rest!r})"
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class VisO:
     """The tree emits ``event``; ``k(x)`` is the tree after the answer ``x``.
 
@@ -170,34 +144,17 @@ class VisO:
     node's continuation and re-attaching the binds pending above it.
     """
 
-    __slots__ = ("event", "_kont", "_konts")
-
-    def __init__(self, event, kont: Callable[[UValue], ITree], konts=None):
-        self.event = event
-        self._kont = kont
-        self._konts = konts
+    event: object
+    _kont: Callable[[UValue], ITree]
+    _konts: object = field(default=None, repr=False)
 
     def k(self, x: UValue) -> ITree:
-        answer = self.event.answer
-        if not answer.accepts(x):
-            raise AnswerTagMismatch(f"answer {x!r} does not fit {answer}")
+        self.event.answer.check(x, "answer")
         nxt = self._kont(x)
         konts = self._konts
         if konts is None:
             return nxt
         return ITree(nxt._head, _cat(nxt._konts, konts))
-
-    def __eq__(self, other):
-        if type(other) is not VisO:
-            return NotImplemented
-        return (self.event == other.event and self._kont is other._kont
-                and self._konts is other._konts)
-
-    def __hash__(self):
-        return hash((self.event, id(self._kont), id(self._konts)))
-
-    def __repr__(self):
-        return f"VisO(event={self.event!r}, k={self._kont!r})"
 
 
 Observation = RetO | TauO | VisO
@@ -304,13 +261,11 @@ def run_to_head(t: ITree, fuel: int) -> tuple[Observation, int]:
     ob = observe(t)
     while type(ob) is TauO and steps < fuel:
         j = ob.run
-        if j == 1:
-            steps += 1
-            ob = observe(ob.rest)
-        else:
-            j = min(j, fuel - steps)
-            steps += j
-            ob = observe(ob.after(j))
+        left = fuel - steps
+        if j > left:
+            j = left
+        steps += j
+        ob = observe(ob.after(j))
     return ob, steps
 
 

@@ -8,7 +8,7 @@ leaf signature is always retained so the answer shape stays available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .values import NAT_T, UNIT_T, UValue, VType
@@ -72,6 +72,7 @@ LEFT = "L"
 RIGHT = "R"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class EventInstance:
     """A concrete event occurrence.
 
@@ -82,28 +83,17 @@ class EventInstance:
     and are never assigned to after construction.
     """
 
-    __slots__ = ("sig", "kind", "args", "path", "answer")
+    sig: EventSig
+    kind: str
+    args: tuple[UValue, ...] = ()
+    path: tuple[str, ...] = ()
+    answer: VType = field(init=False, compare=False, repr=False)
 
-    def __init__(self, sig: EventSig, kind: str, args: tuple[UValue, ...] = (),
-                 path: tuple[str, ...] = (), answer: VType | None = None):
-        self.sig = sig
-        self.kind = kind
-        self.args = args
-        self.path = path
-        self.answer = sig.kind(kind).answer if answer is None else answer
+    def __post_init__(self):
+        self.answer = self.sig.kind(self.kind).answer
 
     def at(self, path: tuple[str, ...]) -> "EventInstance":
-        return EventInstance(self.sig, self.kind, self.args, path, self.answer)
-
-    def __eq__(self, other):
-        if type(other) is not EventInstance:
-            return NotImplemented
-        return (self.kind == other.kind and self.args == other.args
-                and self.path == other.path
-                and (self.sig is other.sig or self.sig == other.sig))
-
-    def __hash__(self):
-        return hash((self.sig, self.kind, self.args, self.path))
+        return EventInstance(self.sig, self.kind, self.args, path)
 
     def __repr__(self):
         inside = ",".join(repr(a.payload) for a in self.args)
@@ -118,7 +108,7 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
         raise WrongSignature(f"{kind} takes {len(spec.params)} args, got {len(args)}")
     for vt, a in zip(spec.params, args):
         vt.check(a, f"argument of {kind}")
-    return EventInstance(sig, kind, args, tuple(path), spec.answer)
+    return EventInstance(sig, kind, args, tuple(path))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ class AnswerTagMismatch(TypeError):
     """A value with the wrong tag reached a tagged continuation or port."""
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class UValue:
     """A tagged runtime value.
 
@@ -44,25 +45,12 @@ class UValue:
       EMPTY -> never constructed (answer tag of halting events only)
 
     Values compare and hash by (tag, payload, bound) and are never assigned
-    to after construction; a plain slotted class keeps that construction a
-    single small allocation.
+    to after construction.
     """
 
-    __slots__ = ("tag", "payload", "bound")
-
-    def __init__(self, tag: Tag, payload: object = None, bound: int | None = None):
-        self.tag = tag
-        self.payload = payload
-        self.bound = bound
-
-    def __eq__(self, other):
-        if type(other) is not UValue:
-            return NotImplemented
-        return (self.tag is other.tag and self.payload == other.payload
-                and self.bound == other.bound)
-
-    def __hash__(self):
-        return hash((self.tag, self.payload, self.bound))
+    tag: Tag
+    payload: object = None
+    bound: int | None = None
 
     def __repr__(self):
         return f"UValue<{render_value(self)}>"
