@@ -16,6 +16,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .core import ITree, RetO, TauO, VisO, observe
+from .events import render_event_response
 from .values import Tag, UValue, boolean, label, nat, unit
 
 DEFAULT_NAT_PROBES = (0, 1, 2, 9, 17)
@@ -136,8 +137,6 @@ def _step_text(step):
     if kind == "taur":
         return ">tau"
     if kind == "event":
-        from .traces import render_event_response
-
         return render_event_response(step[1], step[2])
     if kind == "ret-mismatch":
         return f"ret {step[1]!r} != ret {step[2]!r}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, trigger, vis
-from .events import LEFT, RIGHT, EventInstance, EventSig, WrongSignature
+from .events import LEFT, RIGHT, EventInstance, EventSig, WrongSignature, event
 from .values import UValue, VType, inl, inr, label, label_t, un_sum
 
 
@@ -145,8 +145,6 @@ class RecHandler:
 
 def rec_call(sig: EventSig, kind: str, *args: UValue) -> ITree:
     """Trigger a recursive call from inside a recursive handler body."""
-    from .events import event
-
     return trigger(event(sig, kind, *args, path=(LEFT,)))
 
 

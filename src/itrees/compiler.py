@@ -17,6 +17,7 @@ from typing import Sequence
 from . import asm
 from .asm import (
     AsmUnit,
+    Bbrz,
     Block,
     Bjmp,
     Iadd,
@@ -96,47 +97,44 @@ def compile_assign(x: str, e: Expr, low: _Lowering = _CLEAN) -> list:
     return code
 
 
-def _cond_asm(e, low: _Lowering) -> AsmUnit:
-    unit = asm.cond_asm(e)
-    if not low.swap_branch:
-        return unit
-    blk = unit.code[0]
-    return AsmUnit(1, 2, 0, (Block(blk.instrs, asm.Bbrz(blk.branch.test,
-                                                        blk.branch.no,
-                                                        blk.branch.yes)),))
+def _swap_branches(u: AsmUnit) -> AsmUnit:
+    """Exchange the arms of every guard; they are the only ``brz`` blocks."""
+    code = tuple(Block(b.instrs, Bbrz(b.branch.test, b.branch.no, b.branch.yes))
+                 if isinstance(b.branch, Bbrz) else b for b in u.code)
+    return AsmUnit(u.entries, u.exits, u.internal, code)
 
 
-def _if_asm(e, t: AsmUnit, f: AsmUnit, low: _Lowering) -> AsmUnit:
-    a = t.exits
-    both = asm.app_asm(t, f)
-    merged = asm.relabel_asm((0, 1), tuple(range(a)) + tuple(range(a)), both, a)
-    return asm.seq_asm(_cond_asm(e, low), merged)
-
-
-def _while_asm(e, p: AsmUnit, low: _Lowering) -> AsmUnit:
-    body = _if_asm(e, asm.relabel_asm((0,), (0,), p, 2),
-                   asm.pure_asm(1, 2, lambda _: 1), low)
-    reenter_target = 1 if low.drop_backedge else 0
-    reenter = asm.pure_asm(1, 2, lambda _: reenter_target)
-    both = asm.app_asm(body, reenter)
-    merged = asm.relabel_asm((0, 1), (0, 1, 0, 1), both, 2)
-    return asm.loop_asm(merged, 1)
-
-
-def compile_stmt(s: Stmt, low: _Lowering = _CLEAN) -> AsmUnit:
-    """Compile a statement to an asm unit with one entry and one exit."""
+def _lower(s: Stmt, low: _Lowering) -> AsmUnit:
     if isinstance(s, Skip):
         return asm.id_asm()
     if isinstance(s, Assign):
         return AsmUnit(1, 1, 0, (Block(tuple(compile_assign(s.name, s.expr, low)),
                                        Bjmp(0)),))
     if isinstance(s, Seq):
-        return asm.seq_asm(compile_stmt(s.first, low), compile_stmt(s.second, low))
+        items = []
+        while isinstance(s, Seq):
+            items.append(s.first)
+            s = s.second
+        unit = _lower(s, low)
+        for item in reversed(items):
+            unit = asm.seq_asm(_lower(item, low), unit)
+        return unit
     if isinstance(s, If):
-        return _if_asm(compile_expr(0, s.cond, low),
-                       compile_stmt(s.then, low),
-                       compile_stmt(s.orelse, low), low)
-    return _while_asm(compile_expr(0, s.cond, low), compile_stmt(s.body, low), low)
+        return asm.if_asm(compile_expr(0, s.cond, low),
+                          _lower(s.then, low), _lower(s.orelse, low))
+    unit = asm.while_asm(compile_expr(0, s.cond, low), _lower(s.body, low))
+    if not low.drop_backedge:
+        return unit
+    # The entry block jumps into the guard; send it to the exit instead.
+    code = list(unit.code)
+    code[unit.internal] = Block((), Bjmp(unit.internal))
+    return AsmUnit(unit.entries, unit.exits, unit.internal, tuple(code))
+
+
+def compile_stmt(s: Stmt, low: _Lowering = _CLEAN) -> AsmUnit:
+    """Compile a statement to an asm unit with one entry and one exit."""
+    unit = _lower(s, low)
+    return _swap_branches(unit) if low.swap_branch else unit
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .values import NAT_T, UNIT_T, UValue, VType
+from .values import NAT_T, UNIT_T, UValue, VType, render_value
 
 
 class WrongSignature(ValueError):
@@ -221,3 +221,12 @@ def map_default_of(sig: EventSig) -> UValue:
     if sig.name != "MapDefault":
         raise WrongSignature(f"{sig!r} is not a map signature")
     return sig.params[2]
+
+
+def render_event(e: EventInstance) -> str:
+    args = ",".join(render_value(a) for a in e.args)
+    return f"{e.kind}({args})"
+
+
+def render_event_response(e: EventInstance, answer: UValue) -> str:
+    return f"{render_event(e)}={render_value(answer)}"

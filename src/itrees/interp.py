@@ -1,12 +1,12 @@
 """Event handlers and the generic interpreter.
 
-A handler assigns each event a computation in a target monad; ``interp``
-folds it over a tree.  Two targets are supported: trees themselves, and
-state transformers stacked over a tree target.  The fold spends one
-target-level silent step per source node consumed (silent or visible), so
-step counts are deterministic and the weak checker absorbs them.
-``interp_stores`` fuses a renaming fold and one map fold per store into a
-single pass with the same step counts.
+A handler assigns each event a computation in a target monad, trees
+(``ITREES``); ``interp`` folds it over a tree.  State and map events are
+folded by one state-passing pass (``interp_state``, ``interp_map``).
+Every fold spends one silent step per source node consumed (silent or
+visible), so step counts are deterministic and the weak checker absorbs
+them.  ``interp_stores`` fuses a renaming fold and one map fold per store
+into a single pass with the same step counts.
 """
 
 from __future__ import annotations
@@ -19,26 +19,20 @@ from .events import (
     LEFT,
     RIGHT,
     EventInstance,
-    EventSig,
     Signature,
     SumSig,
     map_default_of,
-    state_sig,
 )
 from .values import (
     MAP_T,
     UNIT,
     UValue,
-    VType,
-    fst,
     map_get,
     map_items,
     map_remove,
     map_set,
     pair,
-    snd,
     umap,
-    unit,
 )
 
 
@@ -60,27 +54,6 @@ class ITreeTarget:
 
 
 ITREES = ITreeTarget()
-
-
-class StateTarget:
-    """Computations are functions from a state value to an inner computation
-    of Pair(state', result)."""
-
-    def __init__(self, state_t: VType, inner=ITREES):
-        self.state_t = state_t
-        self.inner = inner
-
-    def ret(self, v: UValue):
-        return lambda s: self.inner.ret(pair(s, v))
-
-    def bind(self, m, k):
-        def run(s):
-            return self.inner.bind(m(s), lambda sr: k(snd(sr))(fst(sr)))
-
-        return run
-
-    def guard(self, thunk):
-        return lambda s: self.inner.guard(lambda: thunk()(s))
 
 
 @dataclass(frozen=True)
@@ -154,23 +127,42 @@ def handler_bimap(h: Handler, g: Handler) -> Handler:
 
 # State events.
 
-def handle_state(state_t: VType) -> Handler:
-    sig = state_sig(state_t)
+def _fold_state(t: ITree, s0: UValue, step) -> ITree:
+    """Thread a state through the left events of a tree.
 
-    def apply(e: EventInstance):
-        if e.kind == "Get":
-            return lambda s: ret(pair(s, s))
-        if e.kind == "Put":
-            new = e.args[0]
-            return lambda s: ret(pair(new, unit()))
-        raise UnhandledEvent(f"{e!r} is not a state event")
+    ``step(state, event)`` answers a left event, its path stripped, with
+    (state', answer); right events surface with the prefix stripped.  Every
+    consumed node costs one silent step, an outward event paying it before
+    it surfaces.  The result tree returns Pair(final state, result).
+    """
 
-    return Handler(sig, StateTarget(state_t), apply)
+    def go(t, s):
+        ob = observe(t)
+        kind = type(ob)
+        if kind is RetO:
+            return ret(pair(s, ob.value))
+        if kind is TauO:
+            rest = ob.rest
+            return tau(lazy(lambda: go(rest, s)))
+        e, k = ob.event, ob.k
+        path = e.path
+        if path and path[0] == LEFT:
+            s2, answer = step(s, e.at(path[1:]))
+            return tau(lazy(lambda: go(k(answer), s2)))
+        if path and path[0] == RIGHT:
+            outer = e.at(path[1:])
+            return tau(lazy(lambda: vis(outer, lambda x: lazy(lambda: go(k(x), s)))))
+        raise UnhandledEvent(f"{e!r} is not classified within a sum")
+
+    return lazy(lambda: go(t, s0))
 
 
-def _route_through_state(e: EventInstance):
-    """Pass an event through untouched, threading the state around it."""
-    return lambda s: bind(trigger(e), lambda x: ret(pair(s, x)))
+def _state_step(s: UValue, e: EventInstance):
+    if e.kind == "Get":
+        return s, s
+    if e.kind == "Put":
+        return e.args[0], UNIT
+    raise UnhandledEvent(f"{e!r} is not a state event")
 
 
 def interp_state(t: ITree, s0: UValue) -> ITree:
@@ -178,87 +170,28 @@ def interp_state(t: ITree, s0: UValue) -> ITree:
 
     The result tree is over E and returns Pair(final state, result).
     """
-    state_t = VType(s0.tag, s0.bound)
-    h_state = handle_state(state_t)
-
-    def apply(e: EventInstance):
-        if e.path and e.path[0] == LEFT:
-            return h_state.apply(e.at(e.path[1:]))
-        if e.path and e.path[0] == RIGHT:
-            return _route_through_state(e.at(e.path[1:]))
-        raise UnhandledEvent(f"{e!r} reached interp_state unclassified")
-
-    h = Handler(None, h_state.target, apply)
-    return interp(h, t)(s0)
+    return _fold_state(t, s0, _state_step)
 
 
-def handle_map(sig: EventSig) -> Handler:
-    default = map_default_of(sig)
-
-    def apply(e: EventInstance):
-        if e.kind == "Insert":
-            key, val = e.args[0].payload, e.args[1]
-            return lambda m: ret(pair(map_set(m, key, val), unit()))
-        if e.kind == "LookupDefault":
-            key = e.args[0].payload
-            return lambda m: ret(pair(m, map_get(m, key, default)))
-        if e.kind == "Remove":
-            key = e.args[0].payload
-            return lambda m: ret(pair(map_remove(m, key), unit()))
-        raise UnhandledEvent(f"{e!r} is not a map event")
-
-    return Handler(sig, StateTarget(MAP_T), apply)
+def _map_step(m: UValue, e: EventInstance):
+    if e.kind == "Insert":
+        return map_set(m, e.args[0].payload, e.args[1]), UNIT
+    if e.kind == "LookupDefault":
+        return m, map_get(m, e.args[0].payload, map_default_of(e.sig))
+    if e.kind == "Remove":
+        return map_remove(m, e.args[0].payload), UNIT
+    raise UnhandledEvent(f"{e!r} is not a map event")
 
 
 def interp_map(t: ITree, m0: UValue) -> ITree:
     """Interpret the left map events of a MapDefault+E tree over the initial
     map ``m0``; lookups of absent keys yield the signature's default.
 
-    This is the state-transformer instance of ``interp`` unrolled by hand —
-    same one-silent-step-per-node discipline, but it threads the map
-    directly instead of stacking closures.  Stacked under a renaming
-    ``interp`` it is the layered specification that ``interp_stores``
-    fuses.
+    Stacked under a renaming ``interp`` it is the layered specification
+    that ``interp_stores`` fuses.
     """
     MAP_T.check(m0, "initial map")
-    defaults: dict = {}  # id(sig) -> (sig, default); sigs are shared objects
-
-    def default_of(sig):
-        entry = defaults.get(id(sig))
-        if entry is None:
-            entry = (sig, map_default_of(sig))
-            defaults[id(sig)] = entry
-        return entry[1]
-
-    def go(t, m):
-        ob = observe(t)
-        kind = type(ob)
-        if kind is RetO:
-            return ret(pair(m, ob.value))
-        if kind is TauO:
-            rest = ob.rest
-            return tau(lazy(lambda: go(rest, m)))
-        e, k = ob.event, ob.k
-        path = e.path
-        if path and path[0] == LEFT:
-            inner = e.at(path[1:])
-            op = inner.kind
-            if op == "Insert":
-                m2 = map_set(m, inner.args[0].payload, inner.args[1])
-                return tau(lazy(lambda: go(k(unit()), m2)))
-            if op == "LookupDefault":
-                answer = map_get(m, inner.args[0].payload, default_of(inner.sig))
-                return tau(lazy(lambda: go(k(answer), m)))
-            if op == "Remove":
-                m2 = map_remove(m, inner.args[0].payload)
-                return tau(lazy(lambda: go(k(unit()), m2)))
-            raise UnhandledEvent(f"{inner!r} is not a map event")
-        if path and path[0] == RIGHT:
-            outer = e.at(path[1:])
-            return tau(lazy(lambda: vis(outer, lambda x: lazy(lambda: go(k(x), m)))))
-        raise UnhandledEvent(f"{e!r} reached interp_map unclassified")
-
-    return lazy(lambda: go(t, m0))
+    return _fold_state(t, m0, _map_step)
 
 
 # The fused store-passing fold.

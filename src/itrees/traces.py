@@ -21,7 +21,7 @@ from .bisim import (
     unknown,
 )
 from .core import ITree, RetO, TauO, VisO, run_to_head
-from .events import EventInstance
+from .events import EventInstance, render_event, render_event_response
 from .values import Tag, UValue, render_value
 
 
@@ -52,15 +52,6 @@ class TEventEnd:
 Trace = Union[TEnd, TRet, TEventResponse, TEventEnd]
 
 TEND = TEnd()
-
-
-def render_event(e: EventInstance) -> str:
-    args = ",".join(render_value(a) for a in e.args)
-    return f"{e.kind}({args})"
-
-
-def render_event_response(e: EventInstance, answer: UValue) -> str:
-    return f"{render_event(e)}={render_value(answer)}"
 
 
 def render_trace(tr: Trace) -> str:

@@ -142,6 +142,13 @@ def test_long_straight_line_program_runs(tmp_path):
     assert out == "outcome: finished\nsteps: 9000\nx=0\n"
 
 
+def test_long_straight_line_program_compiles(tmp_path):
+    src = tmp_path / "long.imp"
+    src.write_text("".join(f"x := {i};\n" for i in range(1100)) + "skip\n")
+    code, out = run_cli(["check-equiv", str(src)])
+    assert (code, out) == (0, "proven\n")
+
+
 def test_echo_demo_scripted():
     code, out = run_cli(None, stdin_text="5\n12\n0\n7\n3\n")
     assert code == 0

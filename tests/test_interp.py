@@ -32,6 +32,8 @@ from itrees import (
     state_sig,
     strong_bisim,
     sym,
+    tau,
+    taus,
     trigger,
     umap,
     unit,
@@ -173,6 +175,35 @@ def test_unhandled_event_raises():
     bare = trigger(event(T3, "Ask"))  # unclassified: neither side of a sum
     with pytest.raises(UnhandledEvent):
         run_to_head(interp_state(bare, nat(0)), 10)
+
+
+def test_state_and_map_folds_spend_one_step_per_consumed_node():
+    """Both folds share one discipline: one silent step per consumed node
+    (a counted run of three costs three), an outward event paying its step
+    before it surfaces and none after its answer."""
+    tell = trigger(event(T3, "Tell", nat(2), path=(RIGHT,)))
+    gets = bind(_get(), lambda x: taus(3, bind(_put(x.payload + 1), lambda _: bind(
+        tell, lambda _: tau(_get())))))
+    lookups = bind(_insert("a", 7), lambda _: taus(3, bind(_lookup("a"), lambda x: bind(
+        tell, lambda _: bind(_remove("a"), lambda _: tau(bind(
+            _lookup("a"), lambda y: ret(pair(x, y)))))))))
+    # (folded tree, steps before the outward event, steps after it, result)
+    cases = (
+        (interp_state(tau(gets), nat(5)), 7, 2, pair(nat(6), nat(6))),
+        (interp_map(tau(lookups), umap({"b": nat(1)})), 7, 3,
+         pair(umap({"b": nat(1)}), pair(nat(7), nat(0)))),
+    )
+    for out, before, after, final in cases:
+        ob, steps = run_to_head(out, 100)
+        assert steps == before
+        assert type(ob).__name__ == "VisO" and ob.event == event(T3, "Tell", nat(2))
+        ob, steps = run_to_head(ob.k(unit()), 100)
+        assert (ob, steps) == (RetO(final), after)
+
+    with pytest.raises(UnhandledEvent):
+        run_to_head(interp_state(tau(_insert("a", 1)), nat(0)), 10)
+    with pytest.raises(UnhandledEvent):
+        run_to_head(interp_map(tau(_get()), umap()), 10)
 
 
 # Handler category laws, pointwise.
