@@ -364,14 +364,48 @@ def id_asm() -> AsmUnit:
 
 
 def seq_asm(u1: AsmUnit, u2: AsmUnit) -> AsmUnit:
-    """Feed every exit of ``u1`` into the matching entry of ``u2``."""
-    b = u1.exits
-    if u2.entries != b:
-        raise BoundViolation(f"seq mismatch: {b} exits vs {u2.entries} entries")
-    app = app_asm(u1, u2)
-    entry_map = tuple(range(u1.entries, u1.entries + b)) + tuple(range(u1.entries))
-    exit_map = tuple(range(app.exits))
-    return loop_asm(relabel_asm(entry_map, exit_map, app, app.exits), b)
+    """Feed every exit of ``u1`` into the matching entry of ``u2``: the
+    loop over ``app_asm(u1, u2)`` that wires ``u1``'s exits to ``u2``'s
+    entries."""
+    return chain_asm((u1, u2))
+
+
+def chain_asm(units: Sequence[AsmUnit]) -> AsmUnit:
+    """Sequence a non-empty list of units, each exit of one feeding the
+    matching entry of the next: ``seq_asm`` folded from the right, with
+    every block relabeled once.
+
+    The blocks keep the order of that fold: the internal blocks of the
+    first unit to the last, the entry blocks of the last unit back to the
+    second, now internal, then the entry blocks of the first.
+    """
+    for u1, u2 in zip(units, units[1:]):
+        if u2.entries != u1.exits:
+            raise BoundViolation(f"seq mismatch: {u1.exits} exits vs {u2.entries} entries")
+    firsts = []  # label of each unit's first internal block
+    at = 0
+    for u in units:
+        firsts.append(at)
+        at += u.internal
+    # label each unit's exit 0 goes to: the next unit's first entry block,
+    # or the first exit of the whole for the last unit
+    exit_bases = [0] * len(units)
+    for j in range(len(units) - 1, 0, -1):
+        exit_bases[j - 1] = at
+        at += units[j].entries
+    exit_bases[-1] = at
+
+    def relabeler(j):
+        i, first, exit_base = units[j].internal, firsts[j], exit_bases[j]
+        return lambda l: first + l if l < i else exit_base + (l - i)
+
+    fs = [relabeler(j) for j in range(len(units))]
+    blocks = [_relabel_block(blk, f) for u, f in zip(units, fs)
+              for blk in u.code[:u.internal]]
+    for j in range(len(units) - 1, -1, -1):
+        u = units[j]
+        blocks += [_relabel_block(blk, fs[j]) for blk in u.code[u.internal:]]
+    return AsmUnit(units[0].entries, units[-1].exits, at, tuple(blocks))
 
 
 TMP_IF = 0  # register the guard code leaves its result in

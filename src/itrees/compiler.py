@@ -115,10 +115,8 @@ def _lower(s: Stmt, low: _Lowering) -> AsmUnit:
         while isinstance(s, Seq):
             items.append(s.first)
             s = s.second
-        unit = _lower(s, low)
-        for item in reversed(items):
-            unit = asm.seq_asm(_lower(item, low), unit)
-        return unit
+        items.append(s)
+        return asm.chain_asm([_lower(item, low) for item in items])
     if isinstance(s, If):
         return asm.if_asm(compile_expr(0, s.cond, low),
                           _lower(s.then, low), _lower(s.orelse, low))

@@ -109,6 +109,11 @@ class ImpSyntaxError(SyntaxError):
         self.col = col
 
 
+# Deeper expressions are a syntax error: the parser, the denotation, the
+# compiler and the printer recurse on expressions, one to three Python
+# frames a level, and must stay inside the default recursion limit.
+MAX_EXPR_DEPTH = 100
+
 _KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do"}
 
 _TOKEN = re.compile(
@@ -149,6 +154,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.parens = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -179,7 +185,7 @@ class _Parser:
             return Skip()
         if kind == "if":
             self.i += 1
-            cond = self.expr()
+            cond, _ = self.expr()
             self.take("then")
             then = self.stmts()
             self.take("else")
@@ -188,7 +194,7 @@ class _Parser:
             return If(cond, then, orelse)
         if kind == "while":
             self.i += 1
-            cond = self.expr()
+            cond, _ = self.expr()
             self.take("do")
             body = self.stmts()
             self.take("end")
@@ -198,43 +204,62 @@ class _Parser:
             op = self.take("op")
             if op[1] != ":=":
                 raise ImpSyntaxError("expected ':='", op[2], op[3])
-            return Assign(text, self.expr())
+            return Assign(text, self.expr()[0])
         raise ImpSyntaxError(f"expected a statement, found {text!r}", line, col)
 
-    def expr(self) -> Expr:
-        e = self.term()
+    # Each method below returns an expression and its depth: one level per
+    # operator and per pair of parentheses on the way down to a leaf.
+
+    def expr(self) -> tuple[Expr, int]:
+        e, depth = self.term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.peek()[1]
+            op = self.peek()
             self.i += 1
-            rhs = self.term()
-            e = Plus(e, rhs) if op == "+" else Minus(e, rhs)
-        return e
+            rhs, rhs_depth = self.term()
+            e = Plus(e, rhs) if op[1] == "+" else Minus(e, rhs)
+            depth = self._level(max(depth, rhs_depth), op)
+        return e, depth
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        e, depth = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] == "*":
+            op = self.peek()
             self.i += 1
-            e = Mult(e, self.factor())
-        return e
+            rhs, rhs_depth = self.factor()
+            e = Mult(e, rhs)
+            depth = self._level(max(depth, rhs_depth), op)
+        return e, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         kind, text, line, col = self.peek()
         if kind == "num":
             if int(text) > NAT_MASK:
                 raise ImpSyntaxError(f"literal {text} does not fit in 64 bits", line, col)
             self.i += 1
-            return Lit(int(text))
+            return Lit(int(text)), 0
         if kind == "ident":
             self.i += 1
-            return Var(text)
+            return Var(text), 0
         if kind == "op" and text == "(":
+            # checked before descending, so the parser's own recursion stays
+            # bounded too
+            paren = self.peek()
+            self.parens = self._level(self.parens, paren)
             self.i += 1
-            e = self.expr()
+            e, depth = self.expr()
             close = self.take("op")
             if close[1] != ")":
                 raise ImpSyntaxError("expected ')'", close[2], close[3])
-            return e
+            self.parens -= 1
+            return e, self._level(depth, paren)
         raise ImpSyntaxError(f"expected an expression, found {text!r}", line, col)
+
+    @staticmethod
+    def _level(depth, tok) -> int:
+        if depth >= MAX_EXPR_DEPTH:
+            raise ImpSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                                 tok[2], tok[3])
+        return depth + 1
 
 
 def parse_imp(src: str) -> Stmt:

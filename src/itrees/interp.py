@@ -196,6 +196,13 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 
 # The fused store-passing fold.
 
+# The most silent steps one batch of ``interp_stores`` gathers before it
+# hands a node to its consumer.  A tree can emit store events forever
+# without a silent step of its own, and observing the interpreted tree must
+# still return.
+_BATCH_STEPS = 256
+
+
 def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                   outward: tuple[str, ...]) -> ITree:
     """Interpret a tree's store events over several finite maps in one pass.
@@ -218,8 +225,16 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     ``handler_bimap`` level its path descends and one per map layer it
     reaches, the last slot's layer running first and an outward event
     reaching them all.  An outward event pays its steps before it surfaces
-    and none after its answer.  Each event's padding is one counted node
-    (``taus``), so consumers that take silent runs whole skip it at once.
+    and none after its answer.
+
+    Store events are answered in place, in batches: the steps of a batch
+    are one counted node (``taus``), so consumers that take silent runs
+    whole skip it at once.  A batch ends at a source silent step, which it
+    includes; at a return; at an outward event, after its steps; before a
+    node whose observation or continuation raises, or that has no route,
+    so the tree raises at the step it would raise unbatched; and once it
+    holds ``_BATCH_STEPS`` steps, so that observing a tree of endless store
+    events returns.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -229,36 +244,52 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     cut = len(outward)
     outward_steps = 1 + cut + n
 
+    # A batch looks ahead of its consumer, so it must not raise early: what
+    # the source raises is left to a lazy node after the batch's steps,
+    # which does the same work again and raises there.
     def go(t, dicts):
-        ob = observe(t)
-        kind = type(ob)
-        if kind is TauO:
-            rest = ob.rest
-            return tau(lazy(lambda: go(rest, dicts)))
-        if kind is RetO:
-            v = ob.value
-            for d in reversed(dicts):
-                v = pair(umap(d), v)
-            return ret(v)
-        e, k = ob.event, ob.k
-        path = e.path
-        route = table.get((path, e.kind))
-        if route is not None:
+        total = 0
+        while True:
+            try:
+                ob = observe(t)
+            except Exception:
+                if not total:
+                    raise
+                return taus(total, lazy(lambda: go(t, dicts)))
+            kind = type(ob)
+            if kind is TauO:
+                rest = ob.rest
+                return taus(total + 1, lazy(lambda: go(rest, dicts)))
+            if kind is RetO:
+                v = ob.value
+                for d in reversed(dicts):
+                    v = pair(umap(d), v)
+                return taus(total, ret(v)) if total else ret(v)
+            e, k = ob.event, ob.k
+            path = e.path
+            route = table.get((path, e.kind))
+            if route is None:
+                if path[:cut] == outward:
+                    return taus(total + outward_steps, vis(
+                        e.at(path[cut:]), lambda x: lazy(lambda: go(k(x), dicts))))
+                if not total:
+                    raise UnhandledEvent(f"{e!r} has no route in interp_stores")
+                return taus(total, lazy(lambda: go(t, dicts)))
             slot, default, steps = route
             key = e.args[0].payload
             if default is None:
                 d = dict(dicts[slot])
                 d[key] = e.args[1]
-                after = dicts[:slot] + (d,) + dicts[slot + 1:]
-                nxt = lazy(lambda: go(k(UNIT), after))
+                dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
+                answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)
-                nxt = lazy(lambda: go(k(answer), dicts))
-        elif path[:cut] == outward:
-            steps = outward_steps
-            nxt = vis(e.at(path[cut:]), lambda x: lazy(lambda: go(k(x), dicts)))
-        else:
-            raise UnhandledEvent(f"{e!r} has no route in interp_stores")
-        return taus(steps, nxt)
+            total += steps
+            try:
+                t = k(answer)
+            except Exception:
+                return taus(total, lazy(lambda: go(k(answer), dicts)))
+            if total >= _BATCH_STEPS:
+                return taus(total, lazy(lambda: go(t, dicts)))
 
     return lazy(lambda: go(t, tuple(dict(map_items(m)) for m in stores)))

@@ -45,6 +45,7 @@ from itrees.asm import (
     Oreg,
     TMP_IF,
     app_asm,
+    chain_asm,
     den_asm,
     denote_br,
     denote_instr,
@@ -260,6 +261,32 @@ def test_seq_asm_correct():
         lhs = den_asm(seq_asm(u1, u2))
         rhs = KTree(kt_cat(den_asm(u1), den_asm(u2)).fn, label_t(u1.entries))
         assert ktree_equiv(EQ, lhs, rhs, **LAW_BUDGET).proven
+
+
+def _seq_by_wiring(u1, u2):
+    """Sequencing as wiring: place the units side by side, move ``u2``'s
+    entries first, then loop ``u1``'s exits back into them."""
+    b = u1.exits
+    app = app_asm(u1, u2)
+    entry_map = tuple(range(u1.entries, u1.entries + b)) + tuple(range(u1.entries))
+    return loop_asm(relabel_asm(entry_map, tuple(range(app.exits)), app, app.exits), b)
+
+
+def test_chain_asm_is_seq_by_wiring_folded_from_the_right():
+    rng = random.Random(67)
+    for _ in range(60):
+        ports = [rng.randint(1, 3) for _ in range(rng.randint(3, 7))]
+        units = [gen_asm_unit(rng, a, b, rng.randint(0, 3), max_instrs=1)
+                 for a, b in zip(ports, ports[1:])]
+        folded = units[-1]
+        for u in reversed(units[:-1]):
+            folded = _seq_by_wiring(u, folded)
+        assert chain_asm(units) == folded
+        assert seq_asm(units[0], units[1]) == _seq_by_wiring(units[0], units[1])
+    u = gen_asm_unit(rng, 1, 2, 1)
+    assert chain_asm([u]) == u
+    with pytest.raises(BoundViolation):
+        chain_asm([u, gen_asm_unit(rng, 1, 1, 0)])
 
 
 def _guard(rng, value):

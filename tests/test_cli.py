@@ -149,6 +149,44 @@ def test_long_straight_line_program_compiles(tmp_path):
     assert (code, out) == (0, "proven\n")
 
 
+def test_linking_a_long_straight_line_is_linear(tmp_path):
+    # no timing bound: at 3,000 statements the quadratic linker took seconds
+    src = tmp_path / "long.imp"
+    src.write_text("".join(f"x := {i};\n" for i in range(3000)) + "skip\n")
+    code, out = run_cli(["check-equiv", str(src)])
+    assert (code, out) == (0, "proven\n")
+
+
+@pytest.mark.parametrize("expr, at", [
+    ("(" * 2000 + "1" + ")" * 2000, "2:106"),  # at the 101st parenthesis
+    (" + ".join(["1"] * 3000), "2:408"),  # at the 101st operator
+    ("x * (" * 60 + "1" + ")" * 60, None),
+], ids=["parentheses", "sum", "mixed"])
+def test_too_deep_expressions_are_syntax_errors(tmp_path, capsys, expr, at):
+    src = tmp_path / "deep.imp"
+    src.write_text(f"y := 1;\nx := {expr}\n")
+    assert cli.main(["run-imp", str(src)]) == 1
+    assert cli.main(["check-equiv", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: ") == 2 and err.count("deeper than 100 levels") == 2
+    if at:
+        assert err.count(f"error: {at}: ") == 2
+
+
+@pytest.mark.parametrize("expr, value", [
+    (" + ".join(["1"] * 101), 101),
+    ("(" * 100 + "7" + ")" * 100, 7),
+], ids=["sum", "parentheses"])
+def test_the_deepest_accepted_expressions_run(tmp_path, expr, value):
+    src = tmp_path / "deep.imp"
+    src.write_text(f"x := {expr}\n")
+    code, out = run_cli(["run-imp", str(src)])
+    assert (code, out) == (0, f"outcome: finished\nsteps: 3\nx={value}\n")
+    code, out = run_cli(["check-equiv", str(src)])
+    assert (code, out) == (0, "proven\n")
+
+
 def test_echo_demo_scripted():
     code, out = run_cli(None, stdin_text="5\n12\n0\n7\n3\n")
     assert code == 0

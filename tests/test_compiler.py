@@ -4,8 +4,9 @@ bounded-equivalence harness with its seeded bugs."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from itrees import label, nat, run_to_head, umap
+from itrees import RetO, fst, label, nat, run_to_head, umap
 from itrees.asm import (
     AsmUnit,
     Bjmp,
@@ -199,3 +200,19 @@ def test_bounded_programs_terminate_quickly():
         prog = gen_program(16, "bounded", seed)
         ref = run_reference(prog, {}, 100_000)
         assert ref is not None, pretty_stmt(prog)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.integers(0, 10**6),
+       st.dictionaries(st.sampled_from(("x", "y", "z", "w", "v")), st.integers(0, 9)))
+def test_free_programs_that_finish_agree_with_the_reference(size, seed, env0):
+    prog = gen_program(size, "free", seed)
+    ref = run_reference(prog, env0, 10**4)
+    if ref is None:
+        return
+    want = env_of(ref[0])
+    got = run_imp(prog, env_of(env0), 10**6)
+    assert got.finished and got.env == want
+    entry = den_asm(compile_stmt(prog))(label(0, 1))
+    ob, _ = run_to_head(interp_asm(entry, env_of(env0), umap()), 10**6)
+    assert type(ob) is RetO and fst(ob.value) == want

@@ -20,15 +20,30 @@ from itrees import (
     bind,
     eutt,
     event,
+    observe,
     pair,
+    ret,
     run_to_head,
+    strong_bisim,
+    tau,
     trigger,
+    vis,
 )
 from itrees import asm, compiler
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
-from itrees.imp import Assign, Lit, denote_stmt, env_of, get_var, interp_imp, set_var
-from itrees.values import label, nat, umap, unit
+from itrees.imp import (
+    IMP_STATE,
+    Assign,
+    Lit,
+    denote_stmt,
+    env_of,
+    get_var,
+    interp_imp,
+    parse_imp,
+    set_var,
+)
+from itrees.values import label, nat, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp
 
@@ -75,6 +90,129 @@ def test_fused_asm_matches_layered(mutation):
             heads.add(_agree(interp_asm(entry, mem0, umap(), low.asm_default),
                              layered_interp_asm(entry, mem0, umap(), low.asm_default)))
     assert RetO in heads
+
+
+def _node_for_node(fused, layered, depth=FUEL):
+    """Strong bisimilarity: every observation equal, silent steps one by one.
+
+    Proven when the runs finish within ``depth`` steps; a run cut off there
+    can only come back Unknown."""
+    v = strong_bisim(fused, layered, depth)
+    finished = type(run_to_head(fused, depth)[0]) is RetO
+    assert v.proven if finished else v.reason is Reason.DEPTH_BUDGET
+    return v.proven
+
+
+def test_fused_imp_is_strongly_bisimilar_to_layered():
+    proven = [_node_for_node(interp_imp(denote_stmt(s), env0),
+                             layered_interp_imp(denote_stmt(s), env0))
+              for s, seed in _programs() for env0 in initial_stores(CFG, seed)]
+    assert 0 < proven.count(False) < proven.count(True)
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(MUTATIONS))
+def test_fused_asm_is_strongly_bisimilar_to_layered(mutation):
+    low = MUTATIONS[mutation] if mutation else compiler._CLEAN
+    proven = []
+    for s, seed in _programs():
+        entry = den_asm(compile_stmt(s, low))(label(0, 1))
+        for mem0 in initial_stores(CFG, seed):
+            proven.append(_node_for_node(
+                interp_asm(entry, mem0, umap(), low.asm_default),
+                layered_interp_asm(entry, mem0, umap(), low.asm_default)))
+    assert proven.count(True) > len(proven) // 2
+
+
+def test_long_batches_are_strongly_bisimilar_to_layered():
+    # 300 assignments and 600 reads with no source silent step between them:
+    # the fused batches fill up to their cap several times over
+    s = parse_imp("".join(f"x{i % 7} := x{(i + 1) % 7} + x{(i + 3) % 7};\n"
+                          for i in range(300)) + "skip\n")
+    env0 = env_of({"x1": 1, "x3": 2})
+    assert _node_for_node(interp_imp(denote_stmt(s), env0),
+                          layered_interp_imp(denote_stmt(s), env0), 3000)
+    entry = den_asm(compile_stmt(s))(label(0, 1))
+    assert _node_for_node(interp_asm(entry, env0, umap()),
+                          layered_interp_asm(entry, env0, umap()), 12000)
+
+
+class Unbounded(BaseException):
+    """Not an ``Exception``, so a batch cannot defer it to a later step."""
+
+
+def test_endless_store_events_still_step():
+    # No silent step of its own, ever: each observation must still return.
+    # A batch without a cap would read on until it hits Unbounded.
+    def reads(n):
+        if n == 100_000:
+            raise Unbounded
+        return bind(get_var("x"), lambda _: reads(n + 1))
+
+    t = interp_imp(reads(0), env_of())
+    assert type(observe(t)) is TauO
+    ob, steps = run_to_head(t, 10_000)
+    assert (type(ob), steps) == (TauO, 10_000)
+
+
+class Boom(Exception):
+    pass
+
+
+def _boom(_):
+    raise Boom
+
+
+def _step_of_first_raise(t):
+    """The least fuel at which running ``t`` raises, and what it raises."""
+    for fuel in range(100):
+        try:
+            run_to_head(t, fuel)
+        except Exception as err:
+            return fuel, type(err)
+    raise AssertionError("never raised")
+
+
+# Imp and Asm steps at which each bad tail raises, measured on the fused
+# stack before it answered store events in batches.  The layered stack
+# raises at the same steps, or one later for an event it has no case for:
+# its renaming fold spends its own silent step before its handler fails.
+RAISES_AT = {"unrouted": (10, 14), "stray": (10, 14), "observe": (10, 14), "answer": (13, 14)}
+
+
+@pytest.mark.parametrize("tail", sorted(RAISES_AT))
+def test_batches_end_before_a_node_that_raises(tail):
+    # Stores are written and read, around one source silent step, before
+    # the bad node, so the fused tree has a batch open when it meets it.
+    bad = {
+        "unrouted": lambda: trigger(event(IOE, "Output", nat(1))),
+        "stray": lambda: trigger(event(IOE, "Output", nat(1), path=("L",))),
+        "observe": lambda: bind(ret(unit()), _boom),
+        "answer": lambda: vis(event(IMP_STATE, "GetVar", sym("x"), path=("L",)), _boom),
+    }[tail]
+
+    def imp_program():
+        return bind(set_var("x", nat(2)), lambda _: bind(
+            get_var("x"), lambda x: tau(bind(set_var("y", x), lambda _: bad()))))
+
+    def asm_program():
+        return bind(asm.set_reg(1, nat(2)), lambda _: bind(
+            store("a", nat(3)), lambda _: tau(bind(load("a"), lambda _: bad()))))
+
+    # Asm classifies its events one level deeper, so every tail but
+    # "observe" is an event without a route there
+    runs = ((interp_imp(imp_program(), env_of()), layered_interp_imp(imp_program(), env_of()),
+             tail in ("unrouted", "stray")),
+            (interp_asm(asm_program(), umap(), umap()),
+             layered_interp_asm(asm_program(), umap(), umap()), tail != "observe"))
+    for (fused, layered, no_route), at in zip(runs, RAISES_AT[tail]):
+        for fuel in range(at):
+            ob, steps = run_to_head(fused, fuel)
+            assert (type(ob), steps) == (TauO, fuel)
+        err = ValueError if no_route else Boom
+        with pytest.raises(err):
+            run_to_head(fused, at)
+        layered_at, layered_err = _step_of_first_raise(layered)
+        assert layered_at == at + no_route and issubclass(layered_err, err)
 
 
 def test_fused_check_equivalent_matches_layered(monkeypatch):

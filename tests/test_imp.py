@@ -85,6 +85,15 @@ def test_parse_errors_have_positions():
     with pytest.raises(ImpSyntaxError) as err:
         parse_imp("x := 1;\ny := 2 + 18446744073709551616")
     assert (err.value.line, err.value.col) == (2, 10)
+    # expressions nest at most 100 levels: an operator or parentheses each add one
+    deepest = "(" * 50 + " * ".join("x" * 51) + ")" * 50
+    assert parse_imp(f"y := {deepest}") == parse_imp(f"y := {deepest[50:-50]}")
+    with pytest.raises(ImpSyntaxError) as err:
+        parse_imp(f"while 1 do\n y := ({deepest})\nend")
+    assert (err.value.line, err.value.col) == (2, 7)
+    with pytest.raises(ImpSyntaxError) as err:
+        parse_imp(f"y := x * {deepest}")
+    assert (err.value.line, err.value.col) == (1, 8)
 
 
 def test_pretty_round_trip_random_programs():
