@@ -1,9 +1,9 @@
 """Event alphabets, sums of alphabets, and interpreting events away.
 
 Signatures are plain values, so alphabets compose with a binary sum and
-events carry their classification path.  A handler gives each event a
-meaning in a target monad; interpreting the state alphabet threads a value,
-interpreting the map alphabet threads a finite map with a default.
+events carry their classification path.  A handler is a function from an
+event to the tree that answers it; interpreting the state alphabet threads
+a value, interpreting the map alphabet threads a finite map with a default.
 """
 
 from itrees import (

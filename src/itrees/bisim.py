@@ -149,35 +149,48 @@ def _step_text(step):
     return f"{step[1]} != {step[2]}"
 
 
+def _witness(path, last) -> Verdict:
+    """Refute with the steps of a parent-linked ``(parent, step)`` path,
+    root first, then ``last``."""
+    steps = [last]
+    while path is not None:
+        path, step = path
+        steps.append(step)
+    steps.reverse()
+    return refuted(steps)
+
+
 def strong_bisim(t1: ITree, t2: ITree, depth: int,
                  nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
     """Node-exact comparison: same shapes, same values, same step counts."""
-    pending = [(t1, t2, depth, ())]
+    # Paths share their prefixes as parent links; only a refutation pays to
+    # spell one out.
+    pending = [(t1, t2, depth, None)]
     worst = PROVEN
     while pending:
         a, b, fuel, path = pending.pop()
         oa, ob = observe(a), observe(b)
         ta, tb = type(oa), type(ob)
         if ta is not tb:
-            return refuted(path + (("shape", _observed_shape(oa), _observed_shape(ob)),))
+            return _witness(path, ("shape", _observed_shape(oa), _observed_shape(ob)))
         if ta is RetO:
             if oa.value != ob.value:
-                return refuted(path + (("ret-mismatch", oa.value, ob.value),))
+                return _witness(path, ("ret-mismatch", oa.value, ob.value))
             continue
         if fuel <= 0:
             worst = unknown(Reason.DEPTH_BUDGET)
             continue
         if ta is TauO:
-            pending.append((oa.rest, ob.rest, fuel - 1, path + (("tau",),)))
+            pending.append((oa.rest, ob.rest, fuel - 1, (path, _TAU)))
             continue
         if oa.event != ob.event:
-            return refuted(path + (("event-mismatch", oa.event, ob.event),))
+            return _witness(path, ("event-mismatch", oa.event, ob.event))
         answers = enumerate_answers(oa.event.answer, nat_probes)
         if answers is None:
             worst = unknown(Reason.ANSWER_SPACE)
             continue
         for x in answers:
-            pending.append((oa.k(x), ob.k(x), fuel - 1, path + (("event", oa.event, x),)))
+            pending.append((oa.k(x), ob.k(x), fuel - 1, (path, ("event", oa.event, x))))
     return worst
 
 

@@ -3,7 +3,9 @@
 Subcommands: run-imp, compile, run-asm, trace, check-equiv, demo-echo.
 Outputs are deterministic (maps print in key order) so they can be frozen
 as golden files; check-equiv exits 0 for proven, 1 for refuted, 2 for
-unknown and 3 for unusable input, where the other subcommands exit 1.
+unknown and 3 for unusable input or a usage error, where the other
+subcommands exit 1.  Budgets (``--fuel``, ``--tau-budget``,
+``--event-depth``) are non-negative integers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from . import compiler
 from .asm import AsmSyntaxError, BoundViolation, den_asm, interp_asm, parse_asm, print_asm
 from .bisim import describe_witness
 from .core import RetO, TauO, VisO, observe, run_to_head
-from .imp import ImpSyntaxError, denote_stmt, env_of, interp_imp, parse_imp
+from .imp import ImpSyntaxError, denote_stmt, env_of, parse_imp, run_imp
 from .samples import echo
 from .traces import enumerate_traces, render_trace
 from .values import (
@@ -41,16 +43,11 @@ def _print_map(m: UValue, reg_style: bool = False):
 
 
 def cmd_run_imp(path: str, fuel: int) -> int:
-    stmt = parse_imp(_read(path))
-    tree = interp_imp(denote_stmt(stmt), env_of())
-    ob, steps = run_to_head(tree, fuel)
-    if type(ob) is RetO:
-        print("outcome: finished")
-        print(f"steps: {steps}")
-        _print_map(fst(ob.value))
-    else:
-        print("outcome: out-of-fuel")
-        print(f"steps: {steps}")
+    run = run_imp(parse_imp(_read(path)), env_of(), fuel)
+    print(f"outcome: {'finished' if run.finished else 'out-of-fuel'}")
+    print(f"steps: {run.steps}")
+    if run.finished:
+        _print_map(run.env)
     return 0
 
 
@@ -154,13 +151,24 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _budget(text: str) -> int:
+    """A budget argument: a non-negative integer."""
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="itrees")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_imp = sub.add_parser("run-imp", help="run an Imp program to completion or fuel")
-    run_imp.add_argument("path")
-    run_imp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    imp = sub.add_parser("run-imp", help="run an Imp program to completion or fuel")
+    imp.add_argument("path")
+    imp.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL)
 
     comp = sub.add_parser("compile", help="compile an Imp program to Asm text")
     comp.add_argument("path")
@@ -168,17 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_asm = sub.add_parser("run-asm", help="run an Asm unit from entry 0")
     run_asm.add_argument("path")
-    run_asm.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    run_asm.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL)
 
     trace = sub.add_parser("trace", help="enumerate bounded traces of a program")
     trace.add_argument("path")
-    trace.add_argument("--event-depth", type=int, default=3)
-    trace.add_argument("--tau-budget", type=int, default=200)
+    trace.add_argument("--event-depth", type=_budget, default=3)
+    trace.add_argument("--tau-budget", type=_budget, default=200)
 
     check = sub.add_parser("check-equiv", help="check a program against its compilation")
     check.add_argument("path")
-    check.add_argument("--fuel", type=int, default=50_000)
-    check.add_argument("--tau-budget", type=int, default=None)
+    check.add_argument("--fuel", type=_budget, default=50_000)
+    check.add_argument("--tau-budget", type=_budget, default=None)
     check.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("demo-echo", help="echo integers from stdin, forever")
@@ -186,7 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    bad_input = 3 if argv[:1] == ["check-equiv"] else 1
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse has printed the usage error (or the help, exit code 0)
+        return bad_input if stop.code else 0
     try:
         if args.command == "run-imp":
             return cmd_run_imp(args.path, args.fuel)
@@ -199,12 +213,9 @@ def main(argv=None) -> int:
         if args.command == "check-equiv":
             return cmd_check_equiv(args.path, args.fuel, args.tau_budget, args.seed)
         return cmd_demo_echo()
-    except (ImpSyntaxError, AsmSyntaxError, BoundViolation, AnswerTagMismatch) as err:
+    except (ImpSyntaxError, AsmSyntaxError, BoundViolation, AnswerTagMismatch, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3 if args.command == "check-equiv" else 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3 if args.command == "check-equiv" else 1
+        return bad_input
 
 
 if __name__ == "__main__":

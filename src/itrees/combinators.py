@@ -34,10 +34,6 @@ class KTree:
         return self.fn(v)
 
 
-def kt(fn, dom=None) -> KTree:
-    return KTree(fn, dom)
-
-
 def kt_id(dom=None) -> KTree:
     return KTree(ret, dom)
 
@@ -146,11 +142,6 @@ class RecHandler:
 def rec_call(sig: EventSig, kind: str, *args: UValue) -> ITree:
     """Trigger a recursive call from inside a recursive handler body."""
     return trigger(event(sig, kind, *args, path=(LEFT,)))
-
-
-def rec_lift(e: EventInstance) -> ITree:
-    """Trigger an external event from inside a recursive handler body."""
-    return trigger(e.at((RIGHT,) + e.path))
 
 
 def mrec(rh: RecHandler, e0: EventInstance) -> ITree:

@@ -11,7 +11,7 @@ harness itself honest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import asm
@@ -46,7 +46,7 @@ from .imp import (
     denote_stmt,
     interp_imp,
 )
-from .values import UValue, fst, label, nat, snd, umap
+from .values import fst, label, nat, umap
 
 
 @dataclass(frozen=True)
@@ -141,32 +141,25 @@ class SimConfig:
 
     fuel: int = 50_000
     tau_budget: int | None = None
-    depth: int | None = None
     nat_probe_set: Sequence[int] = DEFAULT_NAT_PROBES
     samples: int = 3
-    var_pool: Sequence[str] = ("x", "y", "z", "w", "v")
 
     def budgets(self):
+        """(tau budget, depth); the depth is the fuel."""
         tb = self.fuel if self.tau_budget is None else self.tau_budget
-        dp = self.fuel if self.depth is None else self.depth
-        return tb, dp
+        return tb, self.fuel
 
 
-@dataclass(frozen=True)
 class StateInvariantSpec:
     """Final-state relation: stores agree key-for-key, results unconstrained."""
 
-    rab: RelSpec = field(default_factory=lambda: RelSpec("TT", lambda a, b: True))
-
     def relspec(self) -> RelSpec:
-        rab = self.rab
+        return RelSpec("state-invariant",
+                       lambda imp_out, asm_out: fst(imp_out) == fst(asm_out))
 
-        def relates(imp_out: UValue, asm_out: UValue) -> bool:
-            env = fst(imp_out)
-            mem = fst(asm_out)
-            return env == mem and rab.relates(snd(imp_out), snd(snd(asm_out)))
 
-        return RelSpec("state-invariant", relates)
+# The variables sampled initial stores draw from.
+_VAR_POOL = ("x", "y", "z", "w", "v")
 
 
 def initial_stores(cfg: SimConfig, seed: int):
@@ -178,7 +171,7 @@ def initial_stores(cfg: SimConfig, seed: int):
     rng = random.Random(seed)
     stores = [umap()]
     for _ in range(cfg.samples):
-        names = rng.sample(list(cfg.var_pool), rng.randint(1, len(cfg.var_pool)))
+        names = rng.sample(_VAR_POOL, rng.randint(1, len(_VAR_POOL)))
         stores.append(umap({n: nat(rng.choice(list(cfg.nat_probe_set)))
                             for n in names}))
     return stores

@@ -17,12 +17,9 @@ from typing import Callable
 from .values import AnswerTagMismatch, UValue
 
 
-class _RetN:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
+# A tree's head is a return or event node, which is its own observation
+# (``RetO``, or ``VisO`` with no binds pending), or one of the private nodes
+# below: a run of silent steps or a deferred producer.
 
 class _TauN:
     """``n`` silent steps, then ``rest``."""
@@ -32,14 +29,6 @@ class _TauN:
     def __init__(self, rest, n=1):
         self.rest = rest
         self.n = n
-
-
-class _VisN:
-    __slots__ = ("event", "kont")
-
-    def __init__(self, event, kont):
-        self.event = event
-        self.kont = kont
 
 
 class _Thunk:
@@ -164,7 +153,7 @@ def ret(v: UValue) -> ITree:
     """The computation that immediately returns ``v``."""
     if not isinstance(v, UValue):
         raise AnswerTagMismatch(f"trees return UValues, got {v!r}")
-    return ITree(_RetN(v))
+    return ITree(RetO(v))
 
 
 def tau(t: ITree) -> ITree:
@@ -187,7 +176,7 @@ def vis(event, kont: Callable[[UValue], ITree]) -> ITree:
     Answers whose tag disagrees with the event's declared answer type raise
     :class:`AnswerTagMismatch` when ``VisO.k`` applies them.
     """
-    return ITree(_VisN(event, kont))
+    return ITree(VisO(event, kont))
 
 
 def lazy(fn: Callable[[], ITree]) -> ITree:
@@ -221,9 +210,9 @@ def observe(t: ITree) -> Observation:
             u = head.force()
             konts = _cat(u._konts, konts)
             head = u._head
-        elif tp is _RetN:
+        elif tp is RetO:
             if konts is None:
-                return RetO(head.value)
+                return head
             k, konts = _pop(konts)
             nxt = k(head.value)
             if type(nxt) is not ITree:
@@ -238,8 +227,10 @@ def observe(t: ITree) -> Observation:
             if konts is None:
                 return TauO(rest)
             return TauO(ITree(rest._head, _cat(rest._konts, konts)))
+        elif konts is None:
+            return head
         else:
-            return VisO(head.event, head.kont, konts)
+            return VisO(head.event, head._kont, konts)
 
 
 def burn(n: int, t: ITree) -> ITree:

@@ -1,17 +1,16 @@
 """Event handlers and the generic interpreter.
 
-A handler assigns each event a computation in a target monad, trees
-(``ITREES``); ``interp`` folds it over a tree.  State and map events are
-folded by one state-passing pass (``interp_state``, ``interp_map``).
-Every fold spends one silent step per source node consumed (silent or
-visible), so step counts are deterministic and the weak checker absorbs
-them.  ``interp_stores`` fuses a renaming fold and one map fold per store
-into a single pass with the same step counts.
+A handler is a function from an event to the tree that answers it;
+``interp`` folds it over a tree.  State and map events are folded by one
+state-passing pass (``interp_state``, ``interp_map``).  Every fold spends
+one silent step per source node consumed (silent or visible), so step
+counts are deterministic and the weak checker absorbs them.
+``interp_stores`` fuses a renaming fold and one map fold per store into a
+single pass with the same step counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, taus, trigger, vis
@@ -19,8 +18,6 @@ from .events import (
     LEFT,
     RIGHT,
     EventInstance,
-    Signature,
-    SumSig,
     map_default_of,
 )
 from .values import (
@@ -37,92 +34,57 @@ from .values import (
 
 
 class UnhandledEvent(ValueError):
-    """The tree produced an event outside the handler's source signature."""
+    """The tree produced an event that no case of its interpreter covers."""
 
 
-class ITreeTarget:
-    """Computations are plain trees."""
-
-    def ret(self, v: UValue) -> ITree:
-        return ret(v)
-
-    def bind(self, m: ITree, k) -> ITree:
-        return bind(m, k)
-
-    def guard(self, thunk: Callable[[], ITree]) -> ITree:
-        return tau(lazy(thunk))
+Handler = Callable[[EventInstance], ITree]
 
 
-ITREES = ITreeTarget()
-
-
-@dataclass(frozen=True)
-class Handler:
-    """Maps events of ``source`` to computations in ``target``."""
-
-    source: Signature | None
-    target: object
-    apply: Callable[[EventInstance], object]
-
-
-def interp(h: Handler, t: ITree):
+def interp(h: Handler, t: ITree) -> ITree:
     """Fold ``h`` over ``t``: returns pass through, events run the handler,
-    and every consumed node costs one target-level silent step."""
-    m = h.target
-    apply = h.apply
+    and every consumed node costs one silent step."""
 
     def go(t):
         ob = observe(t)
         kind = type(ob)
         if kind is RetO:
-            return m.ret(ob.value)
+            return ret(ob.value)
         if kind is TauO:
             rest = ob.rest
-            return m.guard(lambda: go(rest))
+            return tau(lazy(lambda: go(rest)))
         e, k = ob.event, ob.k
-        return m.guard(lambda: m.bind(apply(e), lambda x: go(k(x))))
+        return tau(lazy(lambda: bind(h(e), lambda x: go(k(x)))))
 
     return go(t)
 
 
-# The cocartesian structure on tree-targeted handlers: identity is trigger,
-# composition is interpretation.
+# The cocartesian structure on handlers: identity is trigger, composition is
+# interpretation.
 
-def handler_id(sig: Signature) -> Handler:
-    return Handler(sig, ITREES, trigger)
+handler_id: Handler = trigger
 
 
 def handler_cat(h: Handler, g: Handler) -> Handler:
-    return Handler(h.source, g.target, lambda e: interp(g, h.apply(e)))
+    return lambda e: interp(g, h(e))
 
 
 def handler_case(h: Handler, g: Handler) -> Handler:
-    source = None
-    if h.source is not None and g.source is not None:
-        source = SumSig(h.source, g.source)
-
-    def apply(e: EventInstance):
+    def apply(e: EventInstance) -> ITree:
         if e.path and e.path[0] == LEFT:
-            return h.apply(e.at(e.path[1:]))
+            return h(e.at(e.path[1:]))
         if e.path and e.path[0] == RIGHT:
-            return g.apply(e.at(e.path[1:]))
+            return g(e.at(e.path[1:]))
         raise UnhandledEvent(f"{e!r} is not classified within a sum")
 
-    return Handler(source, g.target, apply)
-
-
-def handler_inl() -> Handler:
-    return Handler(None, ITREES, lambda e: trigger(e.at((LEFT,) + e.path)))
-
-
-def handler_inr() -> Handler:
-    return Handler(None, ITREES, lambda e: trigger(e.at((RIGHT,) + e.path)))
+    return apply
 
 
 def handler_bimap(h: Handler, g: Handler) -> Handler:
     """Route a sum's left events through ``h`` and right events through
     ``g``, re-injecting each side's output events on its own side."""
-    return handler_case(handler_cat(h, handler_inl()), handler_cat(g, handler_inr()))
+    return handler_case(
+        handler_cat(h, lambda e: trigger(e.at((LEFT,) + e.path))),
+        handler_cat(g, lambda e: trigger(e.at((RIGHT,) + e.path))))
 
 
 # State events.

@@ -204,7 +204,6 @@ UNIT_T = VType(Tag.UNIT)
 NAT_T = VType(Tag.NAT)
 BOOL_T = VType(Tag.BOOL)
 SYM_T = VType(Tag.SYM)
-PAIR_T = VType(Tag.PAIR)
 MAP_T = VType(Tag.MAP)
 EMPTY_T = VType(Tag.EMPTY)
 

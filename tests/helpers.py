@@ -13,12 +13,10 @@ import random
 
 from itrees import (
     BOOL_T,
-    ITREES,
     NAT_T,
     SYM_T,
     UNIT_T,
     EventSig,
-    Handler,
     KindSpec,
     boolean,
     enumerate_answers,
@@ -339,12 +337,12 @@ def _to_map_events(source, get_kind, set_kind, map_sig):
             return trigger(event(map_sig, "Insert", e.args[0], e.args[1]))
         raise ValueError(f"not a {source.name} event: {e!r}")
 
-    return Handler(source, ITREES, apply)
+    return apply
 
 
 def layered_interp_imp(t, env0):
     env_map = map_default_sig(SYM_T, NAT_T, nat(0))
-    h = handler_bimap(_to_map_events(IMP_STATE, "GetVar", "SetVar", env_map), handler_id(None))
+    h = handler_bimap(_to_map_events(IMP_STATE, "GetVar", "SetVar", env_map), handler_id)
     return interp_map(interp(h, t), env0)
 
 
@@ -353,6 +351,6 @@ def layered_interp_asm(t, mem0, regs0, default=0):
     mem_map = map_default_sig(SYM_T, NAT_T, nat(default))
     h = handler_bimap(
         _to_map_events(REG_E, "GetReg", "SetReg", reg_map),
-        handler_bimap(_to_map_events(MEM_E, "Load", "Store", mem_map), handler_id(None)),
+        handler_bimap(_to_map_events(MEM_E, "Load", "Store", mem_map), handler_id),
     )
     return interp_map(interp_map(interp(h, t), regs0), mem0)

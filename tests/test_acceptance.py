@@ -15,14 +15,12 @@ import pytest
 
 from itrees import (
     EQ,
-    Handler,
     boolean,
     enumerate_answers,
     inl,
     inr,
     iterate,
     vis,
-    ITREES,
     RetO,
     TauO,
     bind,
@@ -159,18 +157,18 @@ def test_criterion_2_category_law_suite():
     def rand_handler():
         pre = {k.name: gen_tree(rng, 2) for k in T2.kinds}
         answers = {"Ask": boolean(True), "Tell": unit()}
-        return Handler(T2, ITREES, lambda e: bind(pre[e.kind], lambda _: ret(answers[e.kind])))
+        return lambda e: bind(pre[e.kind], lambda _: ret(answers[e.kind]))
 
     for _ in range(20):
         h = rand_handler()
         g = rand_handler()
-        hid = handler_cat(handler_id(T2), h)
+        hid = handler_cat(handler_id, h)
         for e in events:
-            assert eutt(EQ, hid.apply(e), h.apply(e), 100, 200).proven
+            assert eutt(EQ, hid(e), h(e), 100, 200).proven
         case = handler_case(h, g)
         for e in events:
-            assert eutt(EQ, case.apply(e.at(("L",))), h.apply(e), 100, 200).proven
-            assert eutt(EQ, case.apply(e.at(("R",))), g.apply(e), 100, 200).proven
+            assert eutt(EQ, case(e.at(("L",))), h(e), 100, 200).proven
+            assert eutt(EQ, case(e.at(("R",))), g(e), 100, 200).proven
     elapsed = time.time() - started
     assert elapsed < 10, f"category suite took {elapsed:.1f}s"
     _report(2, "ktree and handler category laws (exhaustive domains)")
@@ -215,7 +213,7 @@ def test_criterion_4_interp_morphism_suite():
     def rand_handler():
         pre = {k.name: gen_tree(rng, 2) for k in T2.kinds}
         answers = {"Ask": boolean(rng.random() < 0.5), "Tell": unit()}
-        return Handler(T2, ITREES, lambda e: bind(pre[e.kind], lambda _: ret(answers[e.kind])))
+        return lambda e: bind(pre[e.kind], lambda _: ret(answers[e.kind]))
 
     def gen_t2_tree(depth):
         pick = rng.random()
@@ -237,7 +235,7 @@ def test_criterion_4_interp_morphism_suite():
         lhs = interp(h, trigger(e))
         ob = observe(lhs)
         assert type(ob) is TauO
-        assert strong_bisim(ob.rest, h.apply(e), 200).proven
+        assert strong_bisim(ob.rest, h(e), 200).proven
         # bind: weak
         t = gen_t2_tree(3)
         fixed = gen_t2_tree(2)
@@ -274,7 +272,7 @@ def test_criterion_5_mrec_suite():
                 return mrec(rh, e.at(e.path[1:]))
             return trigger(e.at(e.path[1:]))
 
-        return Handler(None, ITREES, apply)
+        return apply
 
     for m in range(4):
         for n in range(4):

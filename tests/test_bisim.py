@@ -35,6 +35,21 @@ def test_strong_examples():
     assert verdict.unknown and verdict.reason is Reason.DEPTH_BUDGET
 
 
+def test_strong_witness_is_the_path_to_the_refutation():
+    n = 9_999
+    lhs, rhs = nested_taus(n, ret(nat(1))), nested_taus(n, ret(nat(2)))
+    verdict = strong_bisim(lhs, rhs, n)
+    assert verdict.witness == (("tau",),) * n + (("ret-mismatch", nat(1), nat(2)),)
+    assert replay_witness(EQ, lhs, rhs, verdict.witness)
+    # sibling answer branches leave no steps in the path
+    e = input_ev()
+    lhs = bind(trigger(e), lambda x: tau(ret(x)))
+    rhs = bind(trigger(e), lambda x: tau(ret(nat(0) if x == nat(9) else x)))
+    verdict = strong_bisim(lhs, rhs, 10)
+    assert verdict.witness == (("event", e, nat(9)), ("tau",), ("ret-mismatch", nat(9), nat(0)))
+    assert replay_witness(EQ, lhs, rhs, verdict.witness)
+
+
 def test_eutt_examples():
     assert eutt(EQ, tau(ret(nat(1))), ret(nat(1)), 5, 10).proven
     assert eutt(EQ, ret(nat(1)), ret(nat(2)), 5, 10).refuted

@@ -94,6 +94,41 @@ def test_check_equiv_exit_codes(tmp_path):
     assert code == 2 and out.startswith("unknown")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run-imp", "{imp}", "--fuel", "-5"], 1),
+    (["run-imp", "{imp}", "--fuel", "abc"], 1),
+    (["run-asm", "{asm}", "--fuel", "-1"], 1),
+    (["trace", "{imp}", "--event-depth", "-1"], 1),
+    (["trace", "{imp}", "--tau-budget", "-1"], 1),
+    (["compile", "{imp}", "--bogus"], 1),
+    (["run-imp"], 1),
+    (["check-equiv", "{imp}", "--fuel", "abc"], 3),
+    (["check-equiv", "{imp}", "--fuel", "-5"], 3),
+    (["check-equiv", "{imp}", "--tau-budget", "-3"], 3),
+    (["check-equiv", "{imp}", "--bogus"], 3),
+    (["check-equiv"], 3),
+    (["no-such-command"], 1),
+])
+def test_usage_errors_exit_with_the_input_error_code(tmp_path, capsys, argv, code):
+    imp_src = tmp_path / "ok.imp"
+    imp_src.write_text("x := 1\n")
+    argv = [a.format(imp=imp_src, asm=os.path.join(GOLDEN, "assign.asm")) for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == code
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_zero_budgets_are_accepted(tmp_path):
+    src = tmp_path / "ok.imp"
+    src.write_text("x := 1\n")
+    assert run_cli(["run-imp", str(src), "--fuel", "0"]) == (0, "outcome: out-of-fuel\nsteps: 0\n")
+    code, _ = run_cli(["trace", str(src), "--event-depth", "0", "--tau-budget", "0"])
+    assert code == 0
+
+
 def test_syntax_errors_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.imp"
     bad.write_text("x := := 1\n")

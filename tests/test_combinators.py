@@ -9,8 +9,6 @@ from itrees import (
     KTree,
     RetO,
     TauO,
-    Handler,
-    ITREES,
     WrongSignature,
     boolean,
     eutt,
@@ -225,7 +223,7 @@ def _mrec_unfolding_handler(rh):
             return trigger(e.at(e.path[1:]))
         raise WrongSignature(f"unclassified {e!r}")
 
-    return Handler(None, ITREES, apply)
+    return apply
 
 
 def test_mrec_unfolding_law():

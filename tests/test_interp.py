@@ -6,8 +6,6 @@ import pytest
 
 from itrees import (
     EQ,
-    Handler,
-    ITREES,
     NAT_T,
     RetO,
     UnhandledEvent,
@@ -62,7 +60,7 @@ def _random_translating_handler(rng):
         out = answers[e.kind]
         return bind(pre[e.kind], lambda _: ret(out))
 
-    return Handler(T3, ITREES, apply)
+    return apply
 
 
 def test_interp_ret_is_exact():
@@ -80,7 +78,7 @@ def test_interp_trigger_is_handler_after_one_step():
         lhs = interp(h, trigger(e))
         ob = observe(lhs)
         assert type(ob).__name__ == "TauO"  # exactly one step hides the fold
-        assert strong_bisim(ob.rest, h.apply(e), 100).proven
+        assert strong_bisim(ob.rest, h(e), 100).proven
 
 
 def test_interp_commutes_with_bind_weakly():
@@ -219,9 +217,9 @@ def _events_of(sig):
 def test_handler_identity_law():
     rng = random.Random(24)
     h = _random_translating_handler(rng)
-    composed = handler_cat(handler_id(T3), h)
+    composed = handler_cat(handler_id, h)
     for e in _events_of(T3):
-        assert eutt(EQ, composed.apply(e), h.apply(e), 100, 200).proven
+        assert eutt(EQ, composed(e), h(e), 100, 200).proven
 
 
 def test_handler_case_beta():
@@ -230,16 +228,16 @@ def test_handler_case_beta():
     g = _random_translating_handler(rng)
     case = handler_case(h, g)
     for e in _events_of(T3):
-        assert eutt(EQ, case.apply(e.at((LEFT,))), h.apply(e), 100, 200).proven
-        assert eutt(EQ, case.apply(e.at((RIGHT,))), g.apply(e), 100, 200).proven
+        assert eutt(EQ, case(e.at((LEFT,))), h(e), 100, 200).proven
+        assert eutt(EQ, case(e.at((RIGHT,))), g(e), 100, 200).proven
 
 
 def test_handler_bimap_routes_middle_summand_untouched():
     rng = random.Random(26)
     hx = _random_translating_handler(rng)
     hy = _random_translating_handler(rng)
-    routed = handler_bimap(hx, handler_bimap(handler_id(T3), hy))
+    routed = handler_bimap(hx, handler_bimap(handler_id, hy))
     for e in _events_of(T3):
-        out = routed.apply(e.at((RIGHT, LEFT)))
+        out = routed(e.at((RIGHT, LEFT)))
         expect = trigger(e.at((RIGHT, LEFT)))
         assert eutt(EQ, out, expect, 100, 200).proven
