@@ -2,7 +2,8 @@
 
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
-label, with internal jumps hidden by the loop combinator.  Linking is pure
+label, with internal jumps hidden by the loop combinator; each block's tree
+is built once per unit and replayed on every visit.  Linking is pure
 block-table surgery; the semantic equations tying surgery to combinators on
 denotations are checked by the test suite.
 """
@@ -15,7 +16,7 @@ from typing import Callable, Sequence, Union
 
 from .combinators import KTree, loop
 from .core import ITree, bind, ret, trigger
-from .events import LEFT, RIGHT, EventSig, KindSpec, event
+from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
 from .interp import interp_stores
 from .values import (
     EMPTY_T,
@@ -206,31 +207,43 @@ def halt() -> ITree:
     return trigger(event(DONE_E, "Done", path=_DONE_PATH))
 
 
+# Denotations build each of their trees once; trees are immutable, so every
+# execution of a block replays the same ones.
+
 def denote_operand(op: Operand) -> ITree:
     if isinstance(op, Oreg):
         return get_reg(op.reg)
     return ret(nat(op.value))
 
 
+# Register and memory writes are built without ``event``'s argument checks:
+# the register or address is built once below and the value is a checked
+# answer or a fresh ``nat``.
+
+def _set_reg(dst: UValue, v: UValue) -> ITree:
+    return trigger(EventInstance(REG_E, "SetReg", (dst, v), _REG_PATH))
+
+
 def denote_instr(i: Instr) -> ITree:
-    if isinstance(i, Imov):
-        return bind(denote_operand(i.src), lambda v: set_reg(i.dst, v))
-    if isinstance(i, Iload):
-        return bind(load(i.addr), lambda v: set_reg(i.dst, v))
     if isinstance(i, Istore):
-        return bind(denote_operand(i.src), lambda v: store(i.addr, v))
+        addr = sym(i.addr)
+        return bind(denote_operand(i.src), lambda v: trigger(
+            EventInstance(MEM_E, "Store", (addr, v), _MEM_PATH)))
+    dst = nat(i.dst)
+    if isinstance(i, Imov):
+        return bind(denote_operand(i.src), lambda v: _set_reg(dst, v))
+    if isinstance(i, Iload):
+        return bind(load(i.addr), lambda v: _set_reg(dst, v))
     if isinstance(i, Iadd):
         f = nat_add
     elif isinstance(i, Isub):
         f = nat_sub
     else:
         f = nat_mul
+    rhs = denote_operand(i.rhs)
     return bind(
         get_reg(i.lhs),
-        lambda a: bind(
-            denote_operand(i.rhs),
-            lambda b: set_reg(i.dst, nat(f(a.payload, b.payload))),
-        ),
+        lambda a: bind(rhs, lambda b: _set_reg(dst, nat(f(a.payload, b.payload)))),
     )
 
 
@@ -238,11 +251,9 @@ def denote_br(b: Branch, exit_bound: int) -> ITree:
     if isinstance(b, Bjmp):
         return ret(label(b.target, exit_bound))
     if isinstance(b, Bbrz):
-        yes, no = b.yes, b.no
-        return bind(
-            get_reg(b.test),
-            lambda v: ret(label(yes if v.payload == 0 else no, exit_bound)),
-        )
+        yes = ret(label(b.yes, exit_bound))
+        no = ret(label(b.no, exit_bound))
+        return bind(get_reg(b.test), lambda v: yes if v.payload == 0 else no)
     return halt()
 
 
@@ -257,7 +268,6 @@ def denote_bks(u: AsmUnit) -> KTree:
     dom_bound = u.internal + u.entries
     cod_bound = u.internal + u.exits
     dom_t = label_t(dom_bound)
-    # Trees are immutable, so each block denotes once and replays freely.
     trees = tuple(denote_bk(blk, cod_bound) for blk in u.code)
 
     def go(v):
@@ -268,21 +278,24 @@ def denote_bks(u: AsmUnit) -> KTree:
 
 def den_asm(u: AsmUnit) -> KTree:
     """Denote a unit as a map from entry labels to exit labels, hiding the
-    internal labels behind the loop combinator's back-edge."""
-    ia = u.internal + u.entries
-    bks = denote_bks(u)
+    internal labels behind the loop combinator's back-edge.  Each block's
+    tree, and its continuation to the next label, is built once."""
     internal = u.internal
+    ia = internal + u.entries
+    bks = denote_bks(u)
+    # a jump to label i: Left(internal label) re-enters, Right(exit) leaves
+    jumps = tuple(ret(inl(label(i, internal))) for i in range(internal))
+    leave = tuple(ret(inr(label(i, u.exits))) for i in range(u.exits))
 
     def split(l):
         i = l.payload
-        if i < internal:
-            return ret(inl(label(i, internal)))
-        return ret(inr(label(i - internal, u.exits)))
+        return jumps[i] if i < internal else leave[i - internal]
+
+    blocks = tuple(bind(bks(label(j, ia)), split) for j in range(ia))
 
     def body(ca):
         is_left, payload = un_sum(ca)
-        j = payload.payload if is_left else internal + payload.payload
-        return bind(bks(label(j, ia)), split)
+        return blocks[payload.payload if is_left else internal + payload.payload]
 
     looped = loop(KTree(body))
 

@@ -184,11 +184,14 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     unit = compile_stmt(s, low)
     rel = StateInvariantSpec().relspec()
     tau_budget, depth = cfg.budgets()
+    # Denotations are immutable, so both are built once and interpreted
+    # under every initial store.
+    source = denote_stmt(s)
+    target = asm.den_asm(unit)(label(0, 1))
     verdicts = []
     for store in initial_stores(cfg, seed):
-        t_imp = interp_imp(denote_stmt(s), store)
-        t_asm = asm.interp_asm(asm.den_asm(unit)(label(0, 1)), store, umap(),
-                               default=low.asm_default)
+        t_imp = interp_imp(source, store)
+        t_asm = asm.interp_asm(target, store, umap(), default=low.asm_default)
         out = eutt(rel, t_imp, t_asm, tau_budget, depth, cfg.nat_probe_set)
         if out.refuted:
             return out

@@ -194,43 +194,60 @@ def trigger(event) -> ITree:
     return vis(event, ret)
 
 
-def observe(t: ITree) -> Observation:
-    """Resolve to the next return, silent step, or event node.
+def _resolve(head, konts):
+    """Force deferred producers and consume pending continuations until a
+    genuine node surfaces: a return with no binds pending, a silent run, or
+    an event.  Returns that raw head and the binds still pending above it.
 
-    Deferred producers are forced (once) and return-value continuations are
-    consumed until a genuine node surfaces; each resolution step consumes a
-    pending continuation or a produced node, so a single call terminates
-    even on globally infinite trees.
+    Each resolution step consumes a pending continuation or a produced node,
+    so a single call terminates even on globally infinite trees.  This is
+    the one resolution loop: ``observe`` wraps its result into an
+    observation, and the fused store fold steps on it directly.
     """
-    head = t._head
-    konts = t._konts
     while True:
         tp = type(head)
         if tp is _Thunk:
             u = head.force()
-            konts = _cat(u._konts, konts)
+            more = u._konts
+            if more is not None:
+                konts = more if konts is None else _Cat(more, konts)
             head = u._head
-        elif tp is RetO:
-            if konts is None:
-                return head
-            k, konts = _pop(konts)
+        elif tp is RetO and konts is not None:
+            if type(konts) is not _Cat:
+                k, konts = konts, None
+            elif type(konts.left) is not _Cat:
+                k, konts = konts.left, konts.right
+            else:
+                k, konts = _pop(konts)
             nxt = k(head.value)
             if type(nxt) is not ITree:
                 raise TypeError(f"continuation returned {nxt!r}, not an ITree")
-            konts = _cat(nxt._konts, konts)
+            more = nxt._konts
+            if more is not None:
+                konts = more if konts is None else _Cat(more, konts)
             head = nxt._head
-        elif tp is _TauN:
-            rest = head.rest
-            n = head.n
-            if n != 1:
-                return TauO(ITree(_TauN(rest, n - 1), konts), n)
-            if konts is None:
-                return TauO(rest)
-            return TauO(ITree(rest._head, _cat(rest._konts, konts)))
-        elif konts is None:
-            return head
         else:
-            return VisO(head.event, head._kont, konts)
+            return head, konts
+
+
+def observe(t: ITree) -> Observation:
+    """Resolve to the next return, silent step, or event node.
+
+    Deferred producers are forced (once) and return-value continuations are
+    consumed until a genuine node surfaces (see ``_resolve``).
+    """
+    head, konts = _resolve(t._head, t._konts)
+    if type(head) is _TauN:
+        rest = head.rest
+        n = head.n
+        if n != 1:
+            return TauO(ITree(_TauN(rest, n - 1), konts), n)
+        if konts is None:
+            return TauO(rest)
+        return TauO(ITree(rest._head, _cat(rest._konts, konts)))
+    if konts is None:
+        return head
+    return VisO(head.event, head._kont, konts)
 
 
 def burn(n: int, t: ITree) -> ITree:

@@ -4,7 +4,8 @@ Statements denote trees over variable-access events plus an arbitrary extra
 alphabet; a second stage interprets those events into a finite map with
 default 0, giving the usual store-passing semantics.  Loops go through the
 iteration combinator, so divergence is representable and fuel only appears
-in the driver.
+in the driver.  A denotation builds each of its subtrees once; loop
+iterations and repeated runs replay them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .combinators import KTree, iterate
-from .core import ITree, RetO, bind, ret, run_to_head, trigger
-from .events import LEFT, RIGHT, EventSig, KindSpec, event
+from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger
+from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
 from .interp import interp_stores
 from .values import (
     NAT_MASK,
@@ -114,6 +115,12 @@ class ImpSyntaxError(SyntaxError):
 # frames a level, and must stay inside the default recursion limit.
 MAX_EXPR_DEPTH = 100
 
+# Likewise for ``if`` and ``while`` statements nested in one another: the
+# parser, the compiler, the printer and the denotation of ``while`` bodies
+# recurse on them, one or two frames a level, with an expression as deep as
+# ``MAX_EXPR_DEPTH`` still below the innermost one.
+MAX_STMT_DEPTH = 100
+
 _KEYWORDS = {"skip", "if", "then", "else", "end", "while", "do"}
 
 _TOKEN = re.compile(
@@ -155,6 +162,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.parens = 0  # parentheses open around the current token
+        self.nesting = 0  # if and while statements open around it
 
     def peek(self):
         return self.tokens[self.i]
@@ -183,22 +191,26 @@ class _Parser:
         if kind == "skip":
             self.i += 1
             return Skip()
-        if kind == "if":
+        if kind in ("if", "while"):
+            # checked before descending, so the parser's own recursion stays
+            # bounded too
+            if self.nesting >= MAX_STMT_DEPTH:
+                raise ImpSyntaxError(
+                    f"statements nested deeper than {MAX_STMT_DEPTH} levels", line, col)
+            self.nesting += 1
             self.i += 1
             cond, _ = self.expr()
-            self.take("then")
-            then = self.stmts()
-            self.take("else")
-            orelse = self.stmts()
+            if kind == "if":
+                self.take("then")
+                then = self.stmts()
+                self.take("else")
+                s = If(cond, then, self.stmts())
+            else:
+                self.take("do")
+                s = While(cond, self.stmts())
             self.take("end")
-            return If(cond, then, orelse)
-        if kind == "while":
-            self.i += 1
-            cond, _ = self.expr()
-            self.take("do")
-            body = self.stmts()
-            self.take("end")
-            return While(cond, body)
+            self.nesting -= 1
+            return s
         if kind == "ident":
             self.i += 1
             op = self.take("op")
@@ -335,10 +347,10 @@ def denote_expr(e: Expr) -> ITree:
         f = nat_sub
     else:
         f = nat_mul
-    lhs, rhs = e.lhs, e.rhs
+    rhs = denote_expr(e.rhs)
     return bind(
-        denote_expr(lhs),
-        lambda l: bind(denote_expr(rhs), lambda r: ret(nat(f(l.payload, r.payload)))),
+        denote_expr(e.lhs),
+        lambda l: bind(rhs, lambda r: ret(nat(f(l.payload, r.payload)))),
     )
 
 
@@ -346,33 +358,34 @@ def _is_true(v: UValue) -> bool:
     return v.payload != 0
 
 
+_CONTINUE = ret(inl(unit()))
+_BREAK = ret(inr(unit()))
+
+
 def denote_stmt(s: Stmt) -> ITree:
+    """Denote a statement.  ``Seq`` tails and ``If`` arms are lazy subtrees,
+    denoted on first observation and then shared, so a long ``Seq`` spine
+    does not recurse and no statement is denoted twice."""
     if isinstance(s, Skip):
         return ret(unit())
     if isinstance(s, Assign):
-        return bind(denote_expr(s.expr), lambda v: set_var(s.name, v))
+        name = sym(s.name)
+        # the value is a checked answer or a fresh nat, so the event needs
+        # no argument check
+        return bind(denote_expr(s.expr), lambda v: trigger(
+            EventInstance(IMP_STATE, "SetVar", (name, v), (LEFT,))))
     if isinstance(s, Seq):
-        first, second = s.first, s.second
-        return bind(denote_stmt(first), lambda _: denote_stmt(second))
+        second = s.second
+        rest = lazy(lambda: denote_stmt(second))
+        return bind(denote_stmt(s.first), lambda _: rest)
     if isinstance(s, If):
-        cond, then, orelse = s.cond, s.then, s.orelse
-        return bind(
-            denote_expr(cond),
-            lambda v: denote_stmt(then) if _is_true(v) else denote_stmt(orelse),
-        )
-    # Denote guard and body once; the trees are immutable and replay freely.
-    guard_tree = denote_expr(s.cond)
-    body_tree = denote_stmt(s.body)
-
-    def step(_):
-        return bind(
-            guard_tree,
-            lambda v: bind(body_tree, lambda _: ret(inl(unit())))
-            if _is_true(v)
-            else ret(inr(unit())),
-        )
-
-    return iterate(KTree(step))(unit())
+        then, orelse = s.then, s.orelse
+        then_t = lazy(lambda: denote_stmt(then))
+        else_t = lazy(lambda: denote_stmt(orelse))
+        return bind(denote_expr(s.cond), lambda v: then_t if _is_true(v) else else_t)
+    body = bind(denote_stmt(s.body), lambda _: _CONTINUE)
+    test = bind(denote_expr(s.cond), lambda v: body if _is_true(v) else _BREAK)
+    return iterate(KTree(lambda _: test))(unit())
 
 
 # Variable events read and write the one store, absent variables reading 0;

@@ -13,7 +13,23 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, taus, trigger, vis
+from .core import (
+    ITree,
+    RetO,
+    TauO,
+    VisO,
+    _TauN,
+    _cat,
+    _resolve,
+    bind,
+    lazy,
+    observe,
+    ret,
+    tau,
+    taus,
+    trigger,
+    vis,
+)
 from .events import (
     LEFT,
     RIGHT,
@@ -23,6 +39,7 @@ from .events import (
 from .values import (
     MAP_T,
     UNIT,
+    AnswerTagMismatch,
     UValue,
     map_get,
     map_items,
@@ -189,6 +206,13 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     reaching them all.  An outward event pays its steps before it surfaces
     and none after its answer.
 
+    The pass steps the source itself: ``core._resolve`` yields each raw
+    head with the binds pending above it, and an answered store event feeds
+    its answer straight to the event's continuation, with no observation or
+    tree built per event.  Each answer is checked once against the event's
+    declared answer shape, and a mismatch raises ``AnswerTagMismatch`` at
+    the read that produced it, as ``VisO.k`` would.
+
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
     whole skip it at once.  A batch ends at a source silent step, which it
@@ -209,34 +233,39 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     # A batch looks ahead of its consumer, so it must not raise early: what
     # the source raises is left to a lazy node after the batch's steps,
     # which does the same work again and raises there.
-    def go(t, dicts):
+    def go(head, konts, dicts):
         total = 0
         while True:
             try:
-                ob = observe(t)
+                head, konts = _resolve(head, konts)
             except Exception:
                 if not total:
                     raise
-                return taus(total, lazy(lambda: go(t, dicts)))
-            kind = type(ob)
-            if kind is TauO:
-                rest = ob.rest
-                return taus(total + 1, lazy(lambda: go(rest, dicts)))
+                return taus(total, lazy(lambda: go(head, konts, dicts)))
+            kind = type(head)
+            if kind is _TauN:
+                rest = head.rest
+                if head.n != 1:
+                    head = _TauN(rest, head.n - 1)
+                else:
+                    head, konts = rest._head, _cat(rest._konts, konts)
+                return taus(total + 1, lazy(lambda: go(head, konts, dicts)))
             if kind is RetO:
-                v = ob.value
+                v = head.value
                 for d in reversed(dicts):
                     v = pair(umap(d), v)
                 return taus(total, ret(v)) if total else ret(v)
-            e, k = ob.event, ob.k
+            e = head.event
             path = e.path
             route = table.get((path, e.kind))
             if route is None:
                 if path[:cut] == outward:
+                    ob = VisO(e, head._kont, konts)
                     return taus(total + outward_steps, vis(
-                        e.at(path[cut:]), lambda x: lazy(lambda: go(k(x), dicts))))
+                        e.at(path[cut:]), lambda x: lazy(lambda: resume(ob.k(x), dicts))))
                 if not total:
                     raise UnhandledEvent(f"{e!r} has no route in interp_stores")
-                return taus(total, lazy(lambda: go(t, dicts)))
+                return taus(total, lazy(lambda: go(head, konts, dicts)))
             slot, default, steps = route
             key = e.args[0].payload
             if default is None:
@@ -247,11 +276,24 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             else:
                 answer = dicts[slot].get(key, default)
             total += steps
+            kont = head._kont
             try:
-                t = k(answer)
+                if not e.answer.accepts(answer):
+                    raise AnswerTagMismatch
+                if kont is ret:  # a trigger: the answer is the return value
+                    head = RetO(answer)
+                else:
+                    nxt = kont(answer)
+                    head = nxt._head
+                    konts = _cat(nxt._konts, konts)
             except Exception:
-                return taus(total, lazy(lambda: go(k(answer), dicts)))
+                # VisO.k checks the answer again and raises what it raises
+                ob = VisO(e, kont, konts)
+                return taus(total, lazy(lambda: resume(ob.k(answer), dicts)))
             if total >= _BATCH_STEPS:
-                return taus(total, lazy(lambda: go(t, dicts)))
+                return taus(total, lazy(lambda: go(head, konts, dicts)))
 
-    return lazy(lambda: go(t, tuple(dict(map_items(m)) for m in stores)))
+    def resume(t, dicts):
+        return go(t._head, t._konts, dicts)
+
+    return lazy(lambda: go(t._head, t._konts, tuple(dict(map_items(m)) for m in stores)))

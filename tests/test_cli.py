@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from itrees import cli
 from itrees.asm import AsmSyntaxError, BoundViolation, parse_asm
-from itrees.imp import ImpSyntaxError, parse_imp
+from itrees.imp import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, ImpSyntaxError, parse_imp
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -220,6 +220,50 @@ def test_the_deepest_accepted_expressions_run(tmp_path, expr, value):
     assert (code, out) == (0, f"outcome: finished\nsteps: 3\nx={value}\n")
     code, out = run_cli(["check-equiv", str(src)])
     assert (code, out) == (0, "proven\n")
+
+
+def _nested_statements(levels):
+    """``levels`` if and while statements nested in one another, alternately,
+    each on its own line; each loop runs once.  The innermost holds three
+    expressions at the depth bound: a left-nested sum, parentheses, and a
+    right-nested difference."""
+    deep = "x" + " + 1" * MAX_EXPR_DEPTH
+    parens = "(" * MAX_EXPR_DEPTH + "y" + ")" * MAX_EXPR_DEPTH
+    right = "z"
+    for _ in range(MAX_EXPR_DEPTH // 2):
+        right = f"1 - ({right})"
+    src = f"x := {deep}; y := {parens}; z := {right}"
+    for k in reversed(range(levels)):
+        if k % 2:
+            src = f"w{k} := 1; while w{k} do\n{src};\nw{k} := 0 end"
+        else:
+            src = f"if 1 then\n{src}\nelse skip end"
+    return src + "\n"
+
+
+def test_the_deepest_accepted_statements_run(tmp_path, capsys):
+    src = tmp_path / "deep.imp"
+    src.write_text(_nested_statements(MAX_STMT_DEPTH))
+    code, out = run_cli(["run-imp", str(src)])
+    assert code == 0 and out.startswith("outcome: finished\n")
+    assert out.endswith("\nx=100\ny=0\nz=0\n")
+    assert run_cli(["compile", str(src)])[0] == 0
+    code, out = run_cli(["trace", str(src)])
+    assert code == 0 and out
+    assert run_cli(["check-equiv", str(src)]) == (0, "proven\n")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_too_deep_statements_are_syntax_errors(tmp_path, capsys):
+    src = tmp_path / "deep.imp"
+    src.write_text(_nested_statements(MAX_STMT_DEPTH + 1))
+    for command in ("run-imp", "compile", "trace"):
+        assert cli.main([command, str(src)]) == 1
+    assert cli.main(["check-equiv", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # each level opens a line, and the 101st opens with an if
+    assert err.count("error: 101:1: statements nested deeper than 100 levels") == 4
 
 
 def test_echo_demo_scripted():

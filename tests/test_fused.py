@@ -30,12 +30,14 @@ from itrees import (
     vis,
 )
 from itrees import asm, compiler
+from itrees.events import LEFT, EventInstance
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
     IMP_STATE,
     Assign,
     Lit,
+    Var,
     denote_stmt,
     env_of,
     get_var,
@@ -43,7 +45,7 @@ from itrees.imp import (
     parse_imp,
     set_var,
 )
-from itrees.values import label, nat, sym, umap, unit
+from itrees.values import boolean, label, nat, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp
 
@@ -326,3 +328,67 @@ def test_initial_stores_are_checked():
         interp_imp(denote_stmt(Assign("x", Lit(1))), nat(0))
     with pytest.raises(AnswerTagMismatch):
         interp_asm(den_asm(asm.id_asm())(label(0, 1)), umap(), unit())
+
+
+def _raises_answer_mismatch_at(make, at):
+    """Running ``make()`` reaches every step below ``at`` and raises
+    AnswerTagMismatch exactly at ``at``."""
+    for fuel in range(at):
+        ob, steps = run_to_head(make(), fuel)
+        assert (type(ob), steps) == (TauO, fuel)
+    with pytest.raises(AnswerTagMismatch, match="answer UValue<true> does not fit nat"):
+        run_to_head(make(), at)
+
+
+# The fold answers store events without an observation per event, but still
+# checks every answer against the event's declared shape, at the step the
+# layered stack raises.  The steps were measured before the fold stepped
+# raw heads.
+def test_store_answers_are_checked_at_the_read():
+    _raises_answer_mismatch_at(lambda: interp_imp(
+        denote_stmt(Assign("y", Var("x"))), umap({"x": boolean(True)})), 3)
+    add = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  add r1, r0, 1\n  jmp 0\n")
+    _raises_answer_mismatch_at(lambda: interp_asm(
+        den_asm(add)(label(0, 1)), umap(), umap({0: boolean(True)})), 3)
+    move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n"
+                         "  load r0, @x\n  store @y, r0\n  jmp 0\n")
+    _raises_answer_mismatch_at(lambda: interp_asm(
+        den_asm(move)(label(0, 1)), umap({"x": boolean(True)}), umap()), 5)
+
+
+def test_a_hand_built_write_of_a_wrong_value_raises_at_the_read():
+    # EventInstance skips event()'s argument checks, so the store takes the
+    # boolean; the read of it three events later is what fails
+    def program():
+        bad = EventInstance(IMP_STATE, "SetVar", (sym("x"), boolean(True)), (LEFT,))
+        return bind(trigger(bad), lambda _: bind(get_var("z"), lambda _: get_var("x")))
+
+    _raises_answer_mismatch_at(lambda: interp_imp(program(), env_of()), 9)
+
+
+def _run(t):
+    """The head ``t`` runs to within ``FUEL`` steps, comparable across trees,
+    and the steps it took."""
+    ob, steps = run_to_head(t, FUEL)
+    kind = type(ob)
+    seen = ob.value if kind is RetO else ob.event if kind is VisO else ob.run
+    return kind, seen, steps
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(MUTATIONS))
+def test_shared_denotations_are_persistent(mutation):
+    # One denotation interpreted under every initial store, in either order,
+    # runs exactly like a fresh denotation per store.
+    low = MUTATIONS[mutation] if mutation else compiler._CLEAN
+    for s, seed in list(_programs())[::3]:
+        unit_ = compile_stmt(s, low)
+        stores = initial_stores(CFG, seed)
+        fresh = [(_run(interp_imp(denote_stmt(s), env0)),
+                  _run(interp_asm(den_asm(unit_)(label(0, 1)), env0, umap(), low.asm_default)))
+                 for env0 in stores]
+        for order in (1, -1):
+            source, target = denote_stmt(s), den_asm(unit_)(label(0, 1))
+            shared = [(_run(interp_imp(source, env0)),
+                       _run(interp_asm(target, env0, umap(), low.asm_default)))
+                      for env0 in stores[::order]]
+            assert shared[::order] == fresh

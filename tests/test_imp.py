@@ -1,5 +1,6 @@
 """Imp parsing, denotation, and agreement with the big-step reference."""
 
+import os
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from itrees import (
     umap,
     unit,
 )
+from itrees import imp
 from itrees.imp import (
+    MAX_STMT_DEPTH,
     Assign,
     ImpSyntaxError,
     If,
@@ -44,6 +47,8 @@ from itrees.imp import (
 from itrees.compiler import gen_program
 
 from bigstep import run_reference
+
+CORPUS = os.path.join(os.path.dirname(__file__), "golden", "corpus")
 
 # ceiling on interpreted silent steps per reference step, checked below
 TAUS_PER_STEP = 64
@@ -94,6 +99,52 @@ def test_parse_errors_have_positions():
     with pytest.raises(ImpSyntaxError) as err:
         parse_imp(f"y := x * {deepest}")
     assert (err.value.line, err.value.col) == (1, 8)
+
+
+def _nesting(s):
+    """How many if and while statements the deepest statement of ``s`` sits in."""
+    deepest, stack = 0, [(s, 0)]
+    while stack:
+        s, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(s, Seq):
+            stack += [(s.first, depth), (s.second, depth)]
+        elif isinstance(s, If):
+            stack += [(s.then, depth + 1), (s.orelse, depth + 1)]
+        elif isinstance(s, While):
+            stack.append((s.body, depth + 1))
+    return deepest
+
+
+def _nested_ifs(levels):
+    return "if 1 then\n" * levels + "x := 1" + "\nelse skip end" * levels
+
+
+def test_statements_nest_at_most_the_bound():
+    deepest = parse_imp(_nested_ifs(MAX_STMT_DEPTH))
+    assert _nesting(deepest) == MAX_STMT_DEPTH
+    # the error points at the keyword that opens one level too many
+    with pytest.raises(ImpSyntaxError) as err:
+        parse_imp(_nested_ifs(MAX_STMT_DEPTH + 1))
+    assert (err.value.line, err.value.col) == (MAX_STMT_DEPTH + 1, 1)
+    src = "x := 1;\n" + "while x do " * 500 + "skip" + " end" * 500
+    with pytest.raises(ImpSyntaxError) as err:
+        parse_imp(src)
+    assert (err.value.line, err.value.col) == (2, 11 * MAX_STMT_DEPTH + 1)
+    assert "nested deeper than 100 levels" in str(err.value)
+    # a long sequence inside the deepest level adds no nesting
+    chain = "if 1 then " * MAX_STMT_DEPTH + "x := 1; " * 500 + "skip" + " else skip end" * MAX_STMT_DEPTH
+    assert _nesting(parse_imp(chain)) == MAX_STMT_DEPTH
+
+
+def test_the_statement_bound_accepts_corpus_and_generated_programs():
+    for name in os.listdir(CORPUS):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            assert _nesting(parse_imp(fh.read())) <= MAX_STMT_DEPTH
+    deepest = max(_nesting(gen_program(size, mode, seed))
+                  for mode in ("bounded", "free") for size in range(8, 81)
+                  for seed in range(300))
+    assert deepest <= MAX_STMT_DEPTH
 
 
 def test_pretty_round_trip_random_programs():
@@ -212,3 +263,25 @@ def test_out_of_fuel_means_reference_is_long_too():
         assert not got.finished
         ref = run_reference(prog, {}, fuel // TAUS_PER_STEP)
         assert ref is None or ref[1] > fuel // TAUS_PER_STEP
+
+
+def test_statements_are_denoted_once_however_long_the_loop_runs(monkeypatch):
+    calls = 0
+    denote = imp.denote_stmt
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return denote(s)
+
+    monkeypatch.setattr(imp, "denote_stmt", counted)
+
+    def denotations(n):
+        nonlocal calls
+        calls = 0
+        prog = parse_imp(f"c := {n}; while c do "
+                         "if c - 1 then x := x + c else y := 1 end; c := c - 1 end")
+        assert imp.run_imp(prog, env_of(), 100_000).finished
+        return calls
+
+    assert denotations(50) == denotations(500) <= 8

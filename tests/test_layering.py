@@ -1,0 +1,66 @@
+"""Module boundaries the design relies on, checked on the source text.
+
+The tree core keeps its node types, bind queue and resolver private.  Only
+the core itself and the fused store fold in ``interp`` may use them, so
+there is one resolution loop and one fold that steps it directly.
+"""
+
+import ast
+import os
+
+import itrees
+
+SRC = os.path.dirname(itrees.__file__)
+MAY_USE_CORE_PRIVATES = {"core.py", "interp.py"}
+
+
+def _core_privates(tree):
+    """Private names of ``itrees.core`` a module imports or reads."""
+    found, core_aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            from_core = (node.level == 1 and module == "core") or module == "itrees.core"
+            for alias in node.names:
+                if from_core and alias.name.startswith("_"):
+                    found.append(alias.name)
+                if (node.level == 1 and not module) or module == "itrees":
+                    if alias.name == "core":
+                        core_aliases.add(alias.asname or "core")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "itrees.core" and alias.asname:
+                    core_aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in core_aliases):
+            found.append(node.attr)
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "core"):
+            found.append(node.attr)
+    return found
+
+
+def test_only_core_and_the_store_fold_use_core_privates():
+    offenders = {}
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name in MAY_USE_CORE_PRIVATES:
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            used = _core_privates(ast.parse(fh.read(), name))
+        if used:
+            offenders[name] = used
+    assert offenders == {}
+
+
+def test_the_check_sees_private_imports():
+    samples = {
+        "from .core import ITree, _resolve": ["_resolve"],
+        "from itrees.core import _cat as cat": ["_cat"],
+        "from . import core\ncore._TauN(None)": ["_TauN"],
+        "import itrees.core\nitrees.core._pop(None)": ["_pop"],
+        "import itrees.core as c\nc._Thunk": ["_Thunk"],
+        "from .core import ITree, observe\nfrom . import values\nvalues._x": [],
+    }
+    for text, want in samples.items():
+        assert _core_privates(ast.parse(text)) == want, text
