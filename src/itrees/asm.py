@@ -2,8 +2,8 @@
 
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
-label, with internal jumps hidden by the loop combinator; each block's tree
-is built once per unit and replayed on every visit.  Linking is pure
+label, iterating the block table on block labels; each block's tree is
+built once per unit and replayed on every visit.  Linking is pure
 block-table surgery; the semantic equations tying surgery to combinators on
 denotations are checked by the test suite.
 """
@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .combinators import KTree, loop
+from .combinators import KTree, iterate
 from .core import ITree, bind, ret, trigger
 from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
 from .interp import interp_stores
@@ -34,7 +34,6 @@ from .values import (
     nat_mul,
     nat_sub,
     sym,
-    un_sum,
 )
 
 
@@ -247,63 +246,44 @@ def denote_instr(i: Instr) -> ITree:
     )
 
 
-def denote_br(b: Branch, exit_bound: int) -> ITree:
+def denote_br(b: Branch, targets: Sequence[ITree]) -> ITree:
+    """A terminal branch: a jump to label ``l`` returns the prebuilt tree
+    ``targets[l]``, and ``halt`` emits ``Done``."""
     if isinstance(b, Bjmp):
-        return ret(label(b.target, exit_bound))
+        return targets[b.target]
     if isinstance(b, Bbrz):
-        yes = ret(label(b.yes, exit_bound))
-        no = ret(label(b.no, exit_bound))
+        yes, no = targets[b.yes], targets[b.no]
         return bind(get_reg(b.test), lambda v: yes if v.payload == 0 else no)
     return halt()
 
 
-def denote_bk(blk: Block, exit_bound: int) -> ITree:
-    t = denote_br(blk.branch, exit_bound)
+def denote_bk(blk: Block, targets: Sequence[ITree]) -> ITree:
+    t = denote_br(blk.branch, targets)
     for i in reversed(blk.instrs):
         t = bind(denote_instr(i), lambda _, _rest=t: _rest)
     return t
 
 
-def denote_bks(u: AsmUnit) -> KTree:
-    dom_bound = u.internal + u.entries
-    cod_bound = u.internal + u.exits
-    dom_t = label_t(dom_bound)
-    trees = tuple(denote_bk(blk, cod_bound) for blk in u.code)
-
-    def go(v):
-        return trees[dom_t.check(v, "entry label").payload]
-
-    return KTree(go, dom_t)
-
-
 def den_asm(u: AsmUnit) -> KTree:
-    """Denote a unit as a map from entry labels to exit labels, hiding the
-    internal labels behind the loop combinator's back-edge.  Each block's
-    tree, and its continuation to the next label, is built once."""
-    internal = u.internal
-    ia = internal + u.entries
-    bks = denote_bks(u)
-    # a jump to label i: Left(internal label) re-enters, Right(exit) leaves
-    jumps = tuple(ret(inl(label(i, internal))) for i in range(internal))
-    leave = tuple(ret(inr(label(i, u.exits))) for i in range(u.exits))
+    """Denote a unit as a map from entry labels to exit labels.
 
-    def split(l):
-        i = l.payload
-        return jumps[i] if i < internal else leave[i - internal]
-
-    blocks = tuple(bind(bks(label(j, ia)), split) for j in range(ia))
-
-    def body(ca):
-        is_left, payload = un_sum(ca)
-        return blocks[payload.payload if is_left else internal + payload.payload]
-
-    looped = loop(KTree(body))
+    The paper's form is ``loop`` over the block table; here ``iterate``
+    runs the blocks on their labels directly.  A jump to internal label
+    ``i`` returns ``Left(i)``, which re-enters block ``i`` after one silent
+    step, and a jump to exit ``x`` returns ``Right(x)``, which leaves.  Each
+    block's tree and each jump's return are built once per unit.
+    """
+    ia = u.internal + u.entries
+    targets = (tuple(ret(inl(label(i, ia))) for i in range(u.internal))
+               + tuple(ret(inr(label(x, u.exits))) for x in range(u.exits)))
+    blocks = tuple(denote_bk(blk, targets) for blk in u.code)
+    run = iterate(KTree(lambda l: blocks[l.payload]))
+    entry_t = label_t(u.entries)
 
     def go(a):
-        label_t(u.entries).check(a, "entry label")
-        return looped(a)
+        return run(label(u.internal + entry_t.check(a, "entry label").payload, ia))
 
-    return KTree(go, label_t(u.entries))
+    return KTree(go, entry_t)
 
 
 # Linking combinators: pure block-table surgery.

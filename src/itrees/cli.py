@@ -5,7 +5,8 @@ Outputs are deterministic (maps print in key order) so they can be frozen
 as golden files; check-equiv exits 0 for proven, 1 for refuted, 2 for
 unknown and 3 for unusable input or a usage error, where the other
 subcommands exit 1.  Budgets (``--fuel``, ``--tau-budget``,
-``--event-depth``) are non-negative integers.
+``--event-depth``) are non-negative integers, and ``--event-depth`` is at
+most ``traces.MAX_EVENT_DEPTH``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ import argparse
 import sys
 
 from . import compiler
-from .asm import AsmSyntaxError, BoundViolation, den_asm, interp_asm, parse_asm, print_asm
+from .asm import (
+    AsmSyntaxError,
+    AsmUnit,
+    BoundViolation,
+    den_asm,
+    interp_asm,
+    parse_asm,
+    print_asm,
+)
 from .bisim import describe_witness
-from .core import RetO, TauO, VisO, observe, run_to_head
+from .core import ITree, RetO, TauO, VisO, observe, run_to_head
 from .imp import ImpSyntaxError, denote_stmt, env_of, parse_imp, run_imp
 from .samples import echo
-from .traces import enumerate_traces, render_trace
+from .traces import MAX_EVENT_DEPTH, enumerate_traces, render_trace
 from .values import (
     AnswerTagMismatch,
     UValue,
@@ -62,11 +71,15 @@ def cmd_compile(path: str, out_path: str | None) -> int:
     return 0
 
 
-def cmd_run_asm(path: str, fuel: int) -> int:
-    unit = parse_asm(_read(path))
-    if unit.entries < 1:
+def _entry_tree(u: AsmUnit) -> ITree:
+    """The denotation of an Asm unit entered at entry 0."""
+    if u.entries < 1:
         raise BoundViolation("unit has no entry to run")
-    tree = interp_asm(den_asm(unit)(label(0, unit.entries)), umap(), umap())
+    return den_asm(u)(label(0, u.entries))
+
+
+def cmd_run_asm(path: str, fuel: int) -> int:
+    tree = interp_asm(_entry_tree(parse_asm(_read(path))), umap(), umap())
     ob, steps = run_to_head(tree, fuel)
     if type(ob) is RetO:
         mem = fst(ob.value)
@@ -91,8 +104,7 @@ def cmd_run_asm(path: str, fuel: int) -> int:
 def cmd_trace(path: str, event_depth: int, tau_budget: int) -> int:
     src = _read(path)
     if path.endswith(".asm"):
-        unit = parse_asm(src)
-        tree = den_asm(unit)(label(0, unit.entries))
+        tree = _entry_tree(parse_asm(src))
     else:
         tree = denote_stmt(parse_imp(src))
     for tr in sorted(render_trace(t) for t in enumerate_traces(tree, event_depth, tau_budget)):
@@ -162,6 +174,15 @@ def _budget(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+def _event_depth(text: str) -> int:
+    """An event depth: a budget of at most ``MAX_EVENT_DEPTH``."""
+    n = _budget(text)
+    if n > MAX_EVENT_DEPTH:
+        raise argparse.ArgumentTypeError(
+            f"expected an event depth of at most {MAX_EVENT_DEPTH}, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="itrees")
     sub = p.add_subparsers(dest="command", required=True)
@@ -180,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="enumerate bounded traces of a program")
     trace.add_argument("path")
-    trace.add_argument("--event-depth", type=_budget, default=3)
+    trace.add_argument("--event-depth", type=_event_depth, default=3)
     trace.add_argument("--tau-budget", type=_budget, default=200)
 
     check = sub.add_parser("check-equiv", help="check a program against its compilation")

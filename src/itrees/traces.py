@@ -97,6 +97,9 @@ class AnswerSpaceTooLarge(ValueError):
     """Exact enumeration was requested over a non-enumerable answer space."""
 
 
+MAX_EVENT_DEPTH = 200  # enumeration and hashing recurse once per event
+
+
 def enumerate_traces(t: ITree, event_depth: int, tau_budget: int,
                      nat_probes: Sequence[int] = DEFAULT_NAT_PROBES,
                      exact: bool = False) -> set:
@@ -104,25 +107,32 @@ def enumerate_traces(t: ITree, event_depth: int, tau_budget: int,
 
     The frontier is uniform in event depth, so every cut-off member keeps
     its TEnd truncations in the set.  Nat answers use the probe set unless
-    ``exact`` is set, in which case they raise.
+    ``exact`` is set, in which case they raise.  Depths above
+    ``MAX_EVENT_DEPTH`` may exhaust the Python stack.
     """
-    traces = {TEND}
+    return set(_traces(t, event_depth, tau_budget, nat_probes, exact))
+
+
+def _traces(t, event_depth, tau_budget, nat_probes, exact) -> list:
+    # Each level is a list: traces that answer an event differently already
+    # differ, so a set per level would only hash every nested sub-trace again
+    # at each level.  The caller's one set drops what a repeated probe repeats.
+    traces = [TEND]
     ob, _ = run_to_head(t, tau_budget)
     if type(ob) is TauO:
         return traces
     if type(ob) is RetO:
-        traces.add(TRet(ob.value))
+        traces.append(TRet(ob.value))
         return traces
     if event_depth <= 0:
         return traces
-    traces.add(TEventEnd(ob.event))
+    traces.append(TEventEnd(ob.event))
     answers = enumerate_answers(ob.event.answer, nat_probes)
     if answers is None or (exact and ob.event.answer.tag is Tag.NAT):
         raise AnswerSpaceTooLarge(f"cannot enumerate answers of {ob.event!r}")
     for x in answers:
-        for sub in enumerate_traces(ob.k(x), event_depth - 1, tau_budget,
-                                    nat_probes, exact):
-            traces.add(TEventResponse(ob.event, x, sub))
+        traces += [TEventResponse(ob.event, x, sub)
+                   for sub in _traces(ob.k(x), event_depth - 1, tau_budget, nat_probes, exact)]
     return traces
 
 

@@ -26,12 +26,14 @@ from itrees import (
     interp,
     interp_map,
     label_t,
+    loop,
     map_default_sig,
     nat,
     observe,
     ret,
     tau,
     trigger,
+    un_sum,
     unit,
     vis,
 )
@@ -51,6 +53,9 @@ from itrees.asm import (
     Isub,
     Oimm,
     Oreg,
+    denote_instr,
+    get_reg,
+    halt,
 )
 from itrees.imp import IMP_STATE
 
@@ -354,3 +359,57 @@ def layered_interp_asm(t, mem0, regs0, default=0):
         handler_bimap(_to_map_events(MEM_E, "Load", "Store", mem_map), handler_id),
     )
     return interp_map(interp_map(interp(h, t), regs0), mem0)
+
+
+# The Asm denotation in the paper's literal form: ``loop`` over the block
+# table, each branch returning the label it jumps to.  The library's
+# ``den_asm`` iterates on block labels directly and is compared against this
+# one, step for step; the two share only the instruction denotations.
+
+def _denote_br_label(b, bound: int):
+    if isinstance(b, Bjmp):
+        return ret(label(b.target, bound))
+    if isinstance(b, Bbrz):
+        return bind(get_reg(b.test),
+                    lambda v: ret(label(b.yes if v.payload == 0 else b.no, bound)))
+    return halt()
+
+
+def denote_bks(u: AsmUnit) -> KTree:
+    """The block table as a map from internal+entry labels to the labels
+    its branches jump to, internal+exit."""
+    dom_t = label_t(u.internal + u.entries)
+    trees = []
+    for blk in u.code:
+        t = _denote_br_label(blk.branch, u.internal + u.exits)
+        for i in reversed(blk.instrs):
+            t = bind(denote_instr(i), lambda _, _rest=t: _rest)
+        trees.append(t)
+    return KTree(lambda v: trees[dom_t.check(v, "entry label").payload], dom_t)
+
+
+def den_asm_by_loop(u: AsmUnit) -> KTree:
+    """``loop`` over ``denote_bks``: a jump to an internal label leaves on
+    the loop's Left port and re-enters its block, a jump to an exit leaves
+    on the Right port."""
+    internal, ia = u.internal, u.internal + u.entries
+    bks = denote_bks(u)
+
+    def split(l):
+        i = l.payload
+        if i < internal:
+            return ret(inl(label(i, internal)))
+        return ret(inr(label(i - internal, u.exits)))
+
+    def body(ca):
+        is_left, payload = un_sum(ca)
+        i = payload.payload if is_left else internal + payload.payload
+        return bind(bks(label(i, ia)), split)
+
+    looped = loop(KTree(body))
+
+    def go(a):
+        label_t(u.entries).check(a, "entry label")
+        return looped(a)
+
+    return KTree(go, label_t(u.entries))

@@ -8,6 +8,7 @@ from itrees import (
     EQ,
     KTree,
     RelSpec,
+    Reason,
     RetO,
     VisO,
     bind,
@@ -25,6 +26,7 @@ from itrees import (
     ret,
     run_to_head,
     split_fin,
+    strong_bisim,
     umap,
     un_sum,
     unit,
@@ -60,11 +62,12 @@ from itrees.asm import (
     seq_asm,
     while_asm,
 )
-from itrees.compiler import compile_stmt
+from itrees import compiler
+from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import parse_imp
 
 from bigstep import run_machine
-from helpers import gen_asm_unit
+from helpers import den_asm_by_loop, gen_asm_unit
 
 # Uninterpreted denotations branch over every probed answer at every
 # register read, so law checks use a two-value probe set to stay small.
@@ -78,14 +81,17 @@ def _interp_run(unit, entry=0, mem=None, regs=None, fuel=200_000):
     return run_to_head(t, fuel)
 
 
+LABELS = tuple(ret(label(l, 4)) for l in range(4))  # jump to l returns label l
+
+
 def test_denote_br_jmp():
-    ob, _ = run_to_head(denote_br(Bjmp(2), 4), 5)
+    ob, _ = run_to_head(denote_br(Bjmp(2), LABELS), 5)
     assert ob == RetO(label(2, 4))
 
 
 def test_denote_br_brz_polarity():
     # yes-branch fires when the register reads zero
-    t = denote_br(Bbrz(1, 2, 3), 4)
+    t = denote_br(Bbrz(1, 2, 3), LABELS)
     ob = run_to_head(t, 5)[0]
     assert type(ob) is VisO and ob.event.kind == "GetReg"
     assert run_to_head(ob.k(nat(0)), 5)[0] == RetO(label(2, 4))
@@ -234,6 +240,55 @@ def test_relabel_asm_denotes_pure_sandwich():
         )
         rhs = KTree(rhs.fn, label_t(a))
         assert ktree_equiv(EQ, lhs, rhs, **LAW_BUDGET).proven
+
+
+# ``den_asm`` iterates on block labels; the paper's ``loop`` over the block
+# table, ``helpers.den_asm_by_loop``, is its specification, node for node.
+
+def _head(t, fuel):
+    ob, steps = run_to_head(t, fuel)
+    kind = type(ob)
+    return kind, ob.value if kind is RetO else ob.event if kind is VisO else None, steps
+
+
+def _same_as_loop_form(t, ref, depth, nat_probes=(0, 1)):
+    """Strongly bisimilar to the reference, with the same head after the same
+    number of steps.  Proven when the runs finish within ``depth`` steps."""
+    v = strong_bisim(t, ref, depth, nat_probes)
+    assert not v.refuted, v.witness
+    assert v.proven or v.reason is Reason.DEPTH_BUDGET
+    assert _head(t, depth) == _head(ref, depth)
+    return v.proven
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(MUTATIONS))
+def test_den_asm_matches_the_loop_form_on_compiled_units(mutation):
+    low = MUTATIONS[mutation] if mutation else compiler._CLEAN
+    proven = []
+    for size in (8, 20, 40):
+        for mode in ("bounded", "free"):
+            for seed in range(5):
+                u = compile_stmt(gen_program(size, mode, seed), low)
+                t, ref = den_asm(u)(label(0, 1)), den_asm_by_loop(u)(label(0, 1))
+                for mem0 in initial_stores(SimConfig(), seed):
+                    proven.append(_same_as_loop_form(
+                        interp_asm(t, mem0, umap(), low.asm_default),
+                        interp_asm(ref, mem0, umap(), low.asm_default), 2000))
+    assert proven.count(True) > len(proven) // 2
+
+
+def test_den_asm_matches_the_loop_form_on_random_units():
+    rng = random.Random(68)
+    for _ in range(150):
+        entries, exits = rng.randint(1, 3), rng.randint(1, 3)
+        wires = rng.randint(0, min(entries, exits) - 1)
+        u = gen_asm_unit(rng, entries, exits, rng.randint(0, 4),
+                         max_instrs=2, loop_ports=wires)
+        if wires:
+            u = loop_asm(u, wires)
+        t, ref = den_asm(u), den_asm_by_loop(u)
+        for a in range(u.entries):
+            assert _same_as_loop_form(t(label(a, u.entries)), ref(label(a, u.entries)), 1000)
 
 
 def test_loop_asm_denotes_loop():

@@ -1,8 +1,10 @@
 """Command-line behavior against the frozen golden corpus."""
 
 import contextlib
+import inspect
 import io
 import os
+import sys
 import tempfile
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from itrees import cli
 from itrees.asm import AsmSyntaxError, BoundViolation, parse_asm
 from itrees.imp import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, ImpSyntaxError, parse_imp
+from itrees.traces import MAX_EVENT_DEPTH
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -76,6 +79,14 @@ def test_trace_golden(name):
     assert out == golden(f"{name}.trace.txt")
 
 
+def test_asm_trace_golden():
+    code, out = run_cli(
+        ["trace", os.path.join(GOLDEN, "while_count.asm"), "--event-depth", "3"]
+    )
+    assert code == 0
+    assert out == golden("while_count.asm.trace.txt")
+
+
 def test_run_asm_halting_golden():
     code, out = run_cli(["run-asm", os.path.join(GOLDEN, "halting.asm")])
     assert code == 0
@@ -108,6 +119,7 @@ def test_check_equiv_exit_codes(tmp_path):
     (["check-equiv", "{imp}", "--bogus"], 3),
     (["check-equiv"], 3),
     (["no-such-command"], 1),
+    (["trace", "{imp}", "--event-depth", str(MAX_EVENT_DEPTH + 1)], 1),
 ])
 def test_usage_errors_exit_with_the_input_error_code(tmp_path, capsys, argv, code):
     imp_src = tmp_path / "ok.imp"
@@ -175,6 +187,34 @@ def test_long_straight_line_program_runs(tmp_path):
     code, out = run_cli(["run-imp", str(src)])
     assert code == 0
     assert out == "outcome: finished\nsteps: 9000\nx=0\n"
+
+
+def test_the_deepest_accepted_event_depth_runs(tmp_path):
+    # with half of Python's default stack to spare: one trace per prefix,
+    # cut off or pending, and the empty one
+    src = tmp_path / "long.imp"
+    src.write_text("x := 0;\n" * 3000 + "skip\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 500)
+    try:
+        code, out = run_cli(["trace", str(src), "--event-depth", str(MAX_EVENT_DEPTH)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 * MAX_EVENT_DEPTH + 1
+    assert "SetVar(x,0)=() ; " * (MAX_EVENT_DEPTH - 1) + "SetVar(x,0)?" in lines
+
+
+@pytest.mark.parametrize("command", ["run-asm", "trace"])
+def test_a_unit_without_entries_is_an_error(tmp_path, capsys, command):
+    src = tmp_path / "none.asm"
+    src.write_text("asm entries=0 exits=1 internal=1\nblock 0:\n  jmp 1\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([command, str(src)]) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error: unit has no entry to run\n"
 
 
 def test_long_straight_line_program_compiles(tmp_path):

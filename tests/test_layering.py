@@ -3,6 +3,10 @@
 The tree core keeps its node types, bind queue and resolver private.  Only
 the core itself and the fused store fold in ``interp`` may use them, so
 there is one resolution loop and one fold that steps it directly.
+
+Both denotations iterate only through ``combinators.iterate``: ``imp`` and
+``asm`` use no other iteration combinator, and ``asm`` takes no sums apart
+itself, so every loop of either language is one ``iterate`` on one argument.
 """
 
 import ast
@@ -64,3 +68,48 @@ def test_the_check_sees_private_imports():
     }
     for text, want in samples.items():
         assert _core_privates(ast.parse(text)) == want, text
+
+
+ITERATES_ONLY_THROUGH_ITERATE = {
+    "imp.py": {"loop", "mrec"},
+    "asm.py": {"loop", "mrec", "un_sum"},
+}
+
+
+def _uses(tree, names):
+    """The names among ``names`` a module imports or reads as an attribute
+    or a free name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+    return found
+
+
+def test_the_denotations_iterate_only_through_iterate():
+    offenders = {}
+    for name, forbidden in sorted(ITERATES_ONLY_THROUGH_ITERATE.items()):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        used = _uses(tree, forbidden)
+        if used:
+            offenders[name] = used
+        assert "iterate" in _uses(tree, {"iterate"}), name
+    assert offenders == {}
+
+
+def test_the_check_sees_other_iteration():
+    forbidden = ITERATES_ONLY_THROUGH_ITERATE["asm.py"]
+    samples = {
+        "from .combinators import KTree, loop": ["loop"],
+        "from .values import inl, un_sum": ["un_sum"],
+        "from . import combinators\ncombinators.mrec(h, e)": ["mrec"],
+        "from . import values\nvalues.un_sum(v)": ["un_sum"],
+        "from .combinators import KTree, iterate\nloop_asm(u, 1)": [],
+    }
+    for text, want in samples.items():
+        assert _uses(ast.parse(text), forbidden) == want, text
