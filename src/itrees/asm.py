@@ -3,9 +3,9 @@
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
 label, iterating the block table on block labels; each block's tree is
-built once per unit and replayed on every visit.  Linking is pure
-block-table surgery; the semantic equations tying surgery to combinators on
-denotations are checked by the test suite.
+built once per unit, one ``vis`` node per event, and replayed on every
+visit.  Linking is pure block-table surgery; the semantic equations tying
+surgery to combinators on denotations are checked by the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, bind, ret, trigger
+from .core import ITree, ret, trigger, vis
 from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
 from .interp import interp_stores
 from .values import (
@@ -34,6 +34,7 @@ from .values import (
     nat_mul,
     nat_sub,
     sym,
+    unit,
 )
 
 
@@ -186,8 +187,16 @@ _MEM_PATH = (RIGHT, LEFT)
 _DONE_PATH = (RIGHT, RIGHT)
 
 
+def _get_reg_event(r: int) -> EventInstance:
+    return event(REG_E, "GetReg", nat(r), path=_REG_PATH)
+
+
+def _load_event(addr: str) -> EventInstance:
+    return event(MEM_E, "Load", sym(addr), path=_MEM_PATH)
+
+
 def get_reg(r: int) -> ITree:
-    return trigger(event(REG_E, "GetReg", nat(r), path=_REG_PATH))
+    return trigger(_get_reg_event(r))
 
 
 def set_reg(r: int, v: UValue) -> ITree:
@@ -195,7 +204,7 @@ def set_reg(r: int, v: UValue) -> ITree:
 
 
 def load(addr: str) -> ITree:
-    return trigger(event(MEM_E, "Load", sym(addr), path=_MEM_PATH))
+    return trigger(_load_event(addr))
 
 
 def store(addr: str, v: UValue) -> ITree:
@@ -206,44 +215,58 @@ def halt() -> ITree:
     return trigger(event(DONE_E, "Done", path=_DONE_PATH))
 
 
-# Denotations build each of their trees once; trees are immutable, so every
-# execution of a block replays the same ones.
+# Denotations are in continuation-passing form and build each of their
+# trees once: an instruction is denoted together with the tree that follows
+# it, each event is one ``vis`` node whose continuation leads straight to the
+# next tree, and trees are immutable, so every execution of a block replays
+# the same ones.  Register reads and loads, and their nodes, are built with
+# the unit; a write's event is built when it runs, without ``event``'s
+# argument checks: its register or address is built with the unit and its
+# value is a checked answer or a fresh ``nat``.
 
-def denote_operand(op: Operand) -> ITree:
+def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
+    """Read ``op``, then continue with ``k`` of its value; an immediate is
+    read here, so ``k`` runs here too."""
     if isinstance(op, Oreg):
-        return get_reg(op.reg)
-    return ret(nat(op.value))
+        return vis(_get_reg_event(op.reg), k)
+    return k(nat(op.value))
 
 
-# Register and memory writes are built without ``event``'s argument checks:
-# the register or address is built once below and the value is a checked
-# answer or a fresh ``nat``.
+_OPS = {Iadd: nat_add, Isub: nat_sub, Imul: nat_mul}
 
-def _set_reg(dst: UValue, v: UValue) -> ITree:
-    return trigger(EventInstance(REG_E, "SetReg", (dst, v), _REG_PATH))
+
+def _instr_then(i: Instr, rest: ITree) -> ITree:
+    """The tree that runs ``i`` and then ``rest``."""
+    after = lambda _: rest
+    if isinstance(i, Istore):
+        addr = sym(i.addr)
+        return _read_then(i.src, lambda v: vis(
+            EventInstance(MEM_E, "Store", (addr, v), _MEM_PATH), after))
+    dst = nat(i.dst)
+
+    def write(v):
+        return vis(EventInstance(REG_E, "SetReg", (dst, v), _REG_PATH), after)
+
+    if isinstance(i, Imov):
+        return _read_then(i.src, write)
+    if isinstance(i, Iload):
+        return vis(_load_event(i.addr), write)
+    f = _OPS[type(i)]
+    if isinstance(i.rhs, Oimm):
+        b = nat(i.rhs.value).payload  # checked, as a read of it would be
+        then = lambda a: write(nat(f(a.payload, b)))
+    else:
+        # the second read's node holds the first answer, so it is built
+        # when it runs
+        read_rhs = _get_reg_event(i.rhs.reg)
+        then = lambda a: vis(read_rhs, lambda b: write(nat(f(a.payload, b.payload))))
+    return vis(_get_reg_event(i.lhs), then)
 
 
 def denote_instr(i: Instr) -> ITree:
-    if isinstance(i, Istore):
-        addr = sym(i.addr)
-        return bind(denote_operand(i.src), lambda v: trigger(
-            EventInstance(MEM_E, "Store", (addr, v), _MEM_PATH)))
-    dst = nat(i.dst)
-    if isinstance(i, Imov):
-        return bind(denote_operand(i.src), lambda v: _set_reg(dst, v))
-    if isinstance(i, Iload):
-        return bind(load(i.addr), lambda v: _set_reg(dst, v))
-    if isinstance(i, Iadd):
-        f = nat_add
-    elif isinstance(i, Isub):
-        f = nat_sub
-    else:
-        f = nat_mul
-    rhs = denote_operand(i.rhs)
-    return bind(
-        get_reg(i.lhs),
-        lambda a: bind(rhs, lambda b: _set_reg(dst, nat(f(a.payload, b.payload)))),
-    )
+    """The tree that runs ``i`` and returns unit: ``i`` continued by
+    ``ret(unit())``."""
+    return _instr_then(i, ret(unit()))
 
 
 def denote_br(b: Branch, targets: Sequence[ITree]) -> ITree:
@@ -253,14 +276,16 @@ def denote_br(b: Branch, targets: Sequence[ITree]) -> ITree:
         return targets[b.target]
     if isinstance(b, Bbrz):
         yes, no = targets[b.yes], targets[b.no]
-        return bind(get_reg(b.test), lambda v: yes if v.payload == 0 else no)
+        return vis(_get_reg_event(b.test), lambda v: yes if v.payload == 0 else no)
     return halt()
 
 
 def denote_bk(blk: Block, targets: Sequence[ITree]) -> ITree:
+    """A block: its instructions, each continuing straight into the next,
+    then its branch."""
     t = denote_br(blk.branch, targets)
     for i in reversed(blk.instrs):
-        t = bind(denote_instr(i), lambda _, _rest=t: _rest)
+        t = _instr_then(i, t)
     return t
 
 
@@ -271,7 +296,9 @@ def den_asm(u: AsmUnit) -> KTree:
     runs the blocks on their labels directly.  A jump to internal label
     ``i`` returns ``Left(i)``, which re-enters block ``i`` after one silent
     step, and a jump to exit ``x`` returns ``Right(x)``, which leaves.  Each
-    block's tree and each jump's return are built once per unit.
+    block's tree and each jump's return are built once per unit; within a
+    block, each event is one ``vis`` node leading straight to the next
+    instruction's tree, with no ``bind``.
     """
     ia = u.internal + u.entries
     targets = (tuple(ret(inl(label(i, ia))) for i in range(u.internal))

@@ -46,6 +46,8 @@ class EventSig:
         if len(by_name) != len(self.kinds):
             raise WrongSignature(f"duplicate kind names in {self.name}")
         object.__setattr__(self, "_by_name", by_name)
+        # every instance looks its answer shape up here
+        object.__setattr__(self, "_answers", {k.name: k.answer for k in self.kinds})
 
     def kind(self, name: str) -> KindSpec:
         spec = self._by_name.get(name)
@@ -78,9 +80,9 @@ class EventInstance:
 
     ``sig`` is the leaf signature the event comes from; ``path`` classifies
     it within an enclosing sum (empty for a bare event).  ``answer``, the
-    shape the environment must answer with, is looked up once at
-    construction.  Instances compare and hash by (sig, kind, args, path)
-    and are never assigned to after construction.
+    shape the environment must answer with, is looked up at construction
+    in a table the signature builds once.  Instances compare and hash by
+    (sig, kind, args, path) and are never assigned to after construction.
     """
 
     sig: EventSig
@@ -90,7 +92,10 @@ class EventInstance:
     answer: VType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.answer = self.sig.kind(self.kind).answer
+        answer = self.sig._answers.get(self.kind)
+        if answer is None:
+            raise WrongSignature(f"signature {self.sig.name} has no kind {self.kind}")
+        self.answer = answer
 
     def at(self, path: tuple[str, ...]) -> "EventInstance":
         return EventInstance(self.sig, self.kind, self.args, path)

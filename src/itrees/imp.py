@@ -4,18 +4,19 @@ Statements denote trees over variable-access events plus an arbitrary extra
 alphabet; a second stage interprets those events into a finite map with
 default 0, giving the usual store-passing semantics.  Loops go through the
 iteration combinator, so divergence is representable and fuel only appears
-in the driver.  A denotation builds each of its subtrees once; loop
-iterations and repeated runs replay them.
+in the driver.  A denotation is in continuation-passing form, one ``vis``
+node per event, and builds each of its subtrees once; loop iterations and
+repeated runs replay them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger
+from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis
 from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
 from .interp import interp_stores
 from .values import (
@@ -328,30 +329,73 @@ IMP_STATE = EventSig(
 )
 
 
+def _get_var_event(name: str) -> EventInstance:
+    return event(IMP_STATE, "GetVar", sym(name), path=(LEFT,))
+
+
 def get_var(name: str) -> ITree:
-    return trigger(event(IMP_STATE, "GetVar", sym(name), path=(LEFT,)))
+    return trigger(_get_var_event(name))
 
 
 def set_var(name: str, v: UValue) -> ITree:
     return trigger(event(IMP_STATE, "SetVar", sym(name), v, path=(LEFT,)))
 
 
-def denote_expr(e: Expr) -> ITree:
+# The denotations are in continuation-passing form: each event is one
+# ``vis`` node whose continuation builds or returns the next tree, so no
+# event goes through a ``trigger`` and a pending bind.
+
+_OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
+
+
+def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
+    """Append the ``GetVar`` event of each variable in ``e`` to ``reads``,
+    left to right, and return the function that computes ``e`` from the
+    answers to them."""
     if isinstance(e, Lit):
-        return ret(nat(e.value))
+        value = e.value
+        return lambda answers: value
     if isinstance(e, Var):
-        return get_var(e.name)
-    if isinstance(e, Plus):
-        f = nat_add
-    elif isinstance(e, Minus):
-        f = nat_sub
-    else:
-        f = nat_mul
-    rhs = denote_expr(e.rhs)
-    return bind(
-        denote_expr(e.lhs),
-        lambda l: bind(rhs, lambda r: ret(nat(f(l.payload, r.payload)))),
-    )
+        j = len(reads)
+        reads.append(_get_var_event(e.name))
+        return lambda answers: answers[j].payload
+    f = _OPS[type(e)]
+    lhs = _evaluator(e.lhs, reads)
+    rhs = _evaluator(e.rhs, reads)
+    return lambda answers: f(lhs(answers), rhs(answers))
+
+
+def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
+    """Evaluate ``e``, then continue with ``k`` of its value.
+
+    Every variable is read by one ``GetVar`` node, left to right.  The
+    events, and the node of the first read, are built here once; a later
+    read's node holds the answers before it.  An expression without
+    variables is computed here, so ``k`` runs here too.
+    """
+    if isinstance(e, Var):
+        return vis(_get_var_event(e.name), k)
+    reads = []
+    value = _evaluator(e, reads)
+    last = len(reads) - 1
+    if last < 0:
+        return k(nat(value(())))
+
+    def read(j, answers):
+        def kont(a):
+            got = answers + (a,)
+            if j == last:
+                return k(nat(value(got)))
+            return read(j + 1, got)
+
+        return vis(reads[j], kont)
+
+    return read(0, ())
+
+
+def denote_expr(e: Expr) -> ITree:
+    """The tree that reads ``e``'s variables and returns its value."""
+    return _expr_then(e, ret)
 
 
 def _is_true(v: UValue) -> bool:
@@ -360,32 +404,42 @@ def _is_true(v: UValue) -> bool:
 
 _CONTINUE = ret(inl(unit()))
 _BREAK = ret(inr(unit()))
+_DONE = ret(unit())
 
 
 def denote_stmt(s: Stmt) -> ITree:
-    """Denote a statement.  ``Seq`` tails and ``If`` arms are lazy subtrees,
-    denoted on first observation and then shared, so a long ``Seq`` spine
-    does not recurse and no statement is denoted twice."""
+    """Denote a statement: a tree that runs it and returns unit.
+
+    Each event is one ``vis`` node whose continuation leads straight to the
+    next tree.  ``Seq`` tails and ``If`` arms are lazy subtrees, denoted on
+    first observation and then shared, so a long ``Seq`` spine does not
+    recurse and no statement is denoted twice; a ``while`` runs through
+    ``iterate``."""
+    return _stmt_then(s, _DONE)
+
+
+def _stmt_then(s: Stmt, rest: ITree) -> ITree:
+    """The tree that runs ``s`` and then ``rest``."""
     if isinstance(s, Skip):
-        return ret(unit())
+        return rest
     if isinstance(s, Assign):
         name = sym(s.name)
+        after = lambda _: rest
         # the value is a checked answer or a fresh nat, so the event needs
         # no argument check
-        return bind(denote_expr(s.expr), lambda v: trigger(
-            EventInstance(IMP_STATE, "SetVar", (name, v), (LEFT,))))
+        return _expr_then(s.expr, lambda v: vis(
+            EventInstance(IMP_STATE, "SetVar", (name, v), (LEFT,)), after))
     if isinstance(s, Seq):
         second = s.second
-        rest = lazy(lambda: denote_stmt(second))
-        return bind(denote_stmt(s.first), lambda _: rest)
+        return _stmt_then(s.first, lazy(lambda: _stmt_then(second, rest)))
     if isinstance(s, If):
         then, orelse = s.then, s.orelse
-        then_t = lazy(lambda: denote_stmt(then))
-        else_t = lazy(lambda: denote_stmt(orelse))
-        return bind(denote_expr(s.cond), lambda v: then_t if _is_true(v) else else_t)
-    body = bind(denote_stmt(s.body), lambda _: _CONTINUE)
-    test = bind(denote_expr(s.cond), lambda v: body if _is_true(v) else _BREAK)
-    return iterate(KTree(lambda _: test))(unit())
+        then_t = lazy(lambda: _stmt_then(then, rest))
+        else_t = lazy(lambda: _stmt_then(orelse, rest))
+        return _expr_then(s.cond, lambda v: then_t if _is_true(v) else else_t)
+    body = _stmt_then(s.body, _CONTINUE)
+    test = _expr_then(s.cond, lambda v: body if _is_true(v) else _BREAK)
+    return bind(iterate(KTree(lambda _: test))(unit()), lambda _: rest)
 
 
 # Variable events read and write the one store, absent variables reading 0;

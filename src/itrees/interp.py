@@ -220,7 +220,10 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     node whose observation or continuation raises, or that has no route,
     so the tree raises at the step it would raise unbatched; and once it
     holds ``_BATCH_STEPS`` steps, so that observing a tree of endless store
-    events returns.
+    events returns.  A batch copies each store at most once, on its first
+    write to it, and never writes the stores it was handed, so a batch that
+    runs again, or an outward event answered twice, starts from the same
+    stores.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -232,8 +235,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
 
     # A batch looks ahead of its consumer, so it must not raise early: what
     # the source raises is left to a lazy node after the batch's steps,
-    # which does the same work again and raises there.
+    # which does the same work again and raises there.  A node whose
+    # producer raised is forced again, so its batch runs again from the
+    # stores it was handed; ``given`` keeps them to tell a batch's own
+    # copies from them.
     def go(head, konts, dicts):
+        given = dicts
         total = 0
         while True:
             try:
@@ -269,9 +276,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             slot, default, steps = route
             key = e.args[0].payload
             if default is None:
-                d = dict(dicts[slot])
+                d = dicts[slot]
+                if d is given[slot]:  # the batch's first write to this store
+                    d = dict(d)
+                    dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
                 d[key] = e.args[1]
-                dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)

@@ -108,8 +108,12 @@ def enumerate_traces(t: ITree, event_depth: int, tau_budget: int,
     The frontier is uniform in event depth, so every cut-off member keeps
     its TEnd truncations in the set.  Nat answers use the probe set unless
     ``exact`` is set, in which case they raise.  Depths above
-    ``MAX_EVENT_DEPTH`` may exhaust the Python stack.
+    ``MAX_EVENT_DEPTH`` raise ``ValueError``: they could exhaust the Python
+    stack.
     """
+    if event_depth > MAX_EVENT_DEPTH:
+        raise ValueError(
+            f"event depth {event_depth} is above MAX_EVENT_DEPTH = {MAX_EVENT_DEPTH}")
     return set(_traces(t, event_depth, tau_budget, nat_probes, exact))
 
 
@@ -138,7 +142,8 @@ def _traces(t, event_depth, tau_budget, nat_probes, exact) -> list:
 
 def trace_refines(t: ITree, u: ITree, event_depth: int, tau_budget: int,
                   nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
-    """Every enumerated trace of ``t`` must be a trace of ``u``."""
+    """Every enumerated trace of ``t`` must be a trace of ``u``.  An
+    ``event_depth`` above ``MAX_EVENT_DEPTH`` raises ``ValueError``."""
     verdicts = []
     for tr in enumerate_traces(t, event_depth, tau_budget, nat_probes):
         got = is_trace_of(u, tr, tau_budget)

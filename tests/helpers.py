@@ -37,7 +37,10 @@ from itrees import (
     unit,
     vis,
 )
-from itrees.core import RetO, TauO, bind
+from itrees.combinators import iterate
+from itrees.core import RetO, TauO, bind, lazy
+from itrees.events import LEFT, EventInstance
+from itrees.values import nat_add, nat_mul, nat_sub, sym
 from itrees.asm import (
     MEM_E,
     REG_E,
@@ -57,7 +60,7 @@ from itrees.asm import (
     get_reg,
     halt,
 )
-from itrees.imp import IMP_STATE
+from itrees.imp import IMP_STATE, Assign, If, Lit, Minus, Plus, Seq, Skip, Var, get_var
 
 T3 = EventSig(
     "T3",
@@ -413,3 +416,48 @@ def den_asm_by_loop(u: AsmUnit) -> KTree:
         return looped(a)
 
     return KTree(go, label_t(u.entries))
+
+
+# The Imp denotation in bind form: each event is a ``trigger`` whose answer
+# the rest of the statement is bound to.  The library's ``denote_stmt`` is in
+# continuation-passing form, each event one ``vis`` node leading straight to
+# the next tree, and is compared against this one, step for step.
+
+def denote_expr_by_bind(e):
+    if isinstance(e, Lit):
+        return ret(nat(e.value))
+    if isinstance(e, Var):
+        return get_var(e.name)
+    f = nat_add if isinstance(e, Plus) else nat_sub if isinstance(e, Minus) else nat_mul
+    rhs = denote_expr_by_bind(e.rhs)
+    return bind(
+        denote_expr_by_bind(e.lhs),
+        lambda l: bind(rhs, lambda r: ret(nat(f(l.payload, r.payload)))),
+    )
+
+
+_CONTINUE = ret(inl(unit()))
+_BREAK = ret(inr(unit()))
+
+
+def denote_stmt_by_bind(s):
+    """``Seq`` tails and ``If`` arms are lazy and shared, as in the library."""
+    if isinstance(s, Skip):
+        return ret(unit())
+    if isinstance(s, Assign):
+        name = sym(s.name)
+        return bind(denote_expr_by_bind(s.expr), lambda v: trigger(
+            EventInstance(IMP_STATE, "SetVar", (name, v), (LEFT,))))
+    if isinstance(s, Seq):
+        second = s.second
+        rest = lazy(lambda: denote_stmt_by_bind(second))
+        return bind(denote_stmt_by_bind(s.first), lambda _: rest)
+    if isinstance(s, If):
+        then, orelse = s.then, s.orelse
+        then_t = lazy(lambda: denote_stmt_by_bind(then))
+        else_t = lazy(lambda: denote_stmt_by_bind(orelse))
+        return bind(denote_expr_by_bind(s.cond),
+                    lambda v: then_t if v.payload != 0 else else_t)
+    body = bind(denote_stmt_by_bind(s.body), lambda _: _CONTINUE)
+    test = bind(denote_expr_by_bind(s.cond), lambda v: body if v.payload != 0 else _BREAK)
+    return iterate(KTree(lambda _: test))(unit())

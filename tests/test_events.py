@@ -23,7 +23,7 @@ from itrees import (
     sym,
     unit,
 )
-from itrees.events import sig_leaves
+from itrees.events import EventInstance, sig_leaves
 
 STATE_N = state_sig(NAT_T)
 MAP_N = map_default_sig(NAT_T, NAT_T, nat(0))
@@ -41,6 +41,18 @@ def test_event_validates_args():
         event(IOE, "Output", unit())
     with pytest.raises(WrongSignature):
         event(IOE, "Flush")
+
+
+def test_answer_shapes_come_from_the_signature():
+    # looked up per instance in the table each signature builds once
+    for sig in (IOE, STATE_N, MAP_N, X):
+        for spec in sig.kinds:
+            assert EventInstance(sig, spec.name).answer is spec.answer
+    assert event(IOE, "Output", nat(3)).answer is IOE.kind("Output").answer
+    for build in (lambda: event(IOE, "Flush"), lambda: EventInstance(IOE, "Flush"),
+                  lambda: event(X, "Pong"), lambda: EventInstance(EMPTY_E, "Ping")):
+        with pytest.raises(WrongSignature, match="has no kind"):
+            build()
 
 
 def test_empty_sig_has_no_events():

@@ -392,3 +392,88 @@ def test_shared_denotations_are_persistent(mutation):
                        _run(interp_asm(target, env0, umap(), low.asm_default)))
                       for env0 in stores[::order]]
             assert shared[::order] == fresh
+
+
+# A batch copies a store on its first write to it and writes the copy in
+# place after that; the stores a batch was handed must stay as they were,
+# because the same batch can run again from them.
+
+def test_an_outward_event_answered_twice_gives_independent_stores():
+    # after the answer, one batch writes the same store several times
+    def imp_program():
+        ask = event(IOE, "Input", path=("R",))
+        return bind(set_var("x", nat(1)), lambda _: bind(
+            trigger(ask), lambda n: bind(
+                set_var("x", n), lambda _: bind(
+                    set_var(f"k{n.payload}", n), lambda _: bind(
+                        get_var("x"), lambda x: set_var("y", x))))))
+
+    ob = _until_event(interp_imp(imp_program(), env_of({"z": 4})))
+    for n in (5, 7, 5):
+        got, _ = run_to_head(ob.k(nat(n)), FUEL)
+        assert got == RetO(pair(env_of({"x": n, f"k{n}": n, "y": n, "z": 4}), unit()))
+
+    # Asm: both stores written before and after the answer
+    def asm_program():
+        ask = event(IOE, "Input", path=("R", "R"))
+        return bind(store("a", nat(1)), lambda _: bind(
+            asm.set_reg(0, nat(1)), lambda _: bind(
+                trigger(ask), lambda n: bind(
+                    store("a", n), lambda _: bind(
+                        asm.set_reg(n.payload, n), lambda _: bind(
+                            load("a"), lambda a: store("b", a)))))))
+
+    ob = _until_event(interp_asm(asm_program(), umap(), umap()))
+    for n in (2, 9, 2):
+        got, _ = run_to_head(ob.k(nat(n)), FUEL)
+        mem, regs = umap({"a": nat(n), "b": nat(n)}), umap({0: nat(1), n: nat(n)})
+        assert got == RetO(pair(mem, pair(regs, unit())))
+
+
+class Flaky(BaseException):
+    """Not an ``Exception``, so the batch does not defer it: it leaves the
+    batch partway and the tree's node is forced again."""
+
+
+def _flaky_once():
+    raised = []
+
+    def bad(_):
+        if not raised:
+            raised.append(True)
+            raise Flaky
+        return ret(unit())
+
+    return bad
+
+
+def test_a_batch_forced_again_after_a_raise_sees_the_stores_it_was_handed():
+    # The silent step ends the first batch; the second writes, raises
+    # partway, and runs again from the stores it was handed.
+    def imp_program(bad):
+        return bind(set_var("x", nat(1)), lambda _: tau(bind(
+            get_var("x"), lambda x: bind(
+                set_var("x", nat(x.payload + 1)), lambda _: bind(
+                    bind(set_var("w", nat(0)), bad), lambda _: bind(
+                        get_var("x"), lambda x: set_var("y", x)))))))
+
+    def asm_program(bad):
+        return bind(store("a", nat(1)), lambda _: tau(bind(
+            load("a"), lambda a: bind(
+                store("a", nat(a.payload + 1)), lambda _: bind(
+                    asm.set_reg(1, a), lambda _: bind(
+                        bind(asm.set_reg(2, a), bad), lambda _: bind(
+                            load("a"), lambda a: store("b", a))))))))
+
+    t = interp_imp(imp_program(_flaky_once()), env_of())
+    with pytest.raises(Flaky):
+        run_to_head(t, FUEL)
+    got, _ = run_to_head(t, FUEL)
+    assert got == RetO(pair(env_of({"x": 2, "w": 0, "y": 2}), unit()))
+
+    t = interp_asm(asm_program(_flaky_once()), umap(), umap())
+    with pytest.raises(Flaky):
+        run_to_head(t, FUEL)
+    got, _ = run_to_head(t, FUEL)
+    mem, regs = umap({"a": nat(2), "b": nat(2)}), umap({1: nat(1), 2: nat(1)})
+    assert got == RetO(pair(mem, pair(regs, unit())))

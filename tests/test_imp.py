@@ -7,6 +7,7 @@ import pytest
 
 from itrees import (
     EQ,
+    Reason,
     RetO,
     TauO,
     VisO,
@@ -22,7 +23,7 @@ from itrees import (
     umap,
     unit,
 )
-from itrees import imp
+from itrees import asm, cli, compiler, imp
 from itrees.imp import (
     MAX_STMT_DEPTH,
     Assign,
@@ -44,9 +45,10 @@ from itrees.imp import (
     pretty_stmt,
     run_imp,
 )
-from itrees.compiler import gen_program
+from itrees.compiler import MUTATIONS, SimConfig, gen_program, initial_stores
 
 from bigstep import run_reference
+from helpers import denote_stmt_by_bind
 
 CORPUS = os.path.join(os.path.dirname(__file__), "golden", "corpus")
 
@@ -266,15 +268,16 @@ def test_out_of_fuel_means_reference_is_long_too():
 
 
 def test_statements_are_denoted_once_however_long_the_loop_runs(monkeypatch):
+    # ``_stmt_then`` is the function the statement denotation recurses on
     calls = 0
-    denote = imp.denote_stmt
+    denote = imp._stmt_then
 
-    def counted(s):
+    def counted(s, rest):
         nonlocal calls
         calls += 1
-        return denote(s)
+        return denote(s, rest)
 
-    monkeypatch.setattr(imp, "denote_stmt", counted)
+    monkeypatch.setattr(imp, "_stmt_then", counted)
 
     def denotations(n):
         nonlocal calls
@@ -285,3 +288,97 @@ def test_statements_are_denoted_once_however_long_the_loop_runs(monkeypatch):
         return calls
 
     assert denotations(50) == denotations(500) <= 8
+
+
+def test_events_are_built_once_however_long_the_loop_runs(monkeypatch, tmp_path):
+    # Reads and their events are built with the denotation, never in a
+    # continuation; only a write's event, which holds the value, is built
+    # when it runs, and it skips event()'s checks.
+    calls = 0
+
+    def counted(module):
+        build = module.event
+
+        def event(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "event", event)
+
+    counted(imp)
+    counted(asm)
+    text = ("c := {n}; while c do "
+            "if c - 1 then x := x + c * y else y := y + 1 end; c := c - 1 end")
+
+    def events_built(n, run):
+        nonlocal calls
+        calls = 0
+        run(text.format(n=n))
+        return calls
+
+    def imp_run(src):
+        assert imp.run_imp(parse_imp(src), env_of(), 100_000).finished
+
+    def asm_run(src):
+        path = tmp_path / "loop.asm"
+        path.write_text(asm.print_asm(compiler.compile_stmt(parse_imp(src))))
+        assert cli.main(["run-asm", str(path)]) == 0
+
+    for run in (imp_run, asm_run):
+        assert 0 < events_built(50, run) == events_built(500, run)
+
+
+# ``denote_stmt`` is in continuation-passing form; ``helpers.denote_stmt_by_bind``,
+# the bind form it replaced, is its specification, node for node.
+
+def _head(t, fuel):
+    ob, steps = run_to_head(t, fuel)
+    kind = type(ob)
+    return kind, ob.value if kind is RetO else ob.event if kind is VisO else None, steps
+
+
+def _same_as_bind_form(s, env0, depth):
+    """The interpreted denotations are strongly bisimilar and reach the same
+    head after the same number of steps.  Proven when the runs finish within
+    ``depth`` steps."""
+    t, ref = interp_imp(denote_stmt(s), env0), interp_imp(denote_stmt_by_bind(s), env0)
+    v = strong_bisim(t, ref, depth)
+    assert not v.refuted, v.witness
+    assert v.proven or v.reason is Reason.DEPTH_BUDGET
+    assert _head(t, depth) == _head(ref, depth)
+    return v.proven
+
+
+def _corpus_and_generated():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name)) as fh:
+            yield parse_imp(fh.read()), 0
+    for size in (8, 20, 40):
+        for mode in ("bounded", "free"):
+            for seed in range(5):
+                yield gen_program(size, mode, seed), seed
+
+
+def test_denote_stmt_matches_the_bind_form():
+    proven = [_same_as_bind_form(s, env0, 2000)
+              for s, seed in _corpus_and_generated()
+              for env0 in initial_stores(SimConfig(), seed)]
+    assert proven.count(True) > len(proven) // 2
+
+
+@pytest.mark.parametrize("mutation", [None] + sorted(MUTATIONS))
+def test_check_equivalent_gives_the_bind_form_outcomes(monkeypatch, mutation):
+    # statuses, reasons and witnesses, step counts included
+    cfg = SimConfig(fuel=4000, samples=2)
+    programs = list(_corpus_and_generated())[::3]
+
+    def outcomes():
+        return [(v.status, v.reason, v.witness) for s, seed in programs
+                for v in [compiler.check_equivalent(s, cfg, seed=seed, mutation=mutation)]]
+
+    got = outcomes()
+    monkeypatch.setattr(compiler, "denote_stmt", denote_stmt_by_bind)
+    assert outcomes() == got
+    if mutation:
+        assert any(status.value == "refuted" for status, _, _ in got)

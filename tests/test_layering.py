@@ -7,6 +7,10 @@ there is one resolution loop and one fold that steps it directly.
 Both denotations iterate only through ``combinators.iterate``: ``imp`` and
 ``asm`` use no other iteration combinator, and ``asm`` takes no sums apart
 itself, so every loop of either language is one ``iterate`` on one argument.
+
+Both denotations are in continuation-passing form: each event is one ``vis``
+node, so ``imp`` and ``asm`` use ``trigger`` only in their public
+single-event helpers.
 """
 
 import ast
@@ -113,3 +117,48 @@ def test_the_check_sees_other_iteration():
     }
     for text, want in samples.items():
         assert _uses(ast.parse(text), forbidden) == want, text
+
+
+SINGLE_EVENT_HELPERS = {"get_var", "set_var", "get_reg", "set_reg", "load", "store", "halt"}
+
+
+def _triggers_outside(tree, allowed):
+    """Where a module reads ``trigger`` (as a name or an attribute), other
+    than in an import or inside a top-level function named in ``allowed``:
+    the enclosing top-level definition, or None at module level."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        name = getattr(top, "name", None)
+        if name in allowed and isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "trigger")
+                    or (isinstance(node, ast.Attribute) and node.attr == "trigger")):
+                found.append(name)
+    return found
+
+
+def test_the_denotations_trigger_only_in_single_event_helpers():
+    offenders = {}
+    for name in ("imp.py", "asm.py"):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            used = _triggers_outside(ast.parse(fh.read(), name), SINGLE_EVENT_HELPERS)
+        if used:
+            offenders[name] = used
+    assert offenders == {}
+
+
+def test_the_check_sees_triggers():
+    samples = {
+        "from .core import trigger\ndef get_var(n):\n    return trigger(e(n))": [],
+        "def denote(s):\n    return bind(trigger(e), k)": ["denote"],
+        "def denote(s):\n    def go(v):\n        return trigger(v)\n    return go": ["denote"],
+        "def get_var(n):\n    return trigger(e)\ndef f():\n    return core.trigger(e)": ["f"],
+        "h = KTree(trigger)": [None],
+        "class Get_var:\n    def get_var(self):\n        return trigger(e)": ["Get_var"],
+        "def denote(s):\n    return vis(e, lambda v: rest)": [],
+    }
+    for text, want in samples.items():
+        assert _triggers_outside(ast.parse(text), SINGLE_EVENT_HELPERS) == want, text

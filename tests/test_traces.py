@@ -23,9 +23,10 @@ from itrees import (
     trace_equiv,
     trace_refines,
     unit,
+    vis,
 )
 from itrees.samples import echo, input_ev, kill9, output_ev
-from itrees.traces import AnswerSpaceTooLarge
+from itrees.traces import MAX_EVENT_DEPTH, AnswerSpaceTooLarge
 
 from helpers import gen_tree, mutate_tree, with_extra_taus
 
@@ -183,3 +184,21 @@ def test_correspondence_on_random_pairs():
             assert tr.refuted
             refute_pairs += 1
     assert agree > 5 and refute_pairs > 5
+
+
+def _outputs(n):
+    """``n`` Output events in a row, then a return: one trace per prefix."""
+    t = ret(unit())
+    for _ in range(n):
+        t = vis(output_ev(1), lambda _, rest=t: rest)
+    return t
+
+
+def test_event_depth_is_bounded_in_the_library():
+    t = _outputs(MAX_EVENT_DEPTH + 5)
+    assert len(enumerate_traces(t, MAX_EVENT_DEPTH, 5)) == 2 * MAX_EVENT_DEPTH + 1
+    assert trace_equiv(t, t, MAX_EVENT_DEPTH, 5).proven
+    for check in (lambda d: enumerate_traces(t, d, 5), lambda d: trace_refines(t, t, d, 5),
+                  lambda d: trace_equiv(t, t, d, 5)):
+        with pytest.raises(ValueError, match=f"above MAX_EVENT_DEPTH = {MAX_EVENT_DEPTH}"):
+            check(MAX_EVENT_DEPTH + 1)
