@@ -158,9 +158,16 @@ def cmd_demo_echo(stdin=None, limit: int | None = None) -> int:
             tree = ob.k(unit())
 
 
+class SourceNotText(ValueError):
+    """A source file whose bytes are not UTF-8 text."""
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise SourceNotText(f"{path}: not UTF-8 text: {err}") from None
 
 
 def _budget(text: str) -> int:
@@ -234,7 +241,8 @@ def main(argv=None) -> int:
         if args.command == "check-equiv":
             return cmd_check_equiv(args.path, args.fuel, args.tau_budget, args.seed)
         return cmd_demo_echo()
-    except (ImpSyntaxError, AsmSyntaxError, BoundViolation, AnswerTagMismatch, OSError) as err:
+    except (ImpSyntaxError, AsmSyntaxError, BoundViolation, AnswerTagMismatch, SourceNotText,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return bad_input
 

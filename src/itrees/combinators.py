@@ -107,8 +107,10 @@ def iterate(body: KTree) -> KTree:
             return tau(lazy(lambda: go(payload)))
         return ret(payload)
 
+    fn = body.fn
+
     def go(a):
-        return bind(body(a), step)
+        return bind(fn(a), step)
 
     return KTree(go, body.dom)
 

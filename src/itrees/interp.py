@@ -175,10 +175,10 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 
 # The fused store-passing fold.
 
-# The most silent steps one batch of ``interp_stores`` gathers before it
-# hands a node to its consumer.  A tree can emit store events forever
-# without a silent step of its own, and observing the interpreted tree must
-# still return.
+# The silent steps after which a batch of ``interp_stores`` hands a node to
+# its consumer; a source silent run that crosses it ends the batch whole.
+# A tree can step silently or emit store events forever, and observing the
+# interpreted tree must still return.
 _BATCH_STEPS = 256
 
 
@@ -215,15 +215,16 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
 
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
-    whole skip it at once.  A batch ends at a source silent step, which it
-    includes; at a return; at an outward event, after its steps; before a
-    node whose observation or continuation raises, or that has no route,
-    so the tree raises at the step it would raise unbatched; and once it
-    holds ``_BATCH_STEPS`` steps, so that observing a tree of endless store
-    events returns.  A batch copies each store at most once, on its first
-    write to it, and never writes the stores it was handed, so a batch that
-    runs again, or an outward event answered twice, starts from the same
-    stores.
+    whole skip it at once, and a batch takes the source's silent runs whole
+    too, so a loop iteration or a block jump does not end it.  A batch ends
+    at a return; at an outward event, after its steps; before a node whose
+    observation or continuation raises, or that has no route, so the tree
+    raises at the step it would raise unbatched; and once it holds
+    ``_BATCH_STEPS`` steps or more, so that observing ``spin()`` or a tree
+    of endless store events returns.  A batch copies each store at most
+    once, on its first write to it, and never writes the stores it was
+    handed, so a batch that runs again, or an outward event answered twice,
+    starts from the same stores.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -251,12 +252,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 return taus(total, lazy(lambda: go(head, konts, dicts)))
             kind = type(head)
             if kind is _TauN:
+                total += head.n
                 rest = head.rest
-                if head.n != 1:
-                    head = _TauN(rest, head.n - 1)
-                else:
-                    head, konts = rest._head, _cat(rest._konts, konts)
-                return taus(total + 1, lazy(lambda: go(head, konts, dicts)))
+                head, konts = rest._head, _cat(rest._konts, konts)
+                if total >= _BATCH_STEPS:
+                    return taus(total, lazy(lambda: go(head, konts, dicts)))
+                continue
             if kind is RetO:
                 v = head.value
                 for d in reversed(dicts):

@@ -181,6 +181,21 @@ def test_non_decimal_digits_are_an_error_not_a_traceback(tmp_path, capsys):
     assert err.count("error: line 3: ") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, suffix, code", [
+    ("run-imp", ".imp", 1), ("compile", ".imp", 1), ("run-asm", ".asm", 1),
+    ("trace", ".imp", 1), ("trace", ".asm", 1), ("check-equiv", ".imp", 3)])
+def test_a_source_that_is_not_utf8_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                               command, suffix, code):
+    src = tmp_path / f"bad{suffix}"
+    src.write_bytes(b"\xff\xfex := 1\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([command, str(src)]) == code
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_long_straight_line_program_runs(tmp_path):
     src = tmp_path / "long.imp"
     src.write_text("x := 0;\n" * 3000 + "skip\n")

@@ -20,17 +20,21 @@ from itrees import (
     bind,
     eutt,
     event,
+    lazy,
     observe,
     pair,
     ret,
     run_to_head,
+    spin,
     strong_bisim,
     tau,
+    taus,
     trigger,
     vis,
 )
 from itrees import asm, compiler
 from itrees.events import LEFT, EventInstance
+from itrees.interp import _BATCH_STEPS
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
@@ -138,6 +142,65 @@ def test_long_batches_are_strongly_bisimilar_to_layered():
                           layered_interp_asm(entry, env0, umap()), 12000)
 
 
+def test_loop_batches_are_strongly_bisimilar_to_layered():
+    # every iteration and block jump is a source silent step; the fused
+    # batches run through them and end only at their cap
+    s = parse_imp("n := 500;\nwhile n do n := n - 1 end\n")
+    fused = interp_imp(denote_stmt(s), env_of())
+    assert observe(fused).run >= _BATCH_STEPS
+    assert _node_for_node(fused, layered_interp_imp(denote_stmt(s), env_of()), 10_000)
+    entry = den_asm(compile_stmt(s))(label(0, 1))
+    fused = interp_asm(entry, umap(), umap())
+    assert observe(fused).run >= _BATCH_STEPS
+    assert _node_for_node(fused, layered_interp_asm(entry, umap(), umap()), 40_000)
+
+
+def test_a_source_silent_run_is_one_batch():
+    ob = observe(interp_imp(taus(10**7, ret(unit())), env_of()))
+    assert (type(ob), ob.run) == (TauO, 10**7)
+    assert observe(ob.after(10**7)) == RetO(pair(env_of(), unit()))
+    ob = observe(interp_asm(taus(10**7, ret(unit())), umap(), umap()))
+    assert (type(ob), ob.run) == (TauO, 10**7)
+    assert observe(ob.after(10**7)) == RetO(pair(umap(), pair(umap(), unit())))
+
+
+def test_spin_still_steps():
+    # the source steps silently forever: each batch must end at its cap
+    for t in (interp_imp(spin(), env_of()), interp_asm(spin(), umap(), umap())):
+        for _ in range(3):
+            ob = observe(t)
+            assert (type(ob), ob.run) == (TauO, _BATCH_STEPS)
+            t = ob.after(_BATCH_STEPS)
+        ob, steps = run_to_head(t, 10_000)
+        assert (type(ob), steps) == (TauO, 10_000)
+
+
+def test_an_observation_looks_at_most_a_batch_ahead():
+    # A source of silent steps and writes that records the interpreted
+    # steps of each node it produces: one for a silent step, three for a
+    # write.  Each observation forces the source only as far as the batch
+    # it hands out, which ends within a write of the cap.
+    forced = []
+
+    def node(n):
+        def produce():
+            if n % 3:
+                forced.append(1)
+                return tau(node(n + 1))
+            forced.append(3)
+            return bind(set_var("x", nat(n)), lambda _: node(n + 1))
+        return lazy(produce)
+
+    t = interp_imp(node(0), env_of())
+    handed = 0
+    for _ in range(4):
+        ob = observe(t)
+        assert type(ob) is TauO and _BATCH_STEPS <= ob.run < _BATCH_STEPS + 3
+        handed += ob.run
+        assert sum(forced) == handed
+        t = ob.after(ob.run)
+
+
 class Unbounded(BaseException):
     """Not an ``Exception``, so a batch cannot defer it to a later step."""
 
@@ -164,14 +227,22 @@ def _boom(_):
     raise Boom
 
 
-def _step_of_first_raise(t):
-    """The least fuel at which running ``t`` raises, and what it raises."""
-    for fuel in range(100):
+def _least_raising_fuel(t, high):
+    """The least fuel below ``high`` at which running ``t`` raises, and
+    what it raises, found by bisection; each smaller fuel tried must run
+    to a silent step."""
+    low, err = 0, None
+    while low < high:
+        mid = (low + high) // 2
         try:
-            run_to_head(t, fuel)
-        except Exception as err:
-            return fuel, type(err)
-    raise AssertionError("never raised")
+            ob, steps = run_to_head(t, mid)
+        except Exception as raised:
+            high, err = mid, type(raised)
+        else:
+            assert (type(ob), steps) == (TauO, mid)
+            low = mid + 1
+    assert err is not None
+    return low, err
 
 
 # Imp and Asm steps at which each bad tail raises, measured on the fused
@@ -181,16 +252,19 @@ def _step_of_first_raise(t):
 RAISES_AT = {"unrouted": (10, 14), "stray": (10, 14), "observe": (10, 14), "answer": (13, 14)}
 
 
+BAD_TAILS = {
+    "unrouted": lambda: trigger(event(IOE, "Output", nat(1))),
+    "stray": lambda: trigger(event(IOE, "Output", nat(1), path=("L",))),
+    "observe": lambda: bind(ret(unit()), _boom),
+    "answer": lambda: vis(event(IMP_STATE, "GetVar", sym("x"), path=("L",)), _boom),
+}
+
+
 @pytest.mark.parametrize("tail", sorted(RAISES_AT))
 def test_batches_end_before_a_node_that_raises(tail):
     # Stores are written and read, around one source silent step, before
     # the bad node, so the fused tree has a batch open when it meets it.
-    bad = {
-        "unrouted": lambda: trigger(event(IOE, "Output", nat(1))),
-        "stray": lambda: trigger(event(IOE, "Output", nat(1), path=("L",))),
-        "observe": lambda: bind(ret(unit()), _boom),
-        "answer": lambda: vis(event(IMP_STATE, "GetVar", sym("x"), path=("L",)), _boom),
-    }[tail]
+    bad = BAD_TAILS[tail]
 
     def imp_program():
         return bind(set_var("x", nat(2)), lambda _: bind(
@@ -213,8 +287,40 @@ def test_batches_end_before_a_node_that_raises(tail):
         err = ValueError if no_route else Boom
         with pytest.raises(err):
             run_to_head(fused, at)
-        layered_at, layered_err = _step_of_first_raise(layered)
+        layered_at, layered_err = _least_raising_fuel(layered, 100)
         assert layered_at == at + no_route and issubclass(layered_err, err)
+
+
+@pytest.mark.parametrize("tail", sorted(BAD_TAILS))
+def test_a_node_that_raises_after_many_batches_raises_at_its_step(tail):
+    # 300 writes, each followed by a source silent step, then a read and
+    # the bad node: the batches run through the silent steps and reach
+    # their cap several times before the fused tree meets it.
+    bad = BAD_TAILS[tail]
+
+    def imp_program():
+        t = bind(get_var("x0"), lambda _: bad())
+        for i in reversed(range(300)):
+            t = bind(set_var(f"x{i % 5}", nat(i)), lambda _, t=t: tau(t))
+        return t
+
+    def asm_program():
+        t = bind(load("a0"), lambda _: bad())
+        for i in reversed(range(300)):
+            write = store(f"a{i % 5}", nat(i)) if i % 2 else asm.set_reg(i % 5, nat(i))
+            t = bind(write, lambda _, t=t: tau(t))
+        return t
+
+    runs = ((interp_imp(imp_program(), env_of()), layered_interp_imp(imp_program(), env_of()),
+             tail in ("unrouted", "stray")),
+            (interp_asm(asm_program(), umap(), umap()),
+             layered_interp_asm(asm_program(), umap(), umap()), tail != "observe"))
+    for fused, layered, no_route in runs:
+        expected = ValueError if no_route else Boom
+        at, err = _least_raising_fuel(fused, 5000)
+        assert at > 3 * _BATCH_STEPS and issubclass(err, expected)
+        layered_at, layered_err = _least_raising_fuel(layered, 5000)
+        assert layered_at == at + no_route and issubclass(layered_err, expected)
 
 
 def test_fused_check_equivalent_matches_layered(monkeypatch):
@@ -448,17 +554,18 @@ def _flaky_once():
 
 
 def test_a_batch_forced_again_after_a_raise_sees_the_stores_it_was_handed():
-    # The silent step ends the first batch; the second writes, raises
-    # partway, and runs again from the stores it was handed.
+    # A silent run as long as the cap ends the first batch, which wrote a
+    # store; the second is handed that batch's copy, writes, raises partway,
+    # and runs again from the stores it was handed.
     def imp_program(bad):
-        return bind(set_var("x", nat(1)), lambda _: tau(bind(
+        return bind(set_var("x", nat(1)), lambda _: taus(_BATCH_STEPS, bind(
             get_var("x"), lambda x: bind(
                 set_var("x", nat(x.payload + 1)), lambda _: bind(
                     bind(set_var("w", nat(0)), bad), lambda _: bind(
                         get_var("x"), lambda x: set_var("y", x)))))))
 
     def asm_program(bad):
-        return bind(store("a", nat(1)), lambda _: tau(bind(
+        return bind(store("a", nat(1)), lambda _: taus(_BATCH_STEPS, bind(
             load("a"), lambda a: bind(
                 store("a", nat(a.payload + 1)), lambda _: bind(
                     asm.set_reg(1, a), lambda _: bind(
