@@ -18,8 +18,8 @@ from .core import (
     RetO,
     TauO,
     VisO,
+    _Cat,
     _TauN,
-    _cat,
     _resolve,
     bind,
     lazy,
@@ -40,6 +40,7 @@ from .values import (
     MAP_T,
     UNIT,
     AnswerTagMismatch,
+    Tag,
     UValue,
     map_get,
     map_items,
@@ -181,6 +182,8 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 # interpreted tree must still return.
 _BATCH_STEPS = 256
 
+_UNIT = Tag.UNIT
+
 
 def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                   outward: tuple[str, ...]) -> ITree:
@@ -209,9 +212,14 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and an answered store event feeds
     its answer straight to the event's continuation, with no observation or
-    tree built per event.  Each answer is checked once against the event's
-    declared answer shape, and a mismatch raises ``AnswerTagMismatch`` at
-    the read that produced it, as ``VisO.k`` would.
+    tree built per event.  An event head is already resolved, so when a
+    continuation returns one, as the denotations' continuations do, the
+    pass goes straight to its route without calling ``_resolve``, and it
+    queues the continuation's own pending binds in place.  Each answer is
+    checked once against the event's declared answer shape (for a write,
+    whose answer is always the unit, that is one tag test), and a mismatch
+    raises ``AnswerTagMismatch`` at the read that produced it, as
+    ``VisO.k`` would.
 
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
@@ -244,25 +252,29 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         given = dicts
         total = 0
         while True:
-            try:
-                head, konts = _resolve(head, konts)
-            except Exception:
-                if not total:
-                    raise
-                return taus(total, lazy(lambda: go(head, konts, dicts)))
-            kind = type(head)
-            if kind is _TauN:
-                total += head.n
-                rest = head.rest
-                head, konts = rest._head, _cat(rest._konts, konts)
-                if total >= _BATCH_STEPS:
+            if type(head) is not VisO:  # an event head is already resolved
+                try:
+                    head, konts = _resolve(head, konts)
+                except Exception:
+                    if not total:
+                        raise
                     return taus(total, lazy(lambda: go(head, konts, dicts)))
-                continue
-            if kind is RetO:
-                v = head.value
-                for d in reversed(dicts):
-                    v = pair(umap(d), v)
-                return taus(total, ret(v)) if total else ret(v)
+                kind = type(head)
+                if kind is _TauN:
+                    total += head.n
+                    rest = head.rest
+                    head = rest._head
+                    more = rest._konts
+                    if more is not None:
+                        konts = more if konts is None else _Cat(more, konts)
+                    if total >= _BATCH_STEPS:
+                        return taus(total, lazy(lambda: go(head, konts, dicts)))
+                    continue
+                if kind is RetO:
+                    v = head.value
+                    for d in reversed(dicts):
+                        v = pair(umap(d), v)
+                    return taus(total, ret(v)) if total else ret(v)
             e = head.event
             path = e.path
             route = table.get((path, e.kind))
@@ -283,19 +295,23 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
                 d[key] = e.args[1]
                 answer = UNIT
+                fits = e.answer.tag is _UNIT  # what accepts(UNIT) tests
             else:
                 answer = dicts[slot].get(key, default)
+                fits = e.answer.accepts(answer)
             total += steps
             kont = head._kont
             try:
-                if not e.answer.accepts(answer):
+                if not fits:
                     raise AnswerTagMismatch
                 if kont is ret:  # a trigger: the answer is the return value
                     head = RetO(answer)
                 else:
                     nxt = kont(answer)
                     head = nxt._head
-                    konts = _cat(nxt._konts, konts)
+                    more = nxt._konts
+                    if more is not None:
+                        konts = more if konts is None else _Cat(more, konts)
             except Exception:
                 # VisO.k checks the answer again and raises what it raises
                 ob = VisO(e, kont, konts)

@@ -26,9 +26,11 @@ from itrees import (
     kt_swap,
     ktree_equiv,
     label,
+    label_t,
     loop,
     mrec,
     nat,
+    observe,
     pair,
     ret,
     run_to_head,
@@ -101,6 +103,80 @@ def test_iterate_all_left_is_unknown_against_spin():
     body = KTree(lambda v: ret(inl(unit())))
     verdict = eutt(EQ, iterate(body)(unit()), spin(), 10, 50)
     assert verdict.unknown
+
+
+def _rests(t, n):
+    """The trees after each of the first ``n`` silent steps of ``t``."""
+    out = []
+    for _ in range(n):
+        ob = observe(t)
+        assert type(ob) is TauO
+        t = ob.rest
+        out.append(t)
+    return out
+
+
+def test_iterate_shares_label_and_unit_reentries():
+    flip = iterate(KTree(lambda v: ret(inl(label(1 - v.payload, 2))), label_t(2)))
+    rests = _rests(flip(label(0, 2)), 5)
+    assert rests[0] is rests[2] is rests[4]
+    assert rests[1] is rests[3]
+    assert rests[0] is not rests[1]
+    assert flip(label(0, 2)) is flip(label(0, 2))
+    stay = iterate(KTree(lambda v: ret(inl(unit()))))
+    rests = _rests(stay(unit()), 3)
+    assert rests[0] is rests[1] is rests[2]
+    assert stay(unit()) is stay(unit())
+
+
+def test_iterate_reenters_other_payloads_fresh():
+    stay = iterate(KTree(lambda v: ret(inl(nat(v.payload)))))
+    rests = _rests(stay(nat(4)), 3)
+    assert len({id(t) for t in rests}) == 3
+    assert stay(nat(4)) is not stay(nat(4))
+
+
+def test_iterate_calls_never_share_reentries():
+    def stay_on_zero(v):
+        return ret(inl(label(0, 1)))
+
+    first = _rests(iterate(KTree(stay_on_zero))(label(0, 1)), 2)
+    second = _rests(iterate(KTree(lambda v: stay_on_zero(v)))(label(0, 1)), 2)
+    assert first[0] is first[1]
+    assert first[0] is not second[0]
+
+
+def test_iterate_keeps_no_tree_for_a_body_that_raised():
+    calls = []
+
+    def body(v):
+        if v.payload == 1:
+            calls.append(v)
+            raise ValueError("boom")
+        return ret(inl(label(1, 2)))
+
+    run = iterate(KTree(body))
+    [rest] = _rests(run(label(0, 2)), 1)
+    for expected in (1, 2):
+        with pytest.raises(ValueError):
+            observe(rest)
+        assert len(calls) == expected
+    for expected in (3, 4):
+        with pytest.raises(ValueError):
+            run(label(1, 2))
+        assert len(calls) == expected
+
+
+def test_iterate_tells_labels_of_different_bounds_apart():
+    def body(v):
+        if v.payload == 0:
+            return ret(inl(label(1, v.bound)))
+        return ret(inr(nat(v.bound)))
+
+    run = iterate(KTree(body))
+    for bound in (2, 3, 2):
+        ob, steps = run_to_head(run(label(0, bound)), 10)
+        assert ob == RetO(nat(bound)) and steps == 1
 
 
 def test_loop_without_backedge_is_identity():

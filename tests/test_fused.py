@@ -6,12 +6,15 @@ layered stacks in ``helpers`` compose the renaming ``interp`` with one
 the CLI goldens and checker witnesses count steps, exactly step for step.
 """
 
+import os
+
 import pytest
 
 from itrees import (
     EQ,
     IOE,
     AnswerTagMismatch,
+    KTree,
     Reason,
     RetO,
     TauO,
@@ -20,6 +23,7 @@ from itrees import (
     bind,
     eutt,
     event,
+    iterate,
     lazy,
     observe,
     pair,
@@ -32,7 +36,7 @@ from itrees import (
     trigger,
     vis,
 )
-from itrees import asm, compiler
+from itrees import asm, compiler, imp
 from itrees.events import LEFT, EventInstance
 from itrees.interp import _BATCH_STEPS
 from itrees.asm import den_asm, interp_asm, load, store
@@ -53,6 +57,7 @@ from itrees.values import boolean, label, nat, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FUEL = 1500  # cuts off some generated runs, so out-of-fuel heads are compared too
 CFG = SimConfig()
 
@@ -337,6 +342,37 @@ def test_fused_check_equivalent_matches_layered(monkeypatch):
     monkeypatch.setattr(asm, "interp_asm", layered_interp_asm)
     assert outcomes() == fused
     assert any(status.value == "refuted" for status, _, _ in fused)
+
+
+def test_loop_bodies_run_once_per_label_over_a_whole_check(monkeypatch):
+    # Every Imp while iteration and Asm block jump re-enters an iterate; its
+    # body runs once per label (or unit) however many iterations, stores and
+    # replays the check makes.
+    loops = []  # (module name, {payload: runs}) per iterate built
+
+    def counting_iterate(module):
+        def counted(body):
+            runs = {}
+            loops.append((module.__name__, runs))
+
+            def fn(a):
+                key = (a.payload, a.bound)
+                runs[key] = runs.get(key, 0) + 1
+                return body.fn(a)
+
+            return iterate(KTree(fn, body.dom))
+
+        monkeypatch.setattr(module, "iterate", counted)
+
+    counting_iterate(imp)
+    counting_iterate(asm)
+    with open(os.path.join(GOLDEN, "corpus", "nested_while.imp"), encoding="utf-8") as fh:
+        s = parse_imp(fh.read())
+    assert compiler.check_equivalent(s, CFG).proven
+    assert [name for name, _ in loops].count(imp.__name__) == 2
+    [asm_runs] = [runs for name, runs in loops if name == asm.__name__]
+    assert len(asm_runs) > 2
+    assert {n for _, runs in loops for n in runs.values()} == {1}
 
 
 def test_eutt_on_fused_and_layered_trees_agree_under_node_budgets():

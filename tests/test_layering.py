@@ -11,10 +11,14 @@ itself, so every loop of either language is one ``iterate`` on one argument.
 Both denotations are in continuation-passing form: each event is one ``vis``
 node, so ``imp`` and ``asm`` use ``trigger`` only in their public
 single-event helpers.
+
+The package exports its functions and types by an explicit list, which
+names no submodule.
 """
 
 import ast
 import os
+import types
 
 import itrees
 
@@ -162,3 +166,9 @@ def test_the_check_sees_triggers():
     }
     for text, want in samples.items():
         assert _triggers_outside(ast.parse(text), SINGLE_EVENT_HELPERS) == want, text
+
+
+def test_the_package_exports_names_not_modules():
+    for name in itrees.__all__:
+        assert not isinstance(getattr(itrees, name), types.ModuleType), name
+    assert len(set(itrees.__all__)) == len(itrees.__all__)
