@@ -522,10 +522,19 @@ _REG = re.compile(r"r(\d+)$")
 _ADDR = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)$")
 
 
+def _register(m: re.Match, line: int) -> int:
+    """The number of a matched register, which names a register event's
+    64-bit argument."""
+    r = int(m.group(1))
+    if r > NAT_MASK:
+        raise AsmSyntaxError(f"register {m.group(0)} does not fit in 64 bits", line)
+    return r
+
+
 def _parse_operand(text: str, line: int) -> Operand:
     m = _REG.match(text)
     if m:
-        return Oreg(int(m.group(1)))
+        return Oreg(_register(m, line))
     if text.isdecimal():
         if int(text) > NAT_MASK:
             raise AsmSyntaxError(f"immediate {text} does not fit in 64 bits", line)
@@ -537,7 +546,7 @@ def _parse_reg(text: str, line: int) -> int:
     m = _REG.match(text)
     if not m:
         raise AsmSyntaxError(f"expected a register, found {text!r}", line)
-    return int(m.group(1))
+    return _register(m, line)
 
 
 def _parse_addr(text: str, line: int) -> str:

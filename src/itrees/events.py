@@ -83,6 +83,10 @@ class EventInstance:
     shape the environment must answer with, is looked up at construction
     in a table the signature builds once.  Instances compare and hash by
     (sig, kind, args, path) and are never assigned to after construction.
+
+    The class defines its own ``__init__``, which ``dataclass`` keeps, so
+    that building an instance, as the denotations do for every write, is
+    one Python call rather than two.
     """
 
     sig: EventSig
@@ -91,10 +95,15 @@ class EventInstance:
     path: tuple[str, ...] = ()
     answer: VType = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        answer = self.sig._answers.get(self.kind)
+    def __init__(self, sig: EventSig, kind: str, args: tuple[UValue, ...] = (),
+                 path: tuple[str, ...] = ()):
+        answer = sig._answers.get(kind)
         if answer is None:
-            raise WrongSignature(f"signature {self.sig.name} has no kind {self.kind}")
+            raise WrongSignature(f"signature {sig.name} has no kind {kind}")
+        self.sig = sig
+        self.kind = kind
+        self.args = args
+        self.path = path
         self.answer = answer
 
     def at(self, path: tuple[str, ...]) -> "EventInstance":

@@ -183,6 +183,7 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 _BATCH_STEPS = 256
 
 _UNIT = Tag.UNIT
+_NO_ROUTES: dict = {}  # what the table of ``interp_stores`` holds for a kind it never routes
 
 
 def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
@@ -237,8 +238,10 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     for m in stores:
         MAP_T.check(m, "initial map")
     n = len(stores)
-    table = {(path, kind): (slot, default, 1 + len(path) + n - slot)
-             for (path, kind), (slot, default) in routes.items()}
+    # keyed by kind, then path, so no key tuple is built per event
+    table = {}
+    for (path, kind), (slot, default) in routes.items():
+        table.setdefault(kind, {})[path] = (slot, default, 1 + len(path) + n - slot)
     cut = len(outward)
     outward_steps = 1 + cut + n
 
@@ -277,7 +280,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     return taus(total, ret(v)) if total else ret(v)
             e = head.event
             path = e.path
-            route = table.get((path, e.kind))
+            route = table.get(e.kind, _NO_ROUTES).get(path)
             if route is None:
                 if path[:cut] == outward:
                     ob = VisO(e, head._kont, konts)

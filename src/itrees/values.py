@@ -4,6 +4,12 @@ Every answer an environment can give, every argument an event can carry, and
 every result a tree can return is a :class:`UValue`.  Tags replace the static
 typing a dependently typed host would provide; misuse surfaces as
 :class:`AnswerTagMismatch` at the point a continuation is applied.
+
+Code here reads tags through module-level aliases (``_NAT`` for
+``Tag.NAT`` and so on), never through the ``Tag`` class.  The interpreters
+build and test values for every event they answer, and on CPython reading
+a member off an ``Enum`` class is a Python-level attribute lookup that
+costs about ten times a global name read.
 """
 
 from __future__ import annotations
@@ -24,6 +30,16 @@ class Tag(Enum):
     SYM = "sym"
     MAP = "map"
     EMPTY = "empty"
+
+
+_UNIT = Tag.UNIT
+_NAT = Tag.NAT
+_BOOL = Tag.BOOL
+_LABEL = Tag.LABEL
+_PAIR = Tag.PAIR
+_SYM = Tag.SYM
+_MAP = Tag.MAP
+_EMPTY = Tag.EMPTY
 
 
 class AnswerTagMismatch(TypeError):
@@ -56,9 +72,9 @@ class UValue:
         return f"UValue<{render_value(self)}>"
 
 
-UNIT = UValue(Tag.UNIT)
-TRUE = UValue(Tag.BOOL, True)
-FALSE = UValue(Tag.BOOL, False)
+UNIT = UValue(_UNIT)
+TRUE = UValue(_BOOL, True)
+FALSE = UValue(_BOOL, False)
 
 
 def unit() -> UValue:
@@ -66,9 +82,11 @@ def unit() -> UValue:
 
 
 def nat(n: int) -> UValue:
+    if type(n) is int and 0 <= n <= NAT_MASK:
+        return UValue(_NAT, n)
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= NAT_MASK:
         raise AnswerTagMismatch(f"not a 64-bit natural: {n!r}")
-    return UValue(Tag.NAT, n)
+    return UValue(_NAT, n)
 
 
 def boolean(b: bool) -> UValue:
@@ -78,29 +96,29 @@ def boolean(b: bool) -> UValue:
 def label(index: int, bound: int) -> UValue:
     if not 0 <= index < bound:
         raise AnswerTagMismatch(f"label {index} out of bound {bound}")
-    return UValue(Tag.LABEL, index, bound)
+    return UValue(_LABEL, index, bound)
 
 
 def pair(a: UValue, b: UValue) -> UValue:
     if not (isinstance(a, UValue) and isinstance(b, UValue)):
         raise AnswerTagMismatch("pair components must be UValues")
-    return UValue(Tag.PAIR, (a, b))
+    return UValue(_PAIR, (a, b))
 
 
 def sym(name: str) -> UValue:
     if not isinstance(name, str) or not name:
         raise AnswerTagMismatch(f"not an identifier: {name!r}")
-    return UValue(Tag.SYM, name)
+    return UValue(_SYM, name)
 
 
 def fst(v: UValue) -> UValue:
-    if v.tag is not Tag.PAIR:
+    if v.tag is not _PAIR:
         raise AnswerTagMismatch(f"fst of non-pair {v!r}")
     return v.payload[0]
 
 
 def snd(v: UValue) -> UValue:
-    if v.tag is not Tag.PAIR:
+    if v.tag is not _PAIR:
         raise AnswerTagMismatch(f"snd of non-pair {v!r}")
     return v.payload[1]
 
@@ -117,10 +135,10 @@ def inr(v: UValue) -> UValue:
 
 def un_sum(v: UValue) -> tuple[bool, UValue]:
     """Split a sum-encoded value into (is_left, payload)."""
-    if v.tag is not Tag.PAIR:
+    if v.tag is not _PAIR:
         raise AnswerTagMismatch(f"not a sum value: {v!r}")
     side, payload = v.payload
-    if side.tag is not Tag.BOOL:
+    if side.tag is not _BOOL:
         raise AnswerTagMismatch(f"not a sum value: {v!r}")
     return side.payload, payload
 
@@ -151,11 +169,11 @@ def umap(items=()) -> UValue:
             raise AnswerTagMismatch(f"bad map key: {k!r}")
         if not isinstance(v, UValue):
             raise AnswerTagMismatch(f"bad map value: {v!r}")
-    return UValue(Tag.MAP, tuple(sorted(entries.items())))
+    return UValue(_MAP, tuple(sorted(entries.items())))
 
 
 def map_items(m: UValue):
-    if m.tag is not Tag.MAP:
+    if m.tag is not _MAP:
         raise AnswerTagMismatch(f"not a map: {m!r}")
     return m.payload
 
@@ -169,11 +187,11 @@ def map_get(m: UValue, key, default: UValue) -> UValue:
 
 def map_set(m: UValue, key, value: UValue) -> UValue:
     rest = tuple((k, v) for k, v in map_items(m) if k != key)
-    return UValue(Tag.MAP, tuple(sorted(rest + ((key, value),))))
+    return UValue(_MAP, tuple(sorted(rest + ((key, value),))))
 
 
 def map_remove(m: UValue, key) -> UValue:
-    return UValue(Tag.MAP, tuple((k, v) for k, v in map_items(m) if k != key))
+    return UValue(_MAP, tuple((k, v) for k, v in map_items(m) if k != key))
 
 
 @dataclass(frozen=True)
@@ -185,9 +203,9 @@ class VType:
 
     def accepts(self, v: UValue) -> bool:
         tag = self.tag
-        if v.tag is not tag or tag is Tag.EMPTY:
+        if v.tag is not tag or tag is _EMPTY:
             return False
-        return tag is not Tag.LABEL or self.bound is None or v.bound == self.bound
+        return tag is not _LABEL or self.bound is None or v.bound == self.bound
 
     def check(self, v: UValue, what: str = "value") -> UValue:
         if not self.accepts(v):
@@ -195,39 +213,39 @@ class VType:
         return v
 
     def __repr__(self):
-        if self.tag is Tag.LABEL and self.bound is not None:
+        if self.tag is _LABEL and self.bound is not None:
             return f"label<{self.bound}>"
         return self.tag.value
 
 
-UNIT_T = VType(Tag.UNIT)
-NAT_T = VType(Tag.NAT)
-BOOL_T = VType(Tag.BOOL)
-SYM_T = VType(Tag.SYM)
-MAP_T = VType(Tag.MAP)
-EMPTY_T = VType(Tag.EMPTY)
+UNIT_T = VType(_UNIT)
+NAT_T = VType(_NAT)
+BOOL_T = VType(_BOOL)
+SYM_T = VType(_SYM)
+MAP_T = VType(_MAP)
+EMPTY_T = VType(_EMPTY)
 
 
 def label_t(bound: int) -> VType:
-    return VType(Tag.LABEL, bound)
+    return VType(_LABEL, bound)
 
 
 def render_value(v: UValue) -> str:
     """Stable textual form used by trace printing and the command line."""
-    if v.tag is Tag.UNIT:
+    if v.tag is _UNIT:
         return "()"
-    if v.tag is Tag.NAT:
+    if v.tag is _NAT:
         return str(v.payload)
-    if v.tag is Tag.BOOL:
+    if v.tag is _BOOL:
         return "true" if v.payload else "false"
-    if v.tag is Tag.LABEL:
+    if v.tag is _LABEL:
         return f"L{v.payload}/{v.bound}"
-    if v.tag is Tag.PAIR:
+    if v.tag is _PAIR:
         a, b = v.payload
         return f"({render_value(a)},{render_value(b)})"
-    if v.tag is Tag.SYM:
+    if v.tag is _SYM:
         return str(v.payload)
-    if v.tag is Tag.MAP:
+    if v.tag is _MAP:
         inside = ",".join(f"{k}={render_value(x)}" for k, x in v.payload)
         return "{" + inside + "}"
     return "<empty>"

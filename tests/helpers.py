@@ -335,7 +335,7 @@ def gen_ktree(rng: random.Random, n_a: int, n_b: int, ev_gen=None) -> KTree:
 # They are the specification the library's fused ``interp_imp`` and
 # ``interp_asm`` are compared against.
 
-def _to_map_events(source, get_kind, set_kind, map_sig):
+def to_map_events(source, get_kind, set_kind, map_sig):
     """Translate a get/set alphabet into LookupDefault/Insert of ``map_sig``."""
 
     def apply(e):
@@ -350,7 +350,7 @@ def _to_map_events(source, get_kind, set_kind, map_sig):
 
 def layered_interp_imp(t, env0):
     env_map = map_default_sig(SYM_T, NAT_T, nat(0))
-    h = handler_bimap(_to_map_events(IMP_STATE, "GetVar", "SetVar", env_map), handler_id)
+    h = handler_bimap(to_map_events(IMP_STATE, "GetVar", "SetVar", env_map), handler_id)
     return interp_map(interp(h, t), env0)
 
 
@@ -358,8 +358,8 @@ def layered_interp_asm(t, mem0, regs0, default=0):
     reg_map = map_default_sig(NAT_T, NAT_T, nat(default))
     mem_map = map_default_sig(SYM_T, NAT_T, nat(default))
     h = handler_bimap(
-        _to_map_events(REG_E, "GetReg", "SetReg", reg_map),
-        handler_bimap(_to_map_events(MEM_E, "Load", "Store", mem_map), handler_id),
+        to_map_events(REG_E, "GetReg", "SetReg", reg_map),
+        handler_bimap(to_map_events(MEM_E, "Load", "Store", mem_map), handler_id),
     )
     return interp_map(interp_map(interp(h, t), regs0), mem0)
 

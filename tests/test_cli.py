@@ -163,12 +163,31 @@ def test_out_of_range_input_is_an_error_not_a_verdict(tmp_path, capsys):
     literal = tmp_path / "big.asm"
     literal.write_text(head + f"  mov r0, {big}\n  jmp 0\n")
     assert cli.main(["run-asm", str(literal)]) == 1
-    # a register index is no value of the program, so it is caught at run time
     register = tmp_path / "reg.asm"
     register.write_text(head + f"  mov r{big}, 1\n  jmp 0\n")
     assert cli.main(["run-asm", str(register)]) == 1
     err = capsys.readouterr().err
     assert err.count("error: ") == 4 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("instr", [
+    "mov r{}, 1", "mov r0, r{}", "add r1, r{}, 2", "sub r1, r0, r{}",
+    "load r{}, @a", "store @a, r{}", "brz r{} -> 0, 0"])
+def test_a_register_beyond_64_bits_is_a_syntax_error_on_its_line(tmp_path, capsys, instr):
+    # the register is the 64-bit argument of a register event, so the parser
+    # rejects it as it does a 64-bit immediate, naming the line
+    lines = ["asm entries=1 exits=1 internal=0", "block 0:", "  mov r0, 0", "  " + instr]
+    if not instr.startswith("brz"):
+        lines.append("  jmp 0")
+    text = "\n".join(lines) + "\n"
+    big = str(1 << 64)
+    src = tmp_path / "reg.asm"
+    src.write_text(text.format(big))
+    assert cli.main(["run-asm", str(src)]) == 1
+    assert capsys.readouterr().err == f"error: line 4: register r{big} does not fit in 64 bits\n"
+    src.write_text(text.format((1 << 64) - 1))  # the largest register runs
+    assert cli.main(["run-asm", str(src)]) == 0
+    assert capsys.readouterr().out.startswith("outcome: finished\n")
 
 
 def test_non_decimal_digits_are_an_error_not_a_traceback(tmp_path, capsys):

@@ -13,6 +13,8 @@ import pytest
 from itrees import (
     EQ,
     IOE,
+    NAT_T,
+    SYM_T,
     AnswerTagMismatch,
     KTree,
     Reason,
@@ -23,8 +25,14 @@ from itrees import (
     bind,
     eutt,
     event,
+    handler_bimap,
+    handler_id,
+    interp,
+    interp_map,
+    interp_stores,
     iterate,
     lazy,
+    map_default_sig,
     observe,
     pair,
     ret,
@@ -37,7 +45,7 @@ from itrees import (
     vis,
 )
 from itrees import asm, compiler, imp
-from itrees.events import LEFT, EventInstance
+from itrees.events import LEFT, RIGHT, EventInstance
 from itrees.interp import _BATCH_STEPS
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
@@ -55,7 +63,7 @@ from itrees.imp import (
 )
 from itrees.values import boolean, label, nat, sym, umap, unit
 
-from helpers import layered_interp_asm, layered_interp_imp
+from helpers import layered_interp_asm, layered_interp_imp, to_map_events
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FUEL = 1500  # cuts off some generated runs, so out-of-fuel heads are compared too
@@ -620,3 +628,77 @@ def test_a_batch_forced_again_after_a_raise_sees_the_stores_it_was_handed():
     got, _ = run_to_head(t, FUEL)
     mem, regs = umap({"a": nat(2), "b": nat(2)}), umap({1: nat(1), 2: nat(1)})
     assert got == RetO(pair(mem, pair(regs, unit())))
+
+
+# One kind routed on two paths to two stores: the route table is keyed by
+# kind, then path, and ``interp_imp`` and ``interp_asm`` never share a kind
+# between routes.  The alphabet is ImpState +' (ImpState +' E), the left
+# leaf's variables in store 1 and the right leaf's in store 0.
+_TWO_PATHS = {
+    ((LEFT,), "GetVar"): (1, nat(7)),
+    ((LEFT,), "SetVar"): (1, None),
+    ((RIGHT, LEFT), "GetVar"): (0, nat(0)),
+    ((RIGHT, LEFT), "SetVar"): (0, None),
+}
+_OUTWARD = (RIGHT, RIGHT)
+
+
+def _fused_two_paths(t, s0, s1):
+    return interp_stores(t, (s0, s1), _TWO_PATHS, _OUTWARD)
+
+
+def _layered_two_paths(t, s0, s1):
+    left = to_map_events(IMP_STATE, "GetVar", "SetVar", map_default_sig(SYM_T, NAT_T, nat(7)))
+    right = to_map_events(IMP_STATE, "GetVar", "SetVar", map_default_sig(SYM_T, NAT_T, nat(0)))
+    h = handler_bimap(left, handler_bimap(right, handler_id))
+    return interp_map(interp_map(interp(h, t), s1), s0)
+
+
+def _var(kind, path, name, *value):
+    return trigger(event(IMP_STATE, kind, sym(name), *value, path=path))
+
+
+def _two_path_program(third):
+    """Writes and reads of ``x`` and ``y`` through both routed paths, then
+    one GetVar on the path ``third``, whose answer is written to ``z``."""
+    left, right = (LEFT,), (RIGHT, LEFT)
+    return bind(_var("SetVar", left, "x", nat(1)), lambda _: bind(
+        _var("SetVar", right, "x", nat(2)), lambda _: bind(
+            _var("GetVar", left, "x"), lambda a: bind(
+                _var("GetVar", right, "x"), lambda b: bind(
+                    _var("SetVar", left, "y", nat(a.payload * 10 + b.payload)), lambda _: bind(
+                        _var("GetVar", right, "y"), lambda c: bind(
+                            _var("SetVar", right, "y", c), lambda _: bind(
+                                _var("GetVar", third, "x"), lambda n: bind(
+                                    _var("SetVar", left, "z", n), lambda _: bind(
+                                        _var("GetVar", left, "w"), lambda w: ret(w)))))))))))
+
+
+def test_one_kind_on_two_paths_reaches_two_stores():
+    s0, s1 = env_of({"v": 5}), env_of({"x": 9})
+    fused = _fused_two_paths(_two_path_program(_OUTWARD), s0, s1)
+    layered = _layered_two_paths(_two_path_program(_OUTWARD), s0, s1)
+    # the third path lies under the outward prefix: both stacks re-emit the
+    # event with the prefix stripped, after the same silent steps
+    a, a_steps = run_to_head(fused, FUEL)
+    b, b_steps = run_to_head(layered, FUEL)
+    assert type(a) is type(b) is VisO and a_steps == b_steps
+    assert a.event == b.event == event(IMP_STATE, "GetVar", sym("x"))
+    for n in (3, 4):
+        got, got_steps = run_to_head(a.k(nat(n)), FUEL)
+        want, want_steps = run_to_head(b.k(nat(n)), FUEL)
+        assert got_steps == want_steps
+        assert got == want == RetO(pair(env_of({"v": 5, "x": 2, "y": 0}), pair(
+            env_of({"x": 1, "y": 12, "z": n}), nat(7))))
+        assert _node_for_node(a.k(nat(n)), b.k(nat(n)))
+
+
+def test_one_kind_on_an_unrouted_path_raises_like_the_layered_stack():
+    # (RIGHT,) names neither leaf and lies outside the outward prefix
+    s0, s1 = env_of(), env_of()
+    at, err = _least_raising_fuel(_fused_two_paths(_two_path_program((RIGHT,)), s0, s1), 100)
+    assert issubclass(err, UnhandledEvent)
+    layered_at, layered_err = _least_raising_fuel(
+        _layered_two_paths(_two_path_program((RIGHT,)), s0, s1), 100)
+    # the layered renaming fold spends its own silent step before it fails
+    assert layered_at == at + 1 and issubclass(layered_err, UnhandledEvent)

@@ -14,6 +14,10 @@ single-event helpers.
 
 The package exports its functions and types by an explicit list, which
 names no submodule.
+
+The value functions the interpreters call per event, and the fused store
+fold itself, read ``Tag`` members through module-level aliases: reading a
+member off the ``Enum`` class costs about ten times a global name read.
 """
 
 import ast
@@ -172,3 +176,57 @@ def test_the_package_exports_names_not_modules():
     for name in itrees.__all__:
         assert not isinstance(getattr(itrees, name), types.ModuleType), name
     assert len(set(itrees.__all__)) == len(itrees.__all__)
+
+
+HOT_PATHS = {
+    "values.py": {"nat", "label", "pair", "fst", "snd", "un_sum", "map_items",
+                  "VType.accepts"},
+    "interp.py": {"interp_stores"},
+}
+
+
+def _tag_member_reads(tree, names):
+    """``Tag.<MEMBER>`` reads inside the functions (or ``Class.method``s)
+    named in ``names``, as (function, member) pairs, and the names found."""
+    found, seen = [], set()
+    scopes = [(top, top.name) for top in tree.body if isinstance(top, ast.FunctionDef)]
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f, f"{top.name}.{f.name}") for f in top.body
+                       if isinstance(f, ast.FunctionDef)]
+    for fn, name in scopes:
+        if name not in names:
+            continue
+        seen.add(name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and (
+                    (isinstance(node.value, ast.Name) and node.value.id == "Tag")
+                    or (isinstance(node.value, ast.Attribute) and node.value.attr == "Tag")):
+                found.append((name, node.attr))
+    return found, seen
+
+
+def test_hot_paths_read_no_tag_member_through_the_enum():
+    offenders = {}
+    for name, functions in sorted(HOT_PATHS.items()):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            found, seen = _tag_member_reads(ast.parse(fh.read(), name), functions)
+        assert seen == functions, name
+        if found:
+            offenders[name] = found
+    assert offenders == {}
+
+
+def test_the_check_sees_tag_member_reads():
+    names = {"nat", "VType.accepts", "interp_stores"}
+    samples = {
+        "def nat(n):\n    return UValue(Tag.NAT, n)": [("nat", "NAT")],
+        "def nat(n):\n    return UValue(_NAT, n)": [],
+        "class VType:\n    def accepts(self, v):\n        return v.tag is values.Tag.EMPTY":
+            [("VType.accepts", "EMPTY")],
+        "def interp_stores(t):\n    def go(h):\n        return h.tag is Tag.UNIT\n":
+            [("interp_stores", "UNIT")],
+        "def render(v):\n    return v.tag is Tag.NAT": [],
+    }
+    for text, want in samples.items():
+        assert _tag_member_reads(ast.parse(text), names)[0] == want, text
