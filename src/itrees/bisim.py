@@ -150,12 +150,12 @@ def _step_text(step):
 
 
 def _witness(path, last) -> Verdict:
-    """Refute with the steps of a parent-linked ``(parent, step)`` path,
-    root first, then ``last``."""
+    """Refute with the steps of a parent-linked ``(parent, step, count)``
+    path, root first, each link's ``step`` ``count`` times, then ``last``."""
     steps = [last]
     while path is not None:
-        path, step = path
-        steps.append(step)
+        path, step, count = path
+        steps.extend(repeat(step, count))
     steps.reverse()
     return refuted(steps)
 
@@ -181,7 +181,7 @@ def strong_bisim(t1: ITree, t2: ITree, depth: int,
             worst = unknown(Reason.DEPTH_BUDGET)
             continue
         if ta is TauO:
-            pending.append((oa.rest, ob.rest, fuel - 1, (path, _TAU)))
+            pending.append((oa.rest, ob.rest, fuel - 1, (path, _TAU, 1)))
             continue
         if oa.event != ob.event:
             return _witness(path, ("event-mismatch", oa.event, ob.event))
@@ -190,7 +190,7 @@ def strong_bisim(t1: ITree, t2: ITree, depth: int,
             worst = unknown(Reason.ANSWER_SPACE)
             continue
         for x in answers:
-            pending.append((oa.k(x), ob.k(x), fuel - 1, (path, ("event", oa.event, x))))
+            pending.append((oa.k(x), ob.k(x), fuel - 1, (path, ("event", oa.event, x), 1)))
     return worst
 
 
@@ -207,17 +207,16 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
     over wide answer trees affordable.
     """
     budget = max_nodes if max_nodes is not None else -1
-    pending = [(t1, t2, depth, ())]
+    # Paths are parent-linked as in ``strong_bisim``, with a silent run of j
+    # steps as one link: races along interpreted programs run for thousands.
+    pending = [(t1, t2, depth, None)]
     worst = PROVEN
     while pending:
         if budget == 0:
             return worst if worst.refuted else unknown(Reason.NODE_BUDGET)
-        a, b, fuel, prefix = pending.pop()
+        a, b, fuel, path = pending.pop()
         oa, ob = observe(a), observe(b)
         strip_a = strip_b = tau_budget
-        # Witness steps for this alignment race accumulate in a list: races
-        # along interpreted programs run for thousands of silent steps.
-        path = list(prefix)
         while True:
             budget -= 1
             if budget == 0:
@@ -239,7 +238,7 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 budget -= j - 1
                 fuel -= j
                 strip_a = strip_b = tau_budget
-                path.extend(repeat(_TAU, j))
+                path = (path, _TAU, j)
                 oa, ob = observe(oa.after(j)), observe(ob.after(j))
                 continue
             if ta is TauO:
@@ -251,7 +250,7 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     j = budget
                 budget -= j - 1
                 strip_a -= j
-                path.extend(repeat(_TAUL, j))
+                path = (path, _TAUL, j)
                 oa = observe(oa.after(j))
                 continue
             if tb is TauO:
@@ -263,18 +262,16 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     j = budget
                 budget -= j - 1
                 strip_b -= j
-                path.extend(repeat(_TAUR, j))
+                path = (path, _TAUR, j)
                 ob = observe(ob.after(j))
                 continue
             if ta is RetO and tb is RetO:
                 if not r.relates(oa.value, ob.value):
-                    path.append(("rel-fails", oa.value, ob.value))
-                    return refuted(path)
+                    return _witness(path, ("rel-fails", oa.value, ob.value))
                 break
             if ta is VisO and tb is VisO:
                 if oa.event != ob.event:
-                    path.append(("event-mismatch", oa.event, ob.event))
-                    return refuted(path)
+                    return _witness(path, ("event-mismatch", oa.event, ob.event))
                 if fuel <= 0:
                     worst = unknown(Reason.DEPTH_BUDGET)
                     break
@@ -284,11 +281,9 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     break
                 for x in answers:
                     pending.append(
-                        (oa.k(x), ob.k(x), fuel - 1, tuple(path) + (("event", oa.event, x),))
-                    )
+                        (oa.k(x), ob.k(x), fuel - 1, (path, ("event", oa.event, x), 1)))
                 break
-            path.append(("shape", _observed_shape(oa), _observed_shape(ob)))
-            return refuted(path)
+            return _witness(path, ("shape", _observed_shape(oa), _observed_shape(ob)))
     return worst
 
 

@@ -158,7 +158,7 @@ class StateInvariantSpec:
                        lambda imp_out, asm_out: fst(imp_out) == fst(asm_out))
 
 
-# The variables sampled initial stores draw from.
+# The variables generated programs and sampled initial stores draw from.
 _VAR_POOL = ("x", "y", "z", "w", "v")
 
 
@@ -262,22 +262,19 @@ def gen_program(size: int, loop_bound_mode: str = "bounded", seed: int = 0) -> S
             second, used2 = stmt(budget - used1 - 1, depth)
             return (Seq(first, second), used1 + used2 + 1)
         if pick < 0.80:
-            cond = gen_expr(rng, min(3, budget), _vars())
+            cond = gen_expr(rng, min(3, budget), _VAR_POOL)
             then, used1 = stmt(budget // 2, depth)
             orelse, used2 = stmt(budget - used1 - 2, depth)
             return (If(cond, then, orelse), used1 + used2 + 2)
         return loop(budget, depth)
 
     def assign(budget: int) -> Stmt:
-        return Assign(rng.choice(_vars()), gen_expr(rng, max(1, min(4, budget)), _vars()))
-
-    def _vars():
-        return ("x", "y", "z", "w", "v")
+        return Assign(rng.choice(_VAR_POOL), gen_expr(rng, max(1, min(4, budget)), _VAR_POOL))
 
     def loop(budget: int, depth: int) -> tuple[Stmt, int]:
         if loop_bound_mode == "free":
             body, used = stmt(max(1, budget - 3), depth + 1)
-            return (While(gen_expr(rng, 2, _vars()), body), used + 3)
+            return (While(gen_expr(rng, 2, _VAR_POOL), body), used + 3)
         counter = next(counters, None)
         if counter is None:
             return (assign(budget), 1)

@@ -4,9 +4,12 @@ A tree is observed one node at a time: ``observe`` resolves deferred
 producers and pending bind continuations until a genuine return, silent
 step, or event node surfaces.  Trees are immutable; binding is constant
 work because the continuation is queued rather than pushed through the
-structure.  A run of silent steps may be held as one counted node
-(``taus``); it observes one step at a time like nested ``tau`` nodes, and
-``TauO.after`` lets a consumer skip any part of it at once.
+structure.  A run of silent steps is one counted node (``taus``; ``tau``
+is a run of one); it observes one step at a time like nested ``tau``
+nodes, and ``TauO.after`` lets a consumer skip any part of it at once.
+Return, run and event nodes are their own observations: ``observe``
+returns the node itself, or, with binds pending above it, a copy that
+carries them.
 """
 
 from __future__ import annotations
@@ -17,19 +20,9 @@ from typing import Callable
 from .values import AnswerTagMismatch, UValue
 
 
-# A tree's head is a return or event node, which is its own observation
-# (``RetO``, or ``VisO`` with no binds pending), or one of the private nodes
-# below: a run of silent steps or a deferred producer.
-
-class _TauN:
-    """``n`` silent steps, then ``rest``."""
-
-    __slots__ = ("rest", "n")
-
-    def __init__(self, rest, n=1):
-        self.rest = rest
-        self.n = n
-
+# A tree's head is a return, silent-run or event node, which is its own
+# observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), or a
+# deferred producer.
 
 class _Thunk:
     """Deferred tree producer, evaluated at most once."""
@@ -102,26 +95,32 @@ class RetO:
 class TauO:
     """The tree takes a silent step; ``rest`` is the tree after exactly one.
 
-    ``run`` is the number of silent steps known to follow from here (at
-    least one), and ``after(j)`` skips ``j`` of them, ``1 <= j <= run``, in
-    constant time.  For a counted run, ``rest`` holds the remaining
-    ``run - 1`` steps as one node.
+    The node is a whole run: ``run`` silent steps (at least one), then the
+    tree ``_tail``.  ``after(j)`` skips ``j`` of them, ``1 <= j <= run``, in
+    constant time, and ``rest`` is ``after(1)``, which holds the remaining
+    ``run - 1`` steps as one node.  An observation carries the binds pending
+    above the run in ``_konts``, as ``VisO`` does.
     """
 
-    rest: ITree
-    run: int = field(default=1, repr=False)
+    _tail: ITree
+    run: int = 1
+    _konts: object = field(default=None, repr=False)
+
+    @property
+    def rest(self) -> ITree:
+        return self.after(1)
 
     def after(self, j: int) -> ITree:
-        if j == 1:
-            return self.rest
         run = self.run
-        if not 1 <= j <= run:
-            raise ValueError(f"cannot skip {j} of a run of {run} silent steps")
-        rest = self.rest
-        tail = rest._head.rest
         if j == run:
-            return ITree(tail._head, _cat(tail._konts, rest._konts))
-        return ITree(_TauN(tail, run - j), rest._konts)
+            tail = self._tail
+            konts = self._konts
+            if konts is None:
+                return tail
+            return ITree(tail._head, _cat(tail._konts, konts))
+        if not 1 <= j < run:
+            raise ValueError(f"cannot skip {j} of a run of {run} silent steps")
+        return ITree(TauO(self._tail, run - j), self._konts)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -158,7 +157,7 @@ def ret(v: UValue) -> ITree:
 
 def tau(t: ITree) -> ITree:
     """One silent step, then ``t``."""
-    return ITree(_TauN(t))
+    return ITree(TauO(t))
 
 
 def taus(n: int, t: ITree) -> ITree:
@@ -167,7 +166,7 @@ def taus(n: int, t: ITree) -> ITree:
     part of the run at once.  ``n`` is at least one."""
     if n < 1:
         raise ValueError(f"a run needs at least one silent step, got {n}")
-    return ITree(_TauN(t, n))
+    return ITree(TauO(t, n))
 
 
 def vis(event, kont: Callable[[UValue], ITree]) -> ITree:
@@ -201,7 +200,7 @@ def _resolve(head, konts):
 
     Each resolution step consumes a pending continuation or a produced node,
     so a single call terminates even on globally infinite trees.  This is
-    the one resolution loop: ``observe`` wraps its result into an
+    the one resolution loop: ``observe`` turns its result into an
     observation, and the fused store fold steps on it directly.
     """
     while True:
@@ -237,16 +236,10 @@ def observe(t: ITree) -> Observation:
     consumed until a genuine node surfaces (see ``_resolve``).
     """
     head, konts = _resolve(t._head, t._konts)
-    if type(head) is _TauN:
-        rest = head.rest
-        n = head.n
-        if n != 1:
-            return TauO(ITree(_TauN(rest, n - 1), konts), n)
-        if konts is None:
-            return TauO(rest)
-        return TauO(ITree(rest._head, _cat(rest._konts, konts)))
     if konts is None:
         return head
+    if type(head) is TauO:
+        return TauO(head._tail, head.run, konts)
     return VisO(head.event, head._kont, konts)
 
 

@@ -19,7 +19,6 @@ from .core import (
     TauO,
     VisO,
     _Cat,
-    _TauN,
     _resolve,
     bind,
     lazy,
@@ -263,11 +262,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                         raise
                     return taus(total, lazy(lambda: go(head, konts, dicts)))
                 kind = type(head)
-                if kind is _TauN:
-                    total += head.n
-                    rest = head.rest
-                    head = rest._head
-                    more = rest._konts
+                if kind is TauO:
+                    total += head.run
+                    tail = head._tail
+                    head = tail._head
+                    more = tail._konts
                     if more is not None:
                         konts = more if konts is None else _Cat(more, konts)
                     if total >= _BATCH_STEPS:
@@ -307,14 +306,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             try:
                 if not fits:
                     raise AnswerTagMismatch
-                if kont is ret:  # a trigger: the answer is the return value
-                    head = RetO(answer)
-                else:
-                    nxt = kont(answer)
-                    head = nxt._head
-                    more = nxt._konts
-                    if more is not None:
-                        konts = more if konts is None else _Cat(more, konts)
+                nxt = kont(answer)
+                head = nxt._head
+                more = nxt._konts
+                if more is not None:
+                    konts = more if konts is None else _Cat(more, konts)
             except Exception:
                 # VisO.k checks the answer again and raises what it raises
                 ob = VisO(e, kont, konts)

@@ -21,9 +21,10 @@ from itrees import (
     tau,
     taus,
     trigger,
+    unit,
     vis,
 )
-from itrees.samples import input_ev
+from itrees.samples import input_ev, output_ev
 
 from helpers import gen_tree, mutate_tree, nested_taus, with_extra_taus
 
@@ -48,6 +49,35 @@ def test_strong_witness_is_the_path_to_the_refutation():
     verdict = strong_bisim(lhs, rhs, 10)
     assert verdict.witness == (("event", e, nat(9)), ("tau",), ("ret-mismatch", nat(9), nat(0)))
     assert replay_witness(EQ, lhs, rhs, verdict.witness)
+
+
+def test_eutt_witness_is_the_path_to_the_refutation():
+    # a left-only run, an event, an aligned run, an event whose sibling
+    # answer branches (17 first, proven) leave no steps, a right-only run,
+    # then the failing returns
+    e, out = input_ev(), output_ev(1)
+    lhs = taus(2, vis(out, lambda _: taus(3, trigger(e))))
+    rhs = vis(out, lambda _: taus(3, bind(
+        trigger(e), lambda x: taus(2, ret(nat(0) if x == nat(9) else x)))))
+    verdict = eutt(EQ, lhs, rhs, 5, 20)
+    assert verdict.witness == (
+        ("taul",), ("taul",), ("event", out, unit()), ("tau",), ("tau",), ("tau",),
+        ("event", e, nat(9)), ("taur",), ("taur",), ("rel-fails", nat(9), nat(0)))
+    assert replay_witness(EQ, lhs, rhs, verdict.witness)
+
+
+def test_eutt_witness_of_a_long_event_chain():
+    # 1,000 events, each followed by a 50-step run, before the returns differ
+    def chain(last):
+        t = ret(nat(last))
+        for i in reversed(range(1_000)):
+            t = vis(output_ev(i % 7), lambda _, t=taus(50, t): t)
+        return t
+
+    verdict = eutt(EQ, chain(1), chain(2), 100, 10**6)
+    assert len(verdict.witness) == 51_001
+    assert verdict.witness[0] == ("event", output_ev(0), unit())
+    assert verdict.witness[-1] == ("rel-fails", nat(1), nat(2))
 
 
 def test_eutt_examples():

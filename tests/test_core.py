@@ -247,6 +247,11 @@ def test_tau_observation_skips_within_its_run():
             taus(n, t)
 
 
+def test_a_silent_run_is_its_own_observation():
+    t = taus(3, ret(nat(1)))
+    assert observe(t) is observe(t)
+
+
 def test_answer_and_argument_tags_are_checked():
     # the answer check holds with binds pending above the event too
     for t in (trigger(input_ev()), bind(taus(3, trigger(input_ev())), lambda x: ret(x))):

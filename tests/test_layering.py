@@ -73,7 +73,7 @@ def test_the_check_sees_private_imports():
     samples = {
         "from .core import ITree, _resolve": ["_resolve"],
         "from itrees.core import _cat as cat": ["_cat"],
-        "from . import core\ncore._TauN(None)": ["_TauN"],
+        "from . import core\ncore._Cat(None, None)": ["_Cat"],
         "import itrees.core\nitrees.core._pop(None)": ["_pop"],
         "import itrees.core as c\nc._Thunk": ["_Thunk"],
         "from .core import ITree, observe\nfrom . import values\nvalues._x": [],
