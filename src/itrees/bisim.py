@@ -160,6 +160,47 @@ def _witness(path, last) -> Verdict:
     return refuted(steps)
 
 
+class _Lasso:
+    """Brent's cycle detection over the loop keys of one one-sided strip.
+
+    It keeps one saved state, the loop key of a run and the binds pending
+    above it, and moves it forward to the latest state each time the
+    window since it doubles, so its memory is constant however long the
+    strip.  Fold, head and binds compare by identity and stores by
+    content; trees and continuations are pure, so two equal states lead to
+    the same tree.
+    """
+
+    __slots__ = ("key", "konts", "power", "lam")
+
+    def __init__(self, key, konts):
+        self.key, self.konts = key, konts
+        self.power, self.lam = 1, 0
+
+    def repeats(self, key, konts) -> bool:
+        saved = self.key
+        if (konts is self.konts and key[0] is saved[0] and key[1] is saved[1]
+                and key[2] is saved[2] and key[3] == saved[3]):
+            return True
+        self.lam += 1
+        if self.lam == self.power:
+            self.key, self.konts = key, konts
+            self.power *= 2
+            self.lam = 0
+        return False
+
+
+def _strip_runs_out(budget: int, strip: int):
+    """The verdict and node budget left with which ``eutt``'s loop ends
+    when, at its top with ``budget`` nodes and ``strip`` strip steps left,
+    one side steps silently forever against a return or an event: each
+    silent case takes as many nodes as strip steps, so the node budget runs
+    out first exactly when it is enabled and at most ``strip + 1``."""
+    if 0 < budget <= strip + 1:
+        return unknown(Reason.NODE_BUDGET), 0
+    return unknown(Reason.TAU_BUDGET), budget - strip - 1
+
+
 def strong_bisim(t1: ITree, t2: ITree, depth: int,
                  nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
     """Node-exact comparison: same shapes, same values, same step counts."""
@@ -205,6 +246,17 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
     every enumerated answer.  ``max_nodes`` caps total explored alignments
     across all branches (exhaustion reports Unknown), which keeps checks
     over wide answer trees affordable.
+
+    A one-sided strip can stop early, with the answer it would reach.  The
+    fused store fold ends its batches at loop marks with a loop key (see
+    ``interp_stores``); the keys of the runs a strip takes whole go to
+    Brent's cycle detection, in constant memory.  A repeated key means the
+    stripped side is back in a state it was in, after silent steps only,
+    so it steps silently forever: the strip budget is then known to run
+    out rather than spent, and the checker answers ``Unknown(tau-budget)``,
+    or ``Unknown(node-budget)`` when ``max_nodes`` would run out first,
+    with the node budget left exactly as stripping on would leave it.
+    Trees without keys are stripped as before.
     """
     budget = max_nodes if max_nodes is not None else -1
     # Paths are parent-linked as in ``strong_bisim``, with a silent run of j
@@ -217,6 +269,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
         a, b, fuel, path = pending.pop()
         oa, ob = observe(a), observe(b)
         strip_a = strip_b = tau_budget
+        # an item strips at most one side, once the other has stopped
+        lasso = None
         while True:
             budget -= 1
             if budget == 0:
@@ -251,6 +305,12 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 budget -= j - 1
                 strip_a -= j
                 path = (path, _TAUL, j)
+                if j == oa.run and oa._key is not None:
+                    if lasso is None:
+                        lasso = _Lasso(oa._key, oa._konts)
+                    elif lasso.repeats(oa._key, oa._konts):
+                        worst, budget = _strip_runs_out(budget, strip_a)
+                        break
                 oa = observe(oa.after(j))
                 continue
             if tb is TauO:
@@ -263,6 +323,12 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 budget -= j - 1
                 strip_b -= j
                 path = (path, _TAUR, j)
+                if j == ob.run and ob._key is not None:
+                    if lasso is None:
+                        lasso = _Lasso(ob._key, ob._konts)
+                    elif lasso.repeats(ob._key, ob._konts):
+                        worst, budget = _strip_runs_out(budget, strip_b)
+                        break
                 ob = observe(ob.after(j))
                 continue
             if ta is RetO and tb is RetO:

@@ -124,6 +124,12 @@ def iterate(body: KTree) -> KTree:
     and re-enters through a fresh tree, so memory stays bounded.  A body
     that raises keeps no tree: a call raises again, and a re-entry raises
     again when observed again.
+
+    The shared re-entry nodes are the loop marks: each is a one-step run
+    with ``TauO._mark`` set, which observes and compares like ``tau`` and
+    which the fused store fold tests in constant time to end its batches
+    where the loop state can be read (see ``interp_stores``).  A fresh
+    re-entry node carries no mark.
     """
 
     fn = body.fn
@@ -148,7 +154,7 @@ def iterate(body: KTree) -> KTree:
             return tau(lazy(lambda: bind(fn(payload), step)))
         node = reentries.get(key)
         if node is None:
-            node = reentries[key] = tau(lazy(lambda: go(payload)))
+            node = reentries[key] = ITree(TauO(lazy(lambda: go(payload)), _mark=True))
         return node
 
     return KTree(go, body.dom)

@@ -100,11 +100,19 @@ class TauO:
     constant time, and ``rest`` is ``after(1)``, which holds the remaining
     ``run - 1`` steps as one node.  An observation carries the binds pending
     above the run in ``_konts``, as ``VisO`` does.
+
+    Two private fields annotate a node without changing what it is, so
+    equality and hashing leave them out and an observation keeps them:
+    ``_mark`` is set on the loop re-entry nodes of ``iterate``, and
+    ``_key`` on a batch of the fused store fold that ends at one, where it
+    holds the fold's state after the batch (see ``interp_stores``).
     """
 
     _tail: ITree
     run: int = 1
     _konts: object = field(default=None, repr=False)
+    _mark: bool = field(default=False, repr=False, compare=False)
+    _key: object = field(default=None, repr=False, compare=False)
 
     @property
     def rest(self) -> ITree:
@@ -239,7 +247,7 @@ def observe(t: ITree) -> Observation:
     if konts is None:
         return head
     if type(head) is TauO:
-        return TauO(head._tail, head.run, konts)
+        return TauO(head._tail, head.run, konts, head._mark, head._key)
     return VisO(head.event, head._kont, konts)
 
 

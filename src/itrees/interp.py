@@ -178,8 +178,10 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 # The silent steps after which a batch of ``interp_stores`` hands a node to
 # its consumer; a source silent run that crosses it ends the batch whole.
 # A tree can step silently or emit store events forever, and observing the
-# interpreted tree must still return.
+# interpreted tree must still return.  A batch that has passed a loop mark
+# goes on to the next mark instead, but never past ``_HARD_STEPS``.
 _BATCH_STEPS = 256
+_HARD_STEPS = 4 * _BATCH_STEPS
 
 _UNIT = Tag.UNIT
 _NO_ROUTES: dict = {}  # what the table of ``interp_stores`` holds for a kind it never routes
@@ -233,6 +235,20 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     once, on its first write to it, and never writes the stores it was
     handed, so a batch that runs again, or an outward event answered twice,
     starts from the same stores.
+
+    Loops mark their re-entry nodes (``iterate``).  A batch that has
+    passed a mark and holds ``_BATCH_STEPS`` steps or more ends at the next
+    mark, before its step, or once it holds ``_HARD_STEPS`` or more, so a
+    long loop body cannot stretch it; a source with no marks ends every
+    batch at ``_BATCH_STEPS`` as before.  Grouping steps into batches is
+    not observable, so step counts do not change.  A batch that ends at a
+    mark carries in ``TauO._key`` the loop key: the fold, the marked head,
+    the pending binds and the stores, the whole state the rest of the tree
+    is a function of.  The stores are snapshots there, since the next batch
+    copies a store before it writes to it, so the key costs one tuple per
+    batch and nothing on the fold's per-step path.  Two keys with the same
+    fold, head and binds (by identity) and equal stores lead to the same
+    tree, which lets ``eutt`` see that a silent run repeats.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -253,6 +269,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     def go(head, konts, dicts):
         given = dicts
         total = 0
+        limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         while True:
             if type(head) is not VisO:  # an event head is already resolved
                 try:
@@ -263,13 +280,19 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     return taus(total, lazy(lambda: go(head, konts, dicts)))
                 kind = type(head)
                 if kind is TauO:
+                    if head._mark:
+                        # at the cap here only if the batch passed a mark
+                        if total >= _BATCH_STEPS:
+                            return ITree(TauO(lazy(lambda: go(head, konts, dicts)), total,
+                                              _key=(go, head, konts, dicts)))
+                        limit = _HARD_STEPS
                     total += head.run
                     tail = head._tail
                     head = tail._head
                     more = tail._konts
                     if more is not None:
                         konts = more if konts is None else _Cat(more, konts)
-                    if total >= _BATCH_STEPS:
+                    if total >= limit:
                         return taus(total, lazy(lambda: go(head, konts, dicts)))
                     continue
                 if kind is RetO:
@@ -315,7 +338,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 # VisO.k checks the answer again and raises what it raises
                 ob = VisO(e, kont, konts)
                 return taus(total, lazy(lambda: resume(ob.k(answer), dicts)))
-            if total >= _BATCH_STEPS:
+            if total >= limit:
                 return taus(total, lazy(lambda: go(head, konts, dicts)))
 
     def resume(t, dicts):

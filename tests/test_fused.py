@@ -46,7 +46,7 @@ from itrees import (
 )
 from itrees import asm, compiler, imp
 from itrees.events import LEFT, RIGHT, EventInstance
-from itrees.interp import _BATCH_STEPS
+from itrees.interp import _BATCH_STEPS, _HARD_STEPS
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
@@ -166,6 +166,53 @@ def test_loop_batches_are_strongly_bisimilar_to_layered():
     fused = interp_asm(entry, umap(), umap())
     assert observe(fused).run >= _BATCH_STEPS
     assert _node_for_node(fused, layered_interp_asm(entry, umap(), umap()), 40_000)
+
+
+def _batches(t):
+    """The silent runs a fused tree hands out, and the head after them."""
+    runs = []
+    ob = observe(t)
+    while type(ob) is TauO:
+        runs.append(ob)
+        ob = observe(ob.after(ob.run))
+    return runs, ob
+
+
+def test_loop_batches_end_at_loop_marks():
+    # Every batch but the last ends at a re-entry node of the loop, before
+    # its step, and carries the fold's state there: the marked head, the
+    # binds pending above it and the stores, which no later batch writes.
+    s = parse_imp("c := 400;\nwhile c do c := c - 1 end\n")
+    for t in (interp_imp(denote_stmt(s), env_of()),
+              interp_asm(den_asm(compile_stmt(s))(label(0, 1)), env_of(), umap())):
+        runs, last = _batches(t)
+        assert type(last) is RetO and len(runs) > 3
+        counts = []
+        for ob in runs[:-1]:
+            _, head, _, stores = ob._key
+            assert type(head) is TauO and head._mark
+            assert _BATCH_STEPS <= ob.run < _HARD_STEPS
+            counts.append(stores[0]["c"].payload)
+        assert counts == sorted(set(counts), reverse=True) and counts[-1] > 0
+        assert runs[-1]._key is None and runs[-1].run < _HARD_STEPS
+
+
+def test_a_long_loop_body_does_not_stretch_a_batch():
+    # 300 assignments and 600 reads between two re-entries of the Imp loop:
+    # a batch that passed a mark stops at the hard limit, not at the next
+    # mark (the compiled unit jumps between blocks, each a mark)
+    body = "".join(f"x{i % 7} := x{(i + 1) % 7} + x{(i + 3) % 7};\n" for i in range(300))
+    s = parse_imp(f"n := 2;\nwhile n do\n{body}n := n - 1\nend\n")
+    env0 = env_of({"x1": 1, "x3": 2})
+    runs, _ = _batches(interp_imp(denote_stmt(s), env0))
+    assert max(ob.run for ob in runs) == _HARD_STEPS
+    entry = den_asm(compile_stmt(s))(label(0, 1))
+    runs += _batches(interp_asm(entry, env0, umap()))[0]
+    assert all(ob.run < _HARD_STEPS + 8 for ob in runs)
+    assert _node_for_node(interp_imp(denote_stmt(s), env0),
+                          layered_interp_imp(denote_stmt(s), env0), 6000)
+    assert _node_for_node(interp_asm(entry, env0, umap()),
+                          layered_interp_asm(entry, env0, umap()), 24000)
 
 
 def test_a_source_silent_run_is_one_batch():
