@@ -161,30 +161,29 @@ def _witness(path, last) -> Verdict:
 
 
 class _Lasso:
-    """Brent's cycle detection over the loop keys of one one-sided strip.
+    """Brent's cycle detection: ``repeats(state)`` is true once a state equal
+    (``==``) to an earlier one comes back.
 
-    It keeps one saved state, the loop key of a run and the binds pending
-    above it, and moves it forward to the latest state each time the
-    window since it doubles, so its memory is constant however long the
-    strip.  Fold, head and binds compare by identity and stores by
-    content; trees and continuations are pure, so two equal states lead to
-    the same tree.
+    It keeps one saved state and moves it forward to the latest each time
+    the window since it doubles, so its memory is constant however long
+    the sequence, and an eventually periodic sequence is caught within a
+    few periods after its stem.  ``eutt`` feeds it the states of the runs
+    a strip takes whole, a loop key with the binds pending above the run;
+    ``interp_stores`` says why equal states lead to the same tree.
     """
 
-    __slots__ = ("key", "konts", "power", "lam")
+    __slots__ = ("saved", "power", "lam")
 
-    def __init__(self, key, konts):
-        self.key, self.konts = key, konts
+    def __init__(self, state):
+        self.saved = state
         self.power, self.lam = 1, 0
 
-    def repeats(self, key, konts) -> bool:
-        saved = self.key
-        if (konts is self.konts and key[0] is saved[0] and key[1] is saved[1]
-                and key[2] is saved[2] and key[3] == saved[3]):
+    def repeats(self, state) -> bool:
+        if state == self.saved:
             return True
         self.lam += 1
         if self.lam == self.power:
-            self.key, self.konts = key, konts
+            self.saved = state
             self.power *= 2
             self.lam = 0
         return False
@@ -240,36 +239,40 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
          max_nodes: int | None = None) -> Verdict:
     """Weak (heterogeneous) bisimulation up to silent steps.
 
-    Aligned silent steps descend and reset the strip budget; a one-sided
-    silent step consumes that side's strip budget.  Returns are compared
-    with ``r``; events must match exactly with related continuations at
-    every enumerated answer.  ``max_nodes`` caps total explored alignments
+    Aligned silent steps descend.  Once one side stops at a return or an
+    event, the other side's silent steps are stripped, one-sided, up to
+    ``tau_budget``; only one side strips between two alignments, since the
+    other has stopped and the item ends once both have, so one strip case
+    and one strip budget serve either side.  Returns are compared with
+    ``r``; events must match exactly with related continuations at every
+    enumerated answer.  ``max_nodes`` caps total explored alignments
     across all branches (exhaustion reports Unknown), which keeps checks
     over wide answer trees affordable.
 
-    A one-sided strip can stop early, with the answer it would reach.  The
-    fused store fold ends its batches at loop marks with a loop key (see
-    ``interp_stores``); the keys of the runs a strip takes whole go to
-    Brent's cycle detection, in constant memory.  A repeated key means the
-    stripped side is back in a state it was in, after silent steps only,
-    so it steps silently forever: the strip budget is then known to run
-    out rather than spent, and the checker answers ``Unknown(tau-budget)``,
-    or ``Unknown(node-budget)`` when ``max_nodes`` would run out first,
-    with the node budget left exactly as stripping on would leave it.
-    Trees without keys are stripped as before.
+    A strip can stop early, with the answer it would reach.  The fused
+    store fold ends its batches at loop marks with a loop key (see
+    ``interp_stores``); each run the strip takes whole gives its state,
+    the key with the binds pending above the run, to Brent's cycle
+    detection (``_Lasso``), in constant memory.  A state that comes back
+    means the stripped side is where it was, after silent steps only, so
+    it steps silently forever: the strip budget is then known to run out
+    rather than spent, and the checker answers ``Unknown(tau-budget)``, or
+    ``Unknown(node-budget)`` when ``max_nodes`` would run out first, with
+    the node budget left exactly as stripping on would leave it.  Trees
+    without keys are stripped until the budget runs out.
     """
     budget = max_nodes if max_nodes is not None else -1
     # Paths are parent-linked as in ``strong_bisim``, with a silent run of j
     # steps as one link: races along interpreted programs run for thousands.
     pending = [(t1, t2, depth, None)]
+    del t1, t2  # a held root would keep every run taken below it alive
     worst = PROVEN
     while pending:
         if budget == 0:
-            return worst if worst.refuted else unknown(Reason.NODE_BUDGET)
-        a, b, fuel, path = pending.pop()
-        oa, ob = observe(a), observe(b)
-        strip_a = strip_b = tau_budget
-        # an item strips at most one side, once the other has stopped
+            return unknown(Reason.NODE_BUDGET)
+        oa, ob, fuel, path = pending.pop()
+        oa, ob = observe(oa), observe(ob)
+        strip = tau_budget
         lasso = None
         while True:
             budget -= 1
@@ -291,45 +294,31 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                     j = budget
                 budget -= j - 1
                 fuel -= j
-                strip_a = strip_b = tau_budget
                 path = (path, _TAU, j)
                 oa, ob = observe(oa.after(j)), observe(ob.after(j))
                 continue
-            if ta is TauO:
-                if strip_a <= 0:
+            if ta is TauO or tb is TauO:
+                if strip <= 0:
                     worst = unknown(Reason.TAU_BUDGET)
                     break
-                j = oa.run if oa.run < strip_a else strip_a
+                side = oa if ta is TauO else ob
+                j = side.run if side.run < strip else strip
                 if 0 < budget < j:
                     j = budget
                 budget -= j - 1
-                strip_a -= j
-                path = (path, _TAUL, j)
-                if j == oa.run and oa._key is not None:
+                strip -= j
+                path = (path, _TAUL if ta is TauO else _TAUR, j)
+                if j == side.run and side._key is not None:
+                    state = (side._key, side._konts)
                     if lasso is None:
-                        lasso = _Lasso(oa._key, oa._konts)
-                    elif lasso.repeats(oa._key, oa._konts):
-                        worst, budget = _strip_runs_out(budget, strip_a)
+                        lasso = _Lasso(state)
+                    elif lasso.repeats(state):
+                        worst, budget = _strip_runs_out(budget, strip)
                         break
-                oa = observe(oa.after(j))
-                continue
-            if tb is TauO:
-                if strip_b <= 0:
-                    worst = unknown(Reason.TAU_BUDGET)
-                    break
-                j = ob.run if ob.run < strip_b else strip_b
-                if 0 < budget < j:
-                    j = budget
-                budget -= j - 1
-                strip_b -= j
-                path = (path, _TAUR, j)
-                if j == ob.run and ob._key is not None:
-                    if lasso is None:
-                        lasso = _Lasso(ob._key, ob._konts)
-                    elif lasso.repeats(ob._key, ob._konts):
-                        worst, budget = _strip_runs_out(budget, strip_b)
-                        break
-                ob = observe(ob.after(j))
+                if ta is TauO:
+                    oa = observe(oa.after(j))
+                else:
+                    ob = observe(ob.after(j))
                 continue
             if ta is RetO and tb is RetO:
                 if not r.relates(oa.value, ob.value):
@@ -412,10 +401,9 @@ def ktree_equiv(r: RelSpec, f, g, inputs=None, tau_budget: int = 100,
         inputs = enumerate_answers(f.dom, nat_probes)
         if inputs is None:
             return unknown(Reason.ANSWER_SPACE)
-    verdicts = []
-    for v in inputs:
+
+    def at(v):
         out = eutt(r, f(v), g(v), tau_budget, depth, nat_probes, max_nodes)
-        if out.refuted:
-            return refuted((("input", v),) + out.witness)
-        verdicts.append(out)
-    return merge_verdicts(verdicts)
+        return refuted((("input", v),) + out.witness) if out.refuted else out
+
+    return merge_verdicts(map(at, inputs))

@@ -79,8 +79,8 @@ def _entry_tree(u: AsmUnit) -> ITree:
 
 
 def cmd_run_asm(path: str, fuel: int) -> int:
-    tree = interp_asm(_entry_tree(parse_asm(_read(path))), umap(), umap())
-    ob, steps = run_to_head(tree, fuel)
+    # the root is not kept, so the runs already taken can be freed
+    ob, steps = run_to_head(interp_asm(_entry_tree(parse_asm(_read(path))), umap(), umap()), fuel)
     if type(ob) is RetO:
         mem = fst(ob.value)
         regs = fst(snd(ob.value))

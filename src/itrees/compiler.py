@@ -188,15 +188,11 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     # under every initial store.
     source = denote_stmt(s)
     target = asm.den_asm(unit)(label(0, 1))
-    verdicts = []
-    for store in initial_stores(cfg, seed):
-        t_imp = interp_imp(source, store)
-        t_asm = asm.interp_asm(target, store, umap(), default=low.asm_default)
-        out = eutt(rel, t_imp, t_asm, tau_budget, depth, cfg.nat_probe_set)
-        if out.refuted:
-            return out
-        verdicts.append(out)
-    return merge_verdicts(verdicts)
+    return merge_verdicts(
+        eutt(rel, interp_imp(source, store),
+             asm.interp_asm(target, store, umap(), default=low.asm_default),
+             tau_budget, depth, cfg.nat_probe_set)
+        for store in initial_stores(cfg, seed))
 
 
 # Program generation for the harness.

@@ -265,9 +265,14 @@ def burn(n: int, t: ITree) -> ITree:
 
 def run_to_head(t: ITree, fuel: int) -> tuple[Observation, int]:
     """Burn silent steps up to ``fuel``, whole runs at a time; return the
-    last observation and the number of steps consumed."""
+    last observation and the number of steps consumed.
+
+    It lets go of ``t`` once observed, so a caller that passes the root
+    without keeping it lets the runs already taken be freed as it goes:
+    a memoized root would keep every one of them alive."""
     steps = 0
     ob = observe(t)
+    del t
     while type(ob) is TauO and steps < fuel:
         j = ob.run
         left = fuel - steps

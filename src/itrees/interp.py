@@ -246,9 +246,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     the pending binds and the stores, the whole state the rest of the tree
     is a function of.  The stores are snapshots there, since the next batch
     copies a store before it writes to it, so the key costs one tuple per
-    batch and nothing on the fold's per-step path.  Two keys with the same
-    fold, head and binds (by identity) and equal stores lead to the same
-    tree, which lets ``eutt`` see that a silent run repeats.
+    batch and nothing on the fold's per-step path.  ``eutt`` compares keys
+    with ``==`` and relies on one condition: two equal keys lead to the
+    same tree.  It holds because trees and continuations are pure and each
+    component compares as finely as it must: the fold and the binds
+    (functions and ``_Cat`` nodes) by identity, the marked ``TauO`` by its
+    tail's identity, and the stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")

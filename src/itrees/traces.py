@@ -13,6 +13,7 @@ from typing import Sequence, Union
 
 from .bisim import (
     DEFAULT_NAT_PROBES,
+    PROVEN,
     Reason,
     Verdict,
     enumerate_answers,
@@ -144,20 +145,16 @@ def trace_refines(t: ITree, u: ITree, event_depth: int, tau_budget: int,
                   nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
     """Every enumerated trace of ``t`` must be a trace of ``u``.  An
     ``event_depth`` above ``MAX_EVENT_DEPTH`` raises ``ValueError``."""
-    verdicts = []
-    for tr in enumerate_traces(t, event_depth, tau_budget, nat_probes):
+    def verdict(tr):
         got = is_trace_of(u, tr, tau_budget)
-        if got is False:
-            return refuted((("trace", tr),))
         if got is None:
-            verdicts.append(unknown(Reason.TAU_BUDGET))
-    return merge_verdicts(verdicts)
+            return unknown(Reason.TAU_BUDGET)
+        return PROVEN if got else refuted((("trace", tr),))
+
+    return merge_verdicts(map(verdict, enumerate_traces(t, event_depth, tau_budget, nat_probes)))
 
 
 def trace_equiv(t: ITree, u: ITree, event_depth: int, tau_budget: int,
                 nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
-    forward = trace_refines(t, u, event_depth, tau_budget, nat_probes)
-    if forward.refuted:
-        return forward
-    backward = trace_refines(u, t, event_depth, tau_budget, nat_probes)
-    return merge_verdicts([forward, backward])
+    return merge_verdicts(trace_refines(a, b, event_depth, tau_budget, nat_probes)
+                          for a, b in ((t, u), (u, t)))

@@ -1,6 +1,9 @@
 """Verdict behavior of the bounded checkers."""
 
+import collections
 import random
+
+import pytest
 
 from itrees import (
     EQ,
@@ -24,8 +27,13 @@ from itrees import (
     unit,
     vis,
 )
+from itrees.asm import den_asm, interp_asm
+from itrees.compiler import MUTATIONS, StateInvariantSpec, compile_stmt, initial_stores
+from itrees.imp import denote_stmt, interp_imp
 from itrees.samples import input_ev, output_ev
+from itrees.values import label, umap
 
+import verdict_digest
 from helpers import gen_tree, mutate_tree, nested_taus, with_extra_taus
 
 
@@ -193,3 +201,74 @@ def test_eutt_counted_runs_match_single_steps():
             reasons.add((a.status.value, a.reason))
     assert {("proven", None), ("refuted", None), ("unknown", Reason.TAU_BUDGET),
             ("unknown", Reason.DEPTH_BUDGET), ("unknown", Reason.NODE_BUDGET)} <= reasons
+
+
+def _mirrored(step):
+    """A witness step with the two sides exchanged."""
+    kind = step[0]
+    if kind == "taul":
+        return ("taur",)
+    if kind == "taur":
+        return ("taul",)
+    if kind in ("rel-fails", "shape", "event-mismatch"):
+        return (kind, step[2], step[1])
+    return step
+
+
+def _assert_mirrored(rel, a, b, tau_budget, depth, max_nodes=None):
+    """``eutt`` with the sides exchanged, under the flipped relation, gives
+    the same answer with the mirror image of the witness, and both
+    witnesses replay."""
+    flipped = RelSpec(f"flipped {rel.name}", lambda x, y: rel.relates(y, x))
+    there = eutt(rel, a, b, tau_budget, depth, max_nodes=max_nodes)
+    back = eutt(flipped, b, a, tau_budget, depth, max_nodes=max_nodes)
+    assert (back.status, back.reason) == (there.status, there.reason)
+    assert back.witness == tuple(map(_mirrored, there.witness))
+    if there.refuted:
+        assert replay_witness(rel, a, b, there.witness)
+        assert replay_witness(flipped, b, a, back.witness)
+    return there
+
+
+def _mutant_pairs():
+    """The interpreted source and target of every mutant check of
+    ``verdict_digest``, under each of its initial stores."""
+    cfg = verdict_digest.MUTANT_CFG
+    for s, p, m in verdict_digest.mutants():
+        low = MUTATIONS[m]
+        source = denote_stmt(p)
+        target = den_asm(compile_stmt(p, low))(label(0, 1))
+        for store in initial_stores(cfg, s):
+            yield (interp_imp(source, store),
+                   interp_asm(target, store, umap(), default=low.asm_default))
+
+
+@pytest.mark.parametrize("max_nodes", [None, 500, 2000])
+def test_eutt_is_mirrored_on_the_mutant_pairs(max_nodes):
+    # Both sides strip here: a checker that labelled or advanced the wrong
+    # side in its one strip case would fail the mirror or the replay.
+    rel = StateInvariantSpec().relspec()
+    tau_budget, depth = verdict_digest.MUTANT_CFG.budgets()
+    seen = collections.Counter()
+    for a, b in _mutant_pairs():
+        v = _assert_mirrored(rel, a, b, tau_budget, depth, max_nodes)
+        seen[v.status.value, v.reason] += 1
+        seen.update(step[0] for step in v.witness if step[0] in ("taul", "taur"))
+    assert seen["refuted", None] and seen["taul"] and seen["taur"]
+    assert seen["unknown", Reason.TAU_BUDGET if max_nodes is None else Reason.NODE_BUDGET]
+
+
+def test_eutt_is_mirrored_on_shape_and_event_mismatches():
+    e, out = input_ev(), output_ev(1)
+    pairs = [
+        (taus(3, ret(nat(1))), taus(7, trigger(out))),
+        (taus(2, trigger(e)), taus(5, vis(out, lambda _: ret(unit())))),
+        (vis(out, lambda _: taus(4, trigger(e))), vis(out, lambda _: trigger(out))),
+        (taus(6, spin()), taus(2, ret(nat(1)))),
+    ] + [make(taus) for make in EUTT_PAIRS]
+    kinds = set()
+    for a, b in pairs:
+        for tau_budget, depth, max_nodes in [(2, 9, None), (9, 9, None), (9, 9, 6), (9, 2, None)]:
+            v = _assert_mirrored(EQ, a, b, tau_budget, depth, max_nodes)
+            kinds.update(step[0] for step in v.witness)
+    assert {"taul", "taur", "shape", "event-mismatch", "rel-fails"} <= kinds

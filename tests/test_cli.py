@@ -6,13 +6,16 @@ import io
 import os
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from itrees import cli
-from itrees.asm import AsmSyntaxError, BoundViolation, parse_asm
+from itrees import TauO, cli, run_to_head
+from itrees.asm import AsmSyntaxError, BoundViolation, den_asm, interp_asm, parse_asm, print_asm
+from itrees.compiler import compile_stmt
 from itrees.imp import MAX_EXPR_DEPTH, MAX_STMT_DEPTH, ImpSyntaxError, parse_imp
+from itrees.values import label, umap
 from itrees.traces import MAX_EVENT_DEPTH
 
 HERE = os.path.dirname(__file__)
@@ -91,6 +94,48 @@ def test_run_asm_halting_golden():
     code, out = run_cli(["run-asm", os.path.join(GOLDEN, "halting.asm")])
     assert code == 0
     assert out == golden("halting.run-asm.txt")
+
+
+# A loop that never returns, and whose store never repeats.
+ENDLESS = "while 1 do x := x + 1 end"
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _growth(run):
+    """Peak traced memory of ``run(200_000)`` over that of ``run(50_000)``,
+    after a warm-up run: near 1 when the runs already taken are freed, 3
+    or more when the root keeps every batch alive."""
+    run(1_000)
+    return _peak(lambda: run(200_000)) / _peak(lambda: run(50_000))
+
+
+def test_run_to_head_lets_go_of_the_runs_it_has_taken():
+    unit = compile_stmt(parse_imp(ENDLESS))
+
+    def run(fuel):
+        ob, steps = run_to_head(interp_asm(den_asm(unit)(label(0, 1)), umap(), umap()), fuel)
+        assert type(ob) is TauO and steps == fuel
+
+    assert _growth(run) < 1.5
+
+
+def test_run_asm_memory_stays_flat_over_a_long_run(tmp_path):
+    src = tmp_path / "endless.asm"
+    src.write_text(print_asm(compile_stmt(parse_imp(ENDLESS))))
+
+    def run(fuel):
+        code, out = run_cli(["run-asm", str(src), "--fuel", str(fuel)])
+        assert code == 0 and out == f"outcome: out-of-fuel\nsteps: {fuel}\n"
+
+    assert _growth(run) < 1.5
 
 
 def test_check_equiv_exit_codes(tmp_path):

@@ -216,3 +216,29 @@ def test_the_mutant_verdict_table_is_pinned():
         table.append(" ".join([str(s)] + [_letter(check_equivalent(p, cfg, seed=s, mutation=m))
                                           for m in sorted(MUTATIONS)]))
     assert table == VERDICTS.split("\n")[1:-1]
+
+
+def _first_repeat(values):
+    """The index at which ``_Lasso`` reports a repeat, or None."""
+    it = iter(values)
+    lasso = bisim._Lasso(next(it))
+    for i, v in enumerate(it, 1):
+        if lasso.repeats(v):
+            return i
+    return None
+
+
+def test_the_lasso_catches_every_eventually_periodic_sequence():
+    # stem, then a cycle of distinct values; fresh tuples, so equality and
+    # not identity is what makes two states the same
+    for stem in range(21):
+        for period in range(1, 21):
+            seq = [(i if i < stem else stem + (i - stem) % period,) for i in range(40 * 21)]
+            at = _first_repeat(seq)
+            assert at is not None, (stem, period)
+            assert at >= stem + period and seq[at] in seq[:at], (stem, period, at)
+
+
+def test_the_lasso_never_reports_a_sequence_with_no_repeat():
+    assert _first_repeat((i,) for i in range(100_000)) is None
+    assert _first_repeat((i % 7, i // 7) for i in range(10_000)) is None

@@ -24,20 +24,27 @@ MUTANT_CFG = SimConfig(fuel=4000, samples=2)
 HARNESS_CFG = SimConfig(fuel=50_000)
 
 
-def checks():
-    """(label, thunk) for every check, in digest order."""
+def mutants():
+    """(seed, program, mutation) for every mutant check, in digest order."""
     for s in range(2000, 2040):
         p = gen_program(14, "bounded", s)
         for m in sorted(MUTATIONS):
-            yield f"mutant {s} {m}", lambda p=p, s=s, m=m: check_equivalent(
-                p, MUTANT_CFG, seed=s, mutation=m)
+            yield s, p, m
+
+
+def checks():
+    """(label, thunk) for every check, in digest order."""
+    for s, p, m in mutants():
+        yield f"mutant {s} {m}", lambda p=p, s=s, m=m: check_equivalent(
+            p, MUTANT_CFG, seed=s, mutation=m)
     for s in range(1000, 1060):
         p = gen_program(20, "bounded", s)
         yield f"harness {s}", lambda p=p, s=s: check_equivalent(p, HARNESS_CFG, seed=s)
 
 
-def main(argv):
-    listing = "--list" in argv
+def digest(listing=False):
+    """The sha256 hex digest over every check's verdict; ``listing`` also
+    prints one line per check."""
     h = hashlib.sha256()
     for name, run in checks():
         v = run()
@@ -46,7 +53,11 @@ def main(argv):
         h.update(f"{v.status.value}\0{reason}\0{v.witness!r}\0{text}\n".encode())
         if listing:
             print(name, v.status.value, reason, len(v.witness))
-    print(h.hexdigest())
+    return h.hexdigest()
+
+
+def main(argv):
+    print(digest("--list" in argv))
 
 
 if __name__ == "__main__":
