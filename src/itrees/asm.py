@@ -3,7 +3,7 @@
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
 label, iterating the block table on block labels; each block's tree is
-built once per unit, one ``vis`` node per event, and replayed on every
+built once per unit, one site node per event, and replayed on every
 visit.  Linking is pure block-table surgery; the semantic equations tying
 surgery to combinators on denotations are checked by the test suite.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, ret, trigger, vis
-from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
+from .core import ITree, read_at, ret, trigger, write_at
+from .events import LEFT, RIGHT, EventSig, KindSpec, Site, event
 from .interp import interp_stores
 from .values import (
     EMPTY_T,
@@ -187,16 +187,8 @@ _MEM_PATH = (RIGHT, LEFT)
 _DONE_PATH = (RIGHT, RIGHT)
 
 
-def _get_reg_event(r: int) -> EventInstance:
-    return event(REG_E, "GetReg", nat(r), path=_REG_PATH)
-
-
-def _load_event(addr: str) -> EventInstance:
-    return event(MEM_E, "Load", sym(addr), path=_MEM_PATH)
-
-
 def get_reg(r: int) -> ITree:
-    return trigger(_get_reg_event(r))
+    return trigger(event(REG_E, "GetReg", nat(r), path=_REG_PATH))
 
 
 def set_reg(r: int, v: UValue) -> ITree:
@@ -204,7 +196,7 @@ def set_reg(r: int, v: UValue) -> ITree:
 
 
 def load(addr: str) -> ITree:
-    return trigger(_load_event(addr))
+    return trigger(event(MEM_E, "Load", sym(addr), path=_MEM_PATH))
 
 
 def store(addr: str, v: UValue) -> ITree:
@@ -217,18 +209,23 @@ def halt() -> ITree:
 
 # Denotations are in continuation-passing form and build each of their
 # trees once: an instruction is denoted together with the tree that follows
-# it, each event is one ``vis`` node whose continuation leads straight to the
+# it, each event is one site node whose continuation leads straight to the
 # next tree, and trees are immutable, so every execution of a block replays
-# the same ones.  Register reads and loads, and their nodes, are built with
-# the unit; a write's event is built when it runs, without ``event``'s
-# argument checks: its register or address is built with the unit and its
-# value is a checked answer or a fresh ``nat``.
+# the same ones.  Every register or memory access has its ``Site``, built
+# with the unit.  Register reads and loads, and their nodes, are built with
+# the unit too; a write's node is built when it runs and holds the site, the
+# value and the tree after it, so no event is built at run time.  The value
+# is a checked answer or a fresh ``nat``, so the write needs no check.
+
+def _get_reg_site(r: int) -> Site:
+    return Site(REG_E, "GetReg", nat(r), _REG_PATH)
+
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
     """Read ``op``, then continue with ``k`` of its value; an immediate is
     read here, so ``k`` runs here too."""
     if isinstance(op, Oreg):
-        return vis(_get_reg_event(op.reg), k)
+        return read_at(_get_reg_site(op.reg), k)
     return k(nat(op.value))
 
 
@@ -237,20 +234,13 @@ _OPS = {Iadd: nat_add, Isub: nat_sub, Imul: nat_mul}
 
 def _instr_then(i: Instr, rest: ITree) -> ITree:
     """The tree that runs ``i`` and then ``rest``."""
-    after = lambda _: rest
     if isinstance(i, Istore):
-        addr = sym(i.addr)
-        return _read_then(i.src, lambda v: vis(
-            EventInstance(MEM_E, "Store", (addr, v), _MEM_PATH), after))
-    dst = nat(i.dst)
-
-    def write(v):
-        return vis(EventInstance(REG_E, "SetReg", (dst, v), _REG_PATH), after)
-
+        return _read_then(i.src, write_at(Site(MEM_E, "Store", sym(i.addr), _MEM_PATH), rest))
+    write = write_at(Site(REG_E, "SetReg", nat(i.dst), _REG_PATH), rest)
     if isinstance(i, Imov):
         return _read_then(i.src, write)
     if isinstance(i, Iload):
-        return vis(_load_event(i.addr), write)
+        return read_at(Site(MEM_E, "Load", sym(i.addr), _MEM_PATH), write)
     f = _OPS[type(i)]
     if isinstance(i.rhs, Oimm):
         b = nat(i.rhs.value).payload  # checked, as a read of it would be
@@ -258,9 +248,9 @@ def _instr_then(i: Instr, rest: ITree) -> ITree:
     else:
         # the second read's node holds the first answer, so it is built
         # when it runs
-        read_rhs = _get_reg_event(i.rhs.reg)
-        then = lambda a: vis(read_rhs, lambda b: write(nat(f(a.payload, b.payload))))
-    return vis(_get_reg_event(i.lhs), then)
+        read_rhs = _get_reg_site(i.rhs.reg)
+        then = lambda a: read_at(read_rhs, lambda b: write(nat(f(a.payload, b.payload))))
+    return read_at(_get_reg_site(i.lhs), then)
 
 
 def denote_instr(i: Instr) -> ITree:
@@ -276,7 +266,7 @@ def denote_br(b: Branch, targets: Sequence[ITree]) -> ITree:
         return targets[b.target]
     if isinstance(b, Bbrz):
         yes, no = targets[b.yes], targets[b.no]
-        return vis(_get_reg_event(b.test), lambda v: yes if v.payload == 0 else no)
+        return read_at(_get_reg_site(b.test), lambda v: yes if v.payload == 0 else no)
     return halt()
 
 
@@ -297,7 +287,7 @@ def den_asm(u: AsmUnit) -> KTree:
     ``i`` returns ``Left(i)``, which re-enters block ``i`` after one silent
     step, and a jump to exit ``x`` returns ``Right(x)``, which leaves.  Each
     block's tree and each jump's return are built once per unit; within a
-    block, each event is one ``vis`` node leading straight to the next
+    block, each event is one site node leading straight to the next
     instruction's tree, with no ``bind``.
     """
     ia = u.internal + u.entries

@@ -146,6 +146,8 @@ def _step_text(step):
         return f"{step[1]!r} != {step[2]!r}"
     if kind == "input":
         return f"input {step[1]!r}"
+    if kind == "trace":  # a trace prints as traces.render_trace renders it
+        return f"trace {step[1]}"
     return f"{step[1]} != {step[2]}"
 
 

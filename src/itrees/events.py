@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .values import NAT_T, UNIT_T, UValue, VType, render_value
+from .values import NAT_T, UNIT_T, Tag, UValue, VType, render_value
+
+_UNIT = Tag.UNIT
 
 
 class WrongSignature(ValueError):
@@ -85,7 +87,7 @@ class EventInstance:
     (sig, kind, args, path) and are never assigned to after construction.
 
     The class defines its own ``__init__``, which ``dataclass`` keeps, so
-    that building an instance, as the denotations do for every write, is
+    that building an instance, as observing a write at a ``Site`` does, is
     one Python call rather than two.
     """
 
@@ -121,8 +123,59 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
     if len(args) != len(spec.params):
         raise WrongSignature(f"{kind} takes {len(spec.params)} args, got {len(args)}")
     for vt, a in zip(spec.params, args):
-        vt.check(a, f"argument of {kind}")
+        if not vt.accepts(a):  # the message is built only for a mismatch
+            vt.check(a, f"argument of {kind}")
     return EventInstance(sig, kind, args, tuple(path))
+
+
+class Site:
+    """A store-event occurrence in the program text, built once with the
+    denotation that holds it.
+
+    A site's kind takes a key, which makes it a read, or a key and a value,
+    which makes it a write; a write's declared answer must be the unit, so
+    its answer needs no continuation.  A read's ``event`` is built here,
+    through ``event``; a write's is None, since the value it writes is known
+    only when it runs, and ``written(value)`` builds it, without
+    ``event``'s check of the value, when a consumer observes the write.
+    ``tag`` is the answer type's ``sole_tag``, which the fused store fold
+    tests answers against.  Sites compare by identity, and what a site
+    stands for never changes: its one assigned slot, ``memo``, is where the
+    fused store fold caches the site's route, as (route table, entry).
+    """
+
+    __slots__ = ("sig", "kind", "key", "path", "answer", "tag", "event", "memo")
+
+    def __init__(self, sig: EventSig, kind: str, key: UValue, path: tuple[str, ...] = ()):
+        spec = sig.kind(kind)
+        params = spec.params
+        answer = spec.answer
+        if len(params) == 2:
+            if answer.tag is not _UNIT:
+                raise WrongSignature(f"{kind} writes but answers {answer!r}, not the unit")
+            if not params[0].accepts(key):  # the message is built only for a mismatch
+                params[0].check(key, f"key of {kind}")
+            self.event = None
+            path = tuple(path)
+        else:  # a read, or event() refuses it
+            self.event = e = event(sig, kind, key, path=path)
+            path = e.path
+        self.sig = sig
+        self.kind = kind
+        self.key = key
+        self.path = path
+        self.answer = answer
+        self.tag = answer.sole_tag()
+        self.memo = (None, None)
+
+    def written(self, value: UValue) -> EventInstance:
+        """The event of this write site writing ``value``."""
+        return EventInstance(self.sig, self.kind, (self.key, value), self.path)
+
+    def __repr__(self):
+        where = "".join(self.path)
+        prefix = f"{where}:" if where else ""
+        return f"<site {prefix}{self.kind}({self.key.payload!r})>"
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Statements denote trees over variable-access events plus an arbitrary extra
 alphabet; a second stage interprets those events into a finite map with
 default 0, giving the usual store-passing semantics.  Loops go through the
 iteration combinator, so divergence is representable and fuel only appears
-in the driver.  A denotation is in continuation-passing form, one ``vis``
-node per event, and builds each of its subtrees once; loop iterations and
-repeated runs replay them.
+in the driver.  A denotation is in continuation-passing form, one site node
+per event at a site built with it, and builds each of its subtrees once;
+loop iterations and repeated runs replay them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis
-from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, event
+from .core import ITree, RetO, bind, lazy, read_at, ret, run_to_head, trigger, write_at
+from .events import LEFT, RIGHT, EventSig, KindSpec, Site, event
 from .interp import interp_stores
 from .values import (
     NAT_MASK,
@@ -329,27 +329,31 @@ IMP_STATE = EventSig(
 )
 
 
-def _get_var_event(name: str) -> EventInstance:
-    return event(IMP_STATE, "GetVar", sym(name), path=(LEFT,))
-
-
 def get_var(name: str) -> ITree:
-    return trigger(_get_var_event(name))
+    return trigger(event(IMP_STATE, "GetVar", sym(name), path=(LEFT,)))
 
 
 def set_var(name: str, v: UValue) -> ITree:
     return trigger(event(IMP_STATE, "SetVar", sym(name), v, path=(LEFT,)))
 
 
-# The denotations are in continuation-passing form: each event is one
-# ``vis`` node whose continuation builds or returns the next tree, so no
-# event goes through a ``trigger`` and a pending bind.
+# The denotations are in continuation-passing form: each event is one site
+# node whose continuation builds or returns the next tree, so no event goes
+# through a ``trigger`` and a pending bind.  Every variable read or
+# assignment in the text has its ``Site``, built with the denotation: a
+# read's node holds the site and its continuation, and an assignment's,
+# built when it runs, holds the site, the value and the tree after it, so no
+# event is built at run time.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
 
+def _get_var_site(name: str) -> Site:
+    return Site(IMP_STATE, "GetVar", sym(name), (LEFT,))
+
+
 def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
-    """Append the ``GetVar`` event of each variable in ``e`` to ``reads``,
+    """Append the ``GetVar`` site of each variable in ``e`` to ``reads``,
     left to right, and return the function that computes ``e`` from the
     answers to them."""
     if isinstance(e, Lit):
@@ -357,7 +361,7 @@ def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
         return lambda answers: value
     if isinstance(e, Var):
         j = len(reads)
-        reads.append(_get_var_event(e.name))
+        reads.append(_get_var_site(e.name))
         return lambda answers: answers[j].payload
     f = _OPS[type(e)]
     lhs = _evaluator(e.lhs, reads)
@@ -369,12 +373,12 @@ def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
     """Evaluate ``e``, then continue with ``k`` of its value.
 
     Every variable is read by one ``GetVar`` node, left to right.  The
-    events, and the node of the first read, are built here once; a later
+    sites, and the node of the first read, are built here once; a later
     read's node holds the answers before it.  An expression without
     variables is computed here, so ``k`` runs here too.
     """
     if isinstance(e, Var):
-        return vis(_get_var_event(e.name), k)
+        return read_at(_get_var_site(e.name), k)
     reads = []
     value = _evaluator(e, reads)
     last = len(reads) - 1
@@ -388,7 +392,7 @@ def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
                 return k(nat(value(got)))
             return read(j + 1, got)
 
-        return vis(reads[j], kont)
+        return read_at(reads[j], kont)
 
     return read(0, ())
 
@@ -410,7 +414,7 @@ _DONE = ret(unit())
 def denote_stmt(s: Stmt) -> ITree:
     """Denote a statement: a tree that runs it and returns unit.
 
-    Each event is one ``vis`` node whose continuation leads straight to the
+    Each event is one site node whose continuation leads straight to the
     next tree.  ``Seq`` tails and ``If`` arms are lazy subtrees, denoted on
     first observation and then shared, so a long ``Seq`` spine does not
     recurse and no statement is denoted twice; a ``while`` runs through
@@ -423,12 +427,9 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
     if isinstance(s, Skip):
         return rest
     if isinstance(s, Assign):
-        name = sym(s.name)
-        after = lambda _: rest
-        # the value is a checked answer or a fresh nat, so the event needs
+        # the value is a checked answer or a fresh nat, so the write needs
         # no argument check
-        return _expr_then(s.expr, lambda v: vis(
-            EventInstance(IMP_STATE, "SetVar", (name, v), (LEFT,)), after))
+        return _expr_then(s.expr, write_at(Site(IMP_STATE, "SetVar", sym(s.name), (LEFT,)), rest))
     if isinstance(s, Seq):
         second = s.second
         return _stmt_then(s.first, lazy(lambda: _stmt_then(second, rest)))

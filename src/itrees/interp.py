@@ -16,6 +16,7 @@ from typing import Callable
 from .core import (
     ITree,
     RetO,
+    SiteNode,
     TauO,
     VisO,
     _Cat,
@@ -39,7 +40,6 @@ from .values import (
     MAP_T,
     UNIT,
     AnswerTagMismatch,
-    Tag,
     UValue,
     map_get,
     map_items,
@@ -183,8 +183,27 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 _BATCH_STEPS = 256
 _HARD_STEPS = 4 * _BATCH_STEPS
 
-_UNIT = Tag.UNIT
 _NO_ROUTES: dict = {}  # what the table of ``interp_stores`` holds for a kind it never routes
+
+# Route tables by store count and routes, so that calls with equal routes
+# share one table and a site's cached route (``Site.memo``) serves them
+# all.  A caller that keeps changing its routes only refills the cache.
+_TABLES: dict = {}
+_TABLES_KEPT = 64
+
+
+def _route_table(routes: dict, n: int) -> dict:
+    """kind -> path -> (slot, default, steps) over ``n`` stores, keyed by
+    kind, then path, so no key tuple is built per event."""
+    key = (n, tuple(routes.items()))
+    table = _TABLES.get(key)
+    if table is None:
+        if len(_TABLES) >= _TABLES_KEPT:
+            _TABLES.clear()
+        table = _TABLES[key] = {}
+        for (path, kind), (slot, default) in routes.items():
+            table.setdefault(kind, {})[path] = (slot, default, 1 + len(path) + n - slot)
+    return table
 
 
 def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
@@ -214,13 +233,25 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and an answered store event feeds
     its answer straight to the event's continuation, with no observation or
-    tree built per event.  An event head is already resolved, so when a
-    continuation returns one, as the denotations' continuations do, the
-    pass goes straight to its route without calling ``_resolve``, and it
-    queues the continuation's own pending binds in place.  Each answer is
-    checked once against the event's declared answer shape (for a write,
-    whose answer is always the unit, that is one tag test), and a mismatch
-    raises ``AnswerTagMismatch`` at the read that produced it, as
+    tree built per event.  An event or site head is already resolved, so
+    when a continuation returns one, as the denotations' continuations do,
+    the pass goes straight to its route without calling ``_resolve``, and
+    it queues the continuation's own pending binds in place.
+
+    A store event comes as a site node (``core.SiteNode``), as the
+    denotations emit them, or as a ``VisO``.  A site's route, key and
+    answer tag are looked up on its first visit under a route table and
+    cached on the site (``Site.memo``).  Calls with equal routes over as
+    many stores share one table, so a denotation run from several initial
+    stores looks each site up once.  A site node carries no event, so none
+    is built or taken apart; a write site's node holds the tree after it,
+    which the pass takes without a call.  A ``VisO`` store event has its
+    route looked up by kind and path and its key and value read off its
+    arguments.  From there both take the same step.  A site whose route
+    reads where the site writes, or the other way round, has no route.
+    Each answer is checked once, by one tag test when the event's declared
+    answer shape is decided by its tag (the unit, for a write), and a
+    mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
     ``VisO.k`` would.
 
     Store events are answered in place, in batches: the steps of a batch
@@ -248,18 +279,17 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     copies a store before it writes to it, so the key costs one tuple per
     batch and nothing on the fold's per-step path.  ``eutt`` compares keys
     with ``==`` and relies on one condition: two equal keys lead to the
-    same tree.  It holds because trees and continuations are pure and each
-    component compares as finely as it must: the fold and the binds
-    (functions and ``_Cat`` nodes) by identity, the marked ``TauO`` by its
-    tail's identity, and the stores by content.
+    same tree.  It holds because trees and continuations are pure and
+    immutable, a site never changes what it stands for (its cached route
+    only saves a lookup), and each component compares as finely as it
+    must: the fold and the binds (functions and ``_Cat`` nodes, with the
+    site nodes and sites their closures hold) by identity, the marked
+    ``TauO`` by its tail's identity, and the stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
     n = len(stores)
-    # keyed by kind, then path, so no key tuple is built per event
-    table = {}
-    for (path, kind), (slot, default) in routes.items():
-        table.setdefault(kind, {})[path] = (slot, default, 1 + len(path) + n - slot)
+    table = _route_table(routes, n)
     cut = len(outward)
     outward_steps = 1 + cut + n
 
@@ -274,7 +304,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         total = 0
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         while True:
-            if type(head) is not VisO:  # an event head is already resolved
+            kind = type(head)
+            if kind is not SiteNode and kind is not VisO:  # those are resolved
                 try:
                     head, konts = _resolve(head, konts)
                 except Exception:
@@ -303,44 +334,61 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     for d in reversed(dicts):
                         v = pair(umap(d), v)
                     return taus(total, ret(v)) if total else ret(v)
-            e = head.event
-            path = e.path
-            route = table.get(e.kind, _NO_ROUTES).get(path)
-            if route is None:
+            if kind is SiteNode:
+                site = head.site
+                memo = site.memo
+                if memo[0] is table:
+                    route = memo[1]
+                else:  # the site's first visit under this table
+                    route = table.get(site.kind, _NO_ROUTES).get(site.path)
+                    if route is None or (route[1] is None) != (site.event is None):
+                        route = ()
+                    else:
+                        route += (site.key.payload, site.tag)
+                    site.memo = (table, route)
+                value = head.value
+                kont = head.next  # the tree after it, for a write
+            else:
+                e = head.event
+                route = table.get(e.kind, _NO_ROUTES).get(e.path)
+                if route is not None:
+                    args = e.args
+                    value = args[1] if route[1] is None else None
+                    route += (args[0].payload, e.answer.sole_tag())
+                kont = head._kont
+            if not route:
+                ob = observe(ITree(head, konts))
+                e = ob.event
+                path = e.path
                 if path[:cut] == outward:
-                    ob = VisO(e, head._kont, konts)
                     return taus(total + outward_steps, vis(
                         e.at(path[cut:]), lambda x: lazy(lambda: resume(ob.k(x), dicts))))
                 if not total:
                     raise UnhandledEvent(f"{e!r} has no route in interp_stores")
                 return taus(total, lazy(lambda: go(head, konts, dicts)))
-            slot, default, steps = route
-            key = e.args[0].payload
+            slot, default, steps, key, tag = route
             if default is None:
                 d = dicts[slot]
                 if d is given[slot]:  # the batch's first write to this store
                     d = dict(d)
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
-                d[key] = e.args[1]
+                d[key] = value
                 answer = UNIT
-                fits = e.answer.tag is _UNIT  # what accepts(UNIT) tests
             else:
                 answer = dicts[slot].get(key, default)
-                fits = e.answer.accepts(answer)
             total += steps
-            kont = head._kont
             try:
-                if not fits:
+                if answer.tag is not tag:
                     raise AnswerTagMismatch
-                nxt = kont(answer)
-                head = nxt._head
+                nxt = kont if type(kont) is ITree else kont(answer)
                 more = nxt._konts
-                if more is not None:
-                    konts = more if konts is None else _Cat(more, konts)
+                head = nxt._head
             except Exception:
                 # VisO.k checks the answer again and raises what it raises
-                ob = VisO(e, kont, konts)
+                ob = observe(ITree(head, konts))
                 return taus(total, lazy(lambda: resume(ob.k(answer), dicts)))
+            if more is not None:
+                konts = more if konts is None else _Cat(more, konts)
             if total >= limit:
                 return taus(total, lazy(lambda: go(head, konts, dicts)))
 

@@ -26,25 +26,35 @@ from .events import EventInstance, render_event, render_event_response
 from .values import Tag, UValue, render_value
 
 
+class _Rendered:
+    """A trace prints as ``render_trace`` renders it, so a witness that
+    holds one can be described without importing this module."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return render_trace(self)
+
+
 @dataclass(frozen=True)
-class TEnd:
+class TEnd(_Rendered):
     """A partial trace: observation stopped here."""
 
 
 @dataclass(frozen=True)
-class TRet:
+class TRet(_Rendered):
     value: UValue
 
 
 @dataclass(frozen=True)
-class TEventResponse:
+class TEventResponse(_Rendered):
     event: EventInstance
     answer: UValue
     rest: "Trace"
 
 
 @dataclass(frozen=True)
-class TEventEnd:
+class TEventEnd(_Rendered):
     """The tree is waiting on this event; no answer was provided."""
 
     event: EventInstance
@@ -112,10 +122,16 @@ def enumerate_traces(t: ITree, event_depth: int, tau_budget: int,
     ``MAX_EVENT_DEPTH`` raise ``ValueError``: they could exhaust the Python
     stack.
     """
+    return set(_enumerated(t, event_depth, tau_budget, nat_probes, exact))
+
+
+def _enumerated(t, event_depth, tau_budget, nat_probes, exact=False) -> dict:
+    """The traces of ``enumerate_traces`` in enumeration order, duplicates
+    dropped: an order that does not depend on the hash seed."""
     if event_depth > MAX_EVENT_DEPTH:
         raise ValueError(
             f"event depth {event_depth} is above MAX_EVENT_DEPTH = {MAX_EVENT_DEPTH}")
-    return set(_traces(t, event_depth, tau_budget, nat_probes, exact))
+    return dict.fromkeys(_traces(t, event_depth, tau_budget, nat_probes, exact))
 
 
 def _traces(t, event_depth, tau_budget, nat_probes, exact) -> list:
@@ -144,14 +160,17 @@ def _traces(t, event_depth, tau_budget, nat_probes, exact) -> list:
 def trace_refines(t: ITree, u: ITree, event_depth: int, tau_budget: int,
                   nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
     """Every enumerated trace of ``t`` must be a trace of ``u``.  An
-    ``event_depth`` above ``MAX_EVENT_DEPTH`` raises ``ValueError``."""
+    ``event_depth`` above ``MAX_EVENT_DEPTH`` raises ``ValueError``.
+
+    The traces are checked in enumeration order, so a refutation names the
+    same trace from run to run."""
     def verdict(tr):
         got = is_trace_of(u, tr, tau_budget)
         if got is None:
             return unknown(Reason.TAU_BUDGET)
         return PROVEN if got else refuted((("trace", tr),))
 
-    return merge_verdicts(map(verdict, enumerate_traces(t, event_depth, tau_budget, nat_probes)))
+    return merge_verdicts(map(verdict, _enumerated(t, event_depth, tau_budget, nat_probes)))
 
 
 def trace_equiv(t: ITree, u: ITree, event_depth: int, tau_budget: int,

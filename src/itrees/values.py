@@ -207,6 +207,15 @@ class VType:
             return False
         return tag is not _LABEL or self.bound is None or v.bound == self.bound
 
+    def sole_tag(self):
+        """The tag whose test alone decides ``accepts``, or None when the
+        bound counts too or nothing is accepted: no value carries None, so
+        a test against it always fails."""
+        tag = self.tag
+        if tag is _EMPTY or (tag is _LABEL and self.bound is not None):
+            return None
+        return tag
+
     def check(self, v: UValue, what: str = "value") -> UValue:
         if not self.accepts(v):
             raise AnswerTagMismatch(f"{what} {v!r} does not fit {self}")

@@ -420,7 +420,7 @@ def den_asm_by_loop(u: AsmUnit) -> KTree:
 
 # The Imp denotation in bind form: each event is a ``trigger`` whose answer
 # the rest of the statement is bound to.  The library's ``denote_stmt`` is in
-# continuation-passing form, each event one ``vis`` node leading straight to
+# continuation-passing form, each event one site node leading straight to
 # the next tree, and is compared against this one, step for step.
 
 def denote_expr_by_bind(e):

@@ -10,6 +10,7 @@ from itrees import (
     EQ,
     IOE,
     RetO,
+    Site,
     TauO,
     VisO,
     bind,
@@ -19,16 +20,20 @@ from itrees import (
     eutt,
     nat,
     observe,
+    read_at,
     ret,
     run_to_head,
     spin,
     strong_bisim,
+    sym,
     tau,
     taus,
     trigger,
     unit,
+    write_at,
 )
-from itrees.imp import set_var
+from itrees.events import LEFT
+from itrees.imp import IMP_STATE, set_var
 from itrees.samples import echo, input_ev, kill9
 
 from helpers import gen_kont, gen_tree, nested_taus
@@ -266,3 +271,25 @@ def test_answer_and_argument_tags_are_checked():
         set_var("x", boolean(True))
     with pytest.raises(AnswerTagMismatch):
         ret(5)
+
+
+def test_a_site_node_is_observed_as_its_event():
+    read = Site(IMP_STATE, "GetVar", sym("x"), (LEFT,))
+    write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
+    for t in (read_at(read, write_at(write, ret(nat(3)))),
+              bind(read_at(read, write_at(write, ret(nat(3)))), ret)):
+        ob = observe(t)
+        assert type(ob) is VisO and ob.event is read.event
+        with pytest.raises(AnswerTagMismatch):
+            ob.k(unit())
+        u = ob.k(nat(5))
+        w = observe(u)
+        assert w.event == event(IMP_STATE, "SetVar", sym("x"), nat(5), path=(LEFT,))
+        assert w == observe(u)
+        with pytest.raises(AnswerTagMismatch):
+            w.k(nat(0))
+        assert observe(w.k(unit())) == RetO(nat(3))
+    with pytest.raises(TypeError, match="write site"):
+        read_at(write, ret)
+    with pytest.raises(TypeError, match="read site"):
+        write_at(read, ret(unit()))

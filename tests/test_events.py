@@ -6,10 +6,12 @@ from itrees import (
     EMPTY_E,
     IOE,
     NAT_T,
+    UNIT_T,
     AmbiguousSignature,
     EventSig,
     KindSpec,
     SignatureNotFound,
+    Site,
     SubeventWitness,
     SumSig,
     WrongSignature,
@@ -23,7 +25,8 @@ from itrees import (
     sym,
     unit,
 )
-from itrees.events import EventInstance, sig_leaves
+from itrees.events import LEFT, EventInstance, sig_leaves
+from itrees.imp import IMP_STATE
 
 STATE_N = state_sig(NAT_T)
 MAP_N = map_default_sig(NAT_T, NAT_T, nat(0))
@@ -53,6 +56,29 @@ def test_answer_shapes_come_from_the_signature():
                   lambda: event(X, "Pong"), lambda: EventInstance(EMPTY_E, "Ping")):
         with pytest.raises(WrongSignature, match="has no kind"):
             build()
+
+
+def test_sites_are_reads_or_writes_of_a_key():
+    read = Site(IMP_STATE, "GetVar", sym("x"), [LEFT])
+    assert read.event == event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
+    assert read.path == (LEFT,) and read.answer == NAT_T
+    write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
+    assert write.event is None
+    assert write.written(nat(4)) == event(IMP_STATE, "SetVar", sym("x"), nat(4), path=(LEFT,))
+    assert write.written(nat(4)).answer is IMP_STATE.kind("SetVar").answer
+    # a write's answer is the unit, so its node holds no continuation
+    noisy = EventSig("Noisy", (KindSpec("Put", (NAT_T, NAT_T), NAT_T),))
+    with pytest.raises(WrongSignature, match="not the unit"):
+        Site(noisy, "Put", nat(0))
+    for kind, key in (("Get", nat(0)), ("Put", nat(0))):
+        with pytest.raises(WrongSignature, match=f"{kind} takes {0 if kind == 'Get' else 3} args"):
+            Site(EventSig("Odd", (KindSpec("Get", (), NAT_T),
+                                  KindSpec("Put", (NAT_T,) * 3, UNIT_T))), kind, key)
+    with pytest.raises(WrongSignature, match="has no kind"):
+        Site(IMP_STATE, "DelVar", sym("x"))
+    for kind in ("GetVar", "SetVar"):
+        with pytest.raises(Exception, match="key of|argument of"):
+            Site(IMP_STATE, kind, nat(1))
 
 
 def test_empty_sig_has_no_events():

@@ -15,10 +15,14 @@ from itrees import (
     IOE,
     NAT_T,
     SYM_T,
+    UNIT_T,
+    EventSig,
+    KindSpec,
     AnswerTagMismatch,
     KTree,
     Reason,
     RetO,
+    Site,
     TauO,
     UnhandledEvent,
     VisO,
@@ -35,6 +39,7 @@ from itrees import (
     map_default_sig,
     observe,
     pair,
+    read_at,
     ret,
     run_to_head,
     spin,
@@ -43,6 +48,7 @@ from itrees import (
     taus,
     trigger,
     vis,
+    write_at,
 )
 from itrees import asm, compiler, imp
 from itrees.events import LEFT, RIGHT, EventInstance
@@ -61,7 +67,7 @@ from itrees.imp import (
     parse_imp,
     set_var,
 )
-from itrees.values import boolean, label, nat, sym, umap, unit
+from itrees.values import boolean, label, label_t, nat, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp, to_map_events
 
@@ -554,13 +560,49 @@ def test_store_answers_are_checked_at_the_read():
 
 
 def test_a_hand_built_write_of_a_wrong_value_raises_at_the_read():
-    # EventInstance skips event()'s argument checks, so the store takes the
-    # boolean; the read of it three events later is what fails
+    # EventInstance and write sites skip event()'s argument checks, so the
+    # store takes the boolean; the read of it three events later is what
+    # fails, whichever node wrote it
     def program():
         bad = EventInstance(IMP_STATE, "SetVar", (sym("x"), boolean(True)), (LEFT,))
         return bind(trigger(bad), lambda _: bind(get_var("z"), lambda _: get_var("x")))
 
-    _raises_answer_mismatch_at(lambda: interp_imp(program(), env_of()), 9)
+    def at_sites():
+        write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
+        read_z = Site(IMP_STATE, "GetVar", sym("z"), (LEFT,))
+        read_x = Site(IMP_STATE, "GetVar", sym("x"), (LEFT,))
+        return write_at(write, read_at(read_z, lambda _: read_at(read_x, ret)))(boolean(True))
+
+    for make in (program, at_sites):
+        _raises_answer_mismatch_at(lambda: interp_imp(make(), env_of()), 9)
+
+
+def test_an_answer_shape_a_tag_does_not_decide_is_checked_in_full():
+    # a bounded label's tag alone does not decide it, so the fold's tag test
+    # hands the answer to VisO.k, which accepts or refuses it
+    lbl = EventSig("Lbl", (KindSpec("Get", (SYM_T,), label_t(3)),
+                           KindSpec("Set", (SYM_T, label_t(3)), UNIT_T)))
+    routes = {((LEFT,), "Get"): (0, label(0, 3)), ((LEFT,), "Set"): (0, None)}
+    reads = (trigger(event(lbl, "Get", sym("x"), path=(LEFT,))),
+             read_at(Site(lbl, "Get", sym("x"), (LEFT,)), ret))
+    for t in reads:
+        store = umap({"x": label(2, 3)})
+        got = run_to_head(interp_stores(t, (store,), routes, (RIGHT,)), FUEL)
+        assert got == (RetO(pair(store, label(2, 3))), 3)
+        with pytest.raises(AnswerTagMismatch):
+            run_to_head(interp_stores(t, (umap({"x": label(2, 4)}),), routes, (RIGHT,)), FUEL)
+
+
+def test_a_site_follows_the_routes_of_each_run():
+    # a site caches its route per route table; one denotation run under
+    # routes that differ only in the default, back and forth, reads each
+    move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n"
+                         "  load r0, @x\n  mov r1, r2\n  jmp 0\n")
+    t = den_asm(move)(label(0, 1))
+    for default in (0, 5, 0, 7, 5):
+        regs = umap({0: nat(default), 1: nat(default)})
+        assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
+            RetO(pair(umap(), pair(regs, label(0, 1)))), 14)
 
 
 def _run(t):
@@ -701,51 +743,77 @@ def _layered_two_paths(t, s0, s1):
     return interp_map(interp_map(interp(h, t), s1), s0)
 
 
-def _var(kind, path, name, *value):
-    return trigger(event(IMP_STATE, kind, sym(name), *value, path=path))
+def _var(kind, path, name, *value, at_site=False):
+    if not at_site:
+        return trigger(event(IMP_STATE, kind, sym(name), *value, path=path))
+    site = Site(IMP_STATE, kind, sym(name), path)
+    return write_at(site, ret(unit()))(*value) if value else read_at(site, ret)
 
 
-def _two_path_program(third):
+# Which of the program's events, by position, are site nodes.
+_AT_SITES = {"none": lambda j: False, "all": lambda j: True,
+             "even": lambda j: j % 2 == 0, "odd": lambda j: j % 2 == 1}
+
+
+def _two_path_program(third, at_sites="none"):
     """Writes and reads of ``x`` and ``y`` through both routed paths, then
-    one GetVar on the path ``third``, whose answer is written to ``z``."""
+    one GetVar on the path ``third``, whose answer is written to ``z``.
+    The events ``_AT_SITES[at_sites]`` picks are site nodes."""
     left, right = (LEFT,), (RIGHT, LEFT)
-    return bind(_var("SetVar", left, "x", nat(1)), lambda _: bind(
-        _var("SetVar", right, "x", nat(2)), lambda _: bind(
-            _var("GetVar", left, "x"), lambda a: bind(
-                _var("GetVar", right, "x"), lambda b: bind(
-                    _var("SetVar", left, "y", nat(a.payload * 10 + b.payload)), lambda _: bind(
-                        _var("GetVar", right, "y"), lambda c: bind(
-                            _var("SetVar", right, "y", c), lambda _: bind(
-                                _var("GetVar", third, "x"), lambda n: bind(
-                                    _var("SetVar", left, "z", n), lambda _: bind(
-                                        _var("GetVar", left, "w"), lambda w: ret(w)))))))))))
+    pick = _AT_SITES[at_sites]
+
+    def var(j, *args):
+        return _var(*args, at_site=pick(j))
+
+    return bind(var(0, "SetVar", left, "x", nat(1)), lambda _: bind(
+        var(1, "SetVar", right, "x", nat(2)), lambda _: bind(
+            var(2, "GetVar", left, "x"), lambda a: bind(
+                var(3, "GetVar", right, "x"), lambda b: bind(
+                    var(4, "SetVar", left, "y", nat(a.payload * 10 + b.payload)), lambda _: bind(
+                        var(5, "GetVar", right, "y"), lambda c: bind(
+                            var(6, "SetVar", right, "y", c), lambda _: bind(
+                                var(7, "GetVar", third, "x"), lambda n: bind(
+                                    var(8, "SetVar", left, "z", n), lambda _: bind(
+                                        var(9, "GetVar", left, "w"), lambda w: ret(w)))))))))))
 
 
 def test_one_kind_on_two_paths_reaches_two_stores():
+    # site nodes and VisO events take the same step of the fold
     s0, s1 = env_of({"v": 5}), env_of({"x": 9})
-    fused = _fused_two_paths(_two_path_program(_OUTWARD), s0, s1)
     layered = _layered_two_paths(_two_path_program(_OUTWARD), s0, s1)
-    # the third path lies under the outward prefix: both stacks re-emit the
-    # event with the prefix stripped, after the same silent steps
-    a, a_steps = run_to_head(fused, FUEL)
-    b, b_steps = run_to_head(layered, FUEL)
-    assert type(a) is type(b) is VisO and a_steps == b_steps
-    assert a.event == b.event == event(IMP_STATE, "GetVar", sym("x"))
-    for n in (3, 4):
-        got, got_steps = run_to_head(a.k(nat(n)), FUEL)
-        want, want_steps = run_to_head(b.k(nat(n)), FUEL)
-        assert got_steps == want_steps
-        assert got == want == RetO(pair(env_of({"v": 5, "x": 2, "y": 0}), pair(
-            env_of({"x": 1, "y": 12, "z": n}), nat(7))))
-        assert _node_for_node(a.k(nat(n)), b.k(nat(n)))
+    for at_sites in sorted(_AT_SITES):
+        fused = _fused_two_paths(_two_path_program(_OUTWARD, at_sites), s0, s1)
+        # the third path lies under the outward prefix: both stacks re-emit
+        # the event with the prefix stripped, after the same silent steps
+        a, a_steps = run_to_head(fused, FUEL)
+        b, b_steps = run_to_head(layered, FUEL)
+        assert type(a) is type(b) is VisO and a_steps == b_steps
+        assert a.event == b.event == event(IMP_STATE, "GetVar", sym("x"))
+        for n in (3, 4):
+            got, got_steps = run_to_head(a.k(nat(n)), FUEL)
+            want, want_steps = run_to_head(b.k(nat(n)), FUEL)
+            assert got_steps == want_steps
+            assert got == want == RetO(pair(env_of({"v": 5, "x": 2, "y": 0}), pair(
+                env_of({"x": 1, "y": 12, "z": n}), nat(7))))
+            assert _node_for_node(a.k(nat(n)), b.k(nat(n)))
 
 
 def test_one_kind_on_an_unrouted_path_raises_like_the_layered_stack():
     # (RIGHT,) names neither leaf and lies outside the outward prefix
     s0, s1 = env_of(), env_of()
-    at, err = _least_raising_fuel(_fused_two_paths(_two_path_program((RIGHT,)), s0, s1), 100)
-    assert issubclass(err, UnhandledEvent)
     layered_at, layered_err = _least_raising_fuel(
         _layered_two_paths(_two_path_program((RIGHT,)), s0, s1), 100)
-    # the layered renaming fold spends its own silent step before it fails
-    assert layered_at == at + 1 and issubclass(layered_err, UnhandledEvent)
+    assert issubclass(layered_err, UnhandledEvent)
+    for at_sites in sorted(_AT_SITES):
+        at, err = _least_raising_fuel(
+            _fused_two_paths(_two_path_program((RIGHT,), at_sites), s0, s1), 100)
+        # the layered renaming fold spends its own silent step before it fails
+        assert layered_at == at + 1 and issubclass(err, UnhandledEvent)
+
+
+def test_a_site_whose_route_reads_where_it_writes_has_no_route():
+    routes = {((LEFT,), "GetVar"): (0, None), ((LEFT,), "SetVar"): (0, nat(0))}
+    for kind, value in (("GetVar", ()), ("SetVar", (nat(1),))):
+        t = _var(kind, (LEFT,), "x", *value, at_site=True)
+        with pytest.raises(UnhandledEvent, match=f"L:{kind}"):
+            run_to_head(interp_stores(t, (env_of(),), routes, (RIGHT,)), FUEL)

@@ -8,7 +8,7 @@ Both denotations iterate only through ``combinators.iterate``: ``imp`` and
 ``asm`` use no other iteration combinator, and ``asm`` takes no sums apart
 itself, so every loop of either language is one ``iterate`` on one argument.
 
-Both denotations are in continuation-passing form: each event is one ``vis``
+Both denotations are in continuation-passing form: each event is one site
 node, so ``imp`` and ``asm`` use ``trigger`` only in their public
 single-event helpers.
 

@@ -1,9 +1,13 @@
 """Trace enumeration, the trace predicate, and bounded refinement."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import itrees
 from itrees import (
     EQ,
     TEnd,
@@ -15,6 +19,7 @@ from itrees import (
     enumerate_traces,
     eutt,
     is_trace_of,
+    lazy,
     nat,
     render_trace,
     ret,
@@ -25,6 +30,7 @@ from itrees import (
     unit,
     vis,
 )
+from itrees.bisim import describe_witness
 from itrees.samples import echo, input_ev, kill9, output_ev
 from itrees.traces import MAX_EVENT_DEPTH, AnswerSpaceTooLarge
 
@@ -156,6 +162,37 @@ def test_refinement_examples():
     assert trace_equiv(ret(nat(1)), ret(nat(2)), 3, 5).refuted
     # refinement is not symmetric: ret has traces spin lacks
     assert not trace_refines(ret(nat(1)), spin(), 3, 5).proven
+
+
+def _input_then_zeros():
+    """Read an input, then output 0, forever."""
+    t = lazy(lambda: vis(input_ev(), lambda _: vis(output_ev(0), lambda _: tau(t))))
+    return t
+
+
+def test_a_trace_refutation_describes_its_trace():
+    v = trace_refines(echo(), _input_then_zeros(), 3, 100)
+    assert v.refuted
+    [(kind, tr)] = v.witness
+    assert kind == "trace"
+    # checked in enumeration order: the answers 0 then 1 to the input
+    assert describe_witness(v.witness) == "trace Input()=1 ; Output(1)?" == f"trace {tr}"
+    assert repr(v) == "Refuted(trace Input()=1 ; Output(1)?)"
+
+
+def test_a_trace_refutation_does_not_depend_on_the_hash_seed():
+    code = ("from itrees import lazy, tau, trace_refines, vis\n"
+            "from itrees.samples import echo, input_ev, output_ev\n"
+            "t = lazy(lambda: vis(input_ev(), lambda _: vis(output_ev(0), lambda _: tau(t))))\n"
+            "print(repr(trace_refines(echo(), t, 3, 100)))\n")
+    src = os.path.dirname(os.path.dirname(itrees.__file__))
+    seen = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        seen.add(out)
+    assert seen == {"Refuted(trace Input()=1 ; Output(1)?)\n"}
 
 
 def test_render_trace_format():
