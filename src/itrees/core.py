@@ -9,11 +9,10 @@ is a run of one); it observes one step at a time like nested ``tau``
 nodes, and ``TauO.after`` lets a consumer skip any part of it at once.
 Return, run and event nodes are their own observations: ``observe``
 returns the node itself, or, with binds pending above it, a copy that
-carries them.  A site node is a store event at a prebuilt ``events.Site``:
-a read holds its continuation, and a write the value it writes and the
-tree after it.  ``observe`` turns one into the event node it stands for,
-while the fused store fold (``interp.interp_stores``) runs it without
-building that node or its event.
+carries them.  A write node is a store write at a prebuilt ``events.Site``
+holding the value it writes and the tree after it; ``observe`` turns one
+into the event node it stands for, while the fused store fold
+(``interp.interp_stores``) runs it without building that node or its event.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .values import AnswerTagMismatch, UValue
 
 # A tree's head is a return, silent-run or event node, which is its own
 # observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), a
-# site node (``SiteNode``), or a deferred producer.
+# write node (``SiteNode``), or a deferred producer.
 
 class _Thunk:
     """Deferred tree producer, evaluated at most once."""
@@ -161,13 +160,9 @@ Observation = RetO | TauO | VisO
 
 
 class SiteNode:
-    """A store event at a prebuilt site (``events.Site``).
-
-    For a read site, ``next`` is the continuation of the answer and
-    ``value`` is None; for a write site, whose answer is always the unit,
-    ``value`` is the value written and ``next`` the tree after the write.
-    Build one with ``read_at`` or ``write_at``.
-    """
+    """A store write at a prebuilt site (``events.Site``): ``value`` is the
+    value written and ``next`` the tree after the write, whose answer is
+    always the unit.  Build one with ``write_at``."""
 
     __slots__ = ("site", "value", "next")
 
@@ -180,27 +175,15 @@ class SiteNode:
         return self.next
 
     def observation(self, konts) -> VisO:
-        """The event node this node stands for, with ``konts`` pending.  A
+        """The event node this node stands for, with ``konts`` pending.  The
         write's event is built here, and its continuation is a bound method,
         so two observations of one node compare equal."""
-        site = self.site
-        if site.event is not None:
-            return VisO(site.event, self.next, konts)
-        return VisO(site.written(self.value), self._after_write, konts)
-
-
-def read_at(site, kont: Callable[[UValue], ITree]) -> ITree:
-    """Read at ``site`` and continue with ``kont`` of the answer."""
-    if site.event is None:
-        raise TypeError(f"{site!r} is a write site")
-    return ITree(SiteNode(site, None, kont))
+        return VisO(self.site.written(self.value), self._after_write, konts)
 
 
 def write_at(site, rest: ITree) -> Callable[[UValue], ITree]:
-    """The continuation that writes its argument at ``site``, then runs
-    ``rest``.  The site is checked here, once, and not at each write."""
-    if site.event is not None:
-        raise TypeError(f"{site!r} is a read site")
+    """The continuation that writes its argument at the write site
+    ``site``, then runs ``rest``."""
     return lambda v: ITree(SiteNode(site, v, rest))
 
 
@@ -252,7 +235,7 @@ def trigger(event) -> ITree:
 def _resolve(head, konts):
     """Force deferred producers and consume pending continuations until a
     genuine node surfaces: a return with no binds pending, a silent run, an
-    event or a site node.  Returns that raw head and the binds still pending
+    event or a write node.  Returns that raw head and the binds still pending
     above it.
 
     Each resolution step consumes a pending continuation or a produced node,
@@ -290,7 +273,7 @@ def observe(t: ITree) -> Observation:
     """Resolve to the next return, silent step, or event node.
 
     Deferred producers are forced (once) and return-value continuations are
-    consumed until a genuine node surfaces (see ``_resolve``); a site node
+    consumed until a genuine node surfaces (see ``_resolve``); a write node
     is observed as the event node it stands for.
     """
     head, konts = _resolve(t._head, t._konts)

@@ -84,7 +84,10 @@ class EventInstance:
     it within an enclosing sum (empty for a bare event).  ``answer``, the
     shape the environment must answer with, is looked up at construction
     in a table the signature builds once.  Instances compare and hash by
-    (sig, kind, args, path) and are never assigned to after construction.
+    (sig, kind, args, path), and what an instance stands for never changes:
+    its one slot assigned after construction, ``memo``, is where the fused
+    store fold caches the event's route (see ``interp.interp_stores``), so
+    equality, hashing and ``repr`` leave it out.
 
     The class defines its own ``__init__``, which ``dataclass`` keeps, so
     that building an instance, as observing a write at a ``Site`` does, is
@@ -96,6 +99,7 @@ class EventInstance:
     args: tuple[UValue, ...] = ()
     path: tuple[str, ...] = ()
     answer: VType = field(init=False, compare=False, repr=False)
+    memo: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, sig: EventSig, kind: str, args: tuple[UValue, ...] = (),
                  path: tuple[str, ...] = ()):
@@ -107,6 +111,7 @@ class EventInstance:
         self.args = args
         self.path = path
         self.answer = answer
+        self.memo = (None, None)
 
     def at(self, path: tuple[str, ...]) -> "EventInstance":
         return EventInstance(self.sig, self.kind, self.args, path)
@@ -129,43 +134,34 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
 
 
 class Site:
-    """A store-event occurrence in the program text, built once with the
-    denotation that holds it.
+    """A store write in the program text, built once with the denotation
+    that holds it.
 
-    A site's kind takes a key, which makes it a read, or a key and a value,
-    which makes it a write; a write's declared answer must be the unit, so
-    its answer needs no continuation.  A read's ``event`` is built here,
-    through ``event``; a write's is None, since the value it writes is known
-    only when it runs, and ``written(value)`` builds it, without
+    A site's kind takes a key and a value and answers the unit, so a write
+    needs no continuation; any other kind is refused.  The key is known, and
+    checked, here; the value is known only when the write runs, so the
+    site's event is not built here: ``written(value)`` builds it, without
     ``event``'s check of the value, when a consumer observes the write.
-    ``tag`` is the answer type's ``sole_tag``, which the fused store fold
-    tests answers against.  Sites compare by identity, and what a site
-    stands for never changes: its one assigned slot, ``memo``, is where the
-    fused store fold caches the site's route, as (route table, entry).
+    Sites compare by identity, and what a site stands for never changes:
+    its one assigned slot, ``memo``, is where the fused store fold caches
+    the site's route, as it does an event's.
     """
 
-    __slots__ = ("sig", "kind", "key", "path", "answer", "tag", "event", "memo")
+    __slots__ = ("sig", "kind", "key", "path", "memo")
 
     def __init__(self, sig: EventSig, kind: str, key: UValue, path: tuple[str, ...] = ()):
         spec = sig.kind(kind)
         params = spec.params
-        answer = spec.answer
-        if len(params) == 2:
-            if answer.tag is not _UNIT:
-                raise WrongSignature(f"{kind} writes but answers {answer!r}, not the unit")
-            if not params[0].accepts(key):  # the message is built only for a mismatch
-                params[0].check(key, f"key of {kind}")
-            self.event = None
-            path = tuple(path)
-        else:  # a read, or event() refuses it
-            self.event = e = event(sig, kind, key, path=path)
-            path = e.path
+        if len(params) != 2:
+            raise WrongSignature(f"{kind} takes {len(params)} args, not a key and a value")
+        if spec.answer.tag is not _UNIT:
+            raise WrongSignature(f"{kind} writes but answers {spec.answer!r}, not the unit")
+        if not params[0].accepts(key):  # the message is built only for a mismatch
+            params[0].check(key, f"key of {kind}")
         self.sig = sig
         self.kind = kind
         self.key = key
-        self.path = path
-        self.answer = answer
-        self.tag = answer.sole_tag()
+        self.path = tuple(path)
         self.memo = (None, None)
 
     def written(self, value: UValue) -> EventInstance:

@@ -4,9 +4,9 @@ Statements denote trees over variable-access events plus an arbitrary extra
 alphabet; a second stage interprets those events into a finite map with
 default 0, giving the usual store-passing semantics.  Loops go through the
 iteration combinator, so divergence is representable and fuel only appears
-in the driver.  A denotation is in continuation-passing form, one site node
-per event at a site built with it, and builds each of its subtrees once;
-loop iterations and repeated runs replay them.
+in the driver.  A denotation is in continuation-passing form, one node per
+event, and builds each of its subtrees once; loop iterations and repeated
+runs replay them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, RetO, bind, lazy, read_at, ret, run_to_head, trigger, write_at
-from .events import LEFT, RIGHT, EventSig, KindSpec, Site, event
+from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis, write_at
+from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, Site, event
 from .interp import interp_stores
 from .values import (
     NAT_MASK,
@@ -329,31 +329,31 @@ IMP_STATE = EventSig(
 )
 
 
+def _get_var_event(name: str) -> EventInstance:
+    return event(IMP_STATE, "GetVar", sym(name), path=(LEFT,))
+
+
 def get_var(name: str) -> ITree:
-    return trigger(event(IMP_STATE, "GetVar", sym(name), path=(LEFT,)))
+    return trigger(_get_var_event(name))
 
 
 def set_var(name: str, v: UValue) -> ITree:
     return trigger(event(IMP_STATE, "SetVar", sym(name), v, path=(LEFT,)))
 
 
-# The denotations are in continuation-passing form: each event is one site
-# node whose continuation builds or returns the next tree, so no event goes
-# through a ``trigger`` and a pending bind.  Every variable read or
-# assignment in the text has its ``Site``, built with the denotation: a
-# read's node holds the site and its continuation, and an assignment's,
-# built when it runs, holds the site, the value and the tree after it, so no
-# event is built at run time.
+# The denotations are in continuation-passing form: each event is one node
+# whose continuation builds or returns the next tree, so no event goes
+# through a ``trigger`` and a pending bind.  Every variable read in the text
+# has its ``GetVar`` event, built with the denotation, and is one ``vis``
+# node over it.  Every assignment has its write ``Site``, built with the
+# denotation too; its node, built when it runs, holds the site, the value
+# and the tree after it, so no event is built at run time.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
 
-def _get_var_site(name: str) -> Site:
-    return Site(IMP_STATE, "GetVar", sym(name), (LEFT,))
-
-
 def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
-    """Append the ``GetVar`` site of each variable in ``e`` to ``reads``,
+    """Append the ``GetVar`` event of each variable in ``e`` to ``reads``,
     left to right, and return the function that computes ``e`` from the
     answers to them."""
     if isinstance(e, Lit):
@@ -361,7 +361,7 @@ def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
         return lambda answers: value
     if isinstance(e, Var):
         j = len(reads)
-        reads.append(_get_var_site(e.name))
+        reads.append(_get_var_event(e.name))
         return lambda answers: answers[j].payload
     f = _OPS[type(e)]
     lhs = _evaluator(e.lhs, reads)
@@ -373,12 +373,12 @@ def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
     """Evaluate ``e``, then continue with ``k`` of its value.
 
     Every variable is read by one ``GetVar`` node, left to right.  The
-    sites, and the node of the first read, are built here once; a later
+    events, and the node of the first read, are built here once; a later
     read's node holds the answers before it.  An expression without
     variables is computed here, so ``k`` runs here too.
     """
     if isinstance(e, Var):
-        return read_at(_get_var_site(e.name), k)
+        return vis(_get_var_event(e.name), k)
     reads = []
     value = _evaluator(e, reads)
     last = len(reads) - 1
@@ -392,7 +392,7 @@ def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
                 return k(nat(value(got)))
             return read(j + 1, got)
 
-        return read_at(reads[j], kont)
+        return vis(reads[j], kont)
 
     return read(0, ())
 
@@ -414,8 +414,8 @@ _DONE = ret(unit())
 def denote_stmt(s: Stmt) -> ITree:
     """Denote a statement: a tree that runs it and returns unit.
 
-    Each event is one site node whose continuation leads straight to the
-    next tree.  ``Seq`` tails and ``If`` arms are lazy subtrees, denoted on
+    Each event is one node whose continuation leads straight to the next
+    tree.  ``Seq`` tails and ``If`` arms are lazy subtrees, denoted on
     first observation and then shared, so a long ``Seq`` spine does not
     recurse and no statement is denoted twice; a ``while`` runs through
     ``iterate``."""

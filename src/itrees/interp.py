@@ -186,8 +186,9 @@ _HARD_STEPS = 4 * _BATCH_STEPS
 _NO_ROUTES: dict = {}  # what the table of ``interp_stores`` holds for a kind it never routes
 
 # Route tables by store count and routes, so that calls with equal routes
-# share one table and a site's cached route (``Site.memo``) serves them
-# all.  A caller that keeps changing its routes only refills the cache.
+# share one table and the route an event or write site caches (``memo``)
+# serves them all.  A caller that keeps changing its routes only refills
+# the cache.
 _TABLES: dict = {}
 _TABLES_KEPT = 64
 
@@ -204,6 +205,29 @@ def _route_table(routes: dict, n: int) -> dict:
         for (path, kind), (slot, default) in routes.items():
             table.setdefault(kind, {})[path] = (slot, default, 1 + len(path) + n - slot)
     return table
+
+
+def _route(table: dict, x) -> tuple:
+    """The route under ``table`` of ``x``, a store head's event or write
+    site, cached in ``x.memo``: (slot, default, steps, key, answer tag), or
+    () for none.  An event whose arguments do not fit its route, a key for
+    a read and a key and a value for a write, has no route, and neither has
+    a write site routed as a read."""
+    route = table.get(x.kind, _NO_ROUTES).get(x.path)
+    if route is None:
+        route = ()
+    elif type(x) is EventInstance:
+        args = x.args
+        if len(args) == (2 if route[1] is None else 1):
+            route += (args[0].payload, x.answer.sole_tag())
+        else:
+            route = ()
+    elif route[1] is None:  # a write site, which answers the unit
+        route += (x.key.payload, UNIT.tag)
+    else:
+        route = ()
+    x.memo = (table, route)
+    return route
 
 
 def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
@@ -233,26 +257,25 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and an answered store event feeds
     its answer straight to the event's continuation, with no observation or
-    tree built per event.  An event or site head is already resolved, so
+    tree built per event.  An event or write node is already resolved, so
     when a continuation returns one, as the denotations' continuations do,
     the pass goes straight to its route without calling ``_resolve``, and
     it queues the continuation's own pending binds in place.
 
-    A store event comes as a site node (``core.SiteNode``), as the
-    denotations emit them, or as a ``VisO``.  A site's route, key and
-    answer tag are looked up on its first visit under a route table and
-    cached on the site (``Site.memo``).  Calls with equal routes over as
-    many stores share one table, so a denotation run from several initial
-    stores looks each site up once.  A site node carries no event, so none
-    is built or taken apart; a write site's node holds the tree after it,
-    which the pass takes without a call.  A ``VisO`` store event has its
-    route looked up by kind and path and its key and value read off its
-    arguments.  From there both take the same step.  A site whose route
-    reads where the site writes, or the other way round, has no route.
-    Each answer is checked once, by one tag test when the event's declared
-    answer shape is decided by its tag (the unit, for a write), and a
-    mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
-    ``VisO.k`` would.
+    A store event comes as a ``VisO`` or, for a write the denotations emit,
+    as a write node (``core.SiteNode``).  Either way one helper,
+    ``_route``, looks up its route, key and answer tag on the first visit
+    of its event or write site under a route table, and caches them there
+    (``memo``); from there both take the same step.  Calls with equal
+    routes over as many stores share one table, so a denotation run from
+    several initial stores looks each of its events and sites up once.  An
+    event whose arguments do not fit its route, or a write site routed as
+    a read, has no route.  A write node carries no event, so none is built
+    or taken apart, and it holds the tree after it, which the pass takes
+    without a call.  Each answer is checked once, by one tag test when the
+    event's declared answer shape is decided by its tag (the unit, for a
+    write), and a mismatch raises ``AnswerTagMismatch`` at the read that
+    produced it, as ``VisO.k`` would.
 
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
@@ -280,11 +303,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     batch and nothing on the fold's per-step path.  ``eutt`` compares keys
     with ``==`` and relies on one condition: two equal keys lead to the
     same tree.  It holds because trees and continuations are pure and
-    immutable, a site never changes what it stands for (its cached route
-    only saves a lookup), and each component compares as finely as it
-    must: the fold and the binds (functions and ``_Cat`` nodes, with the
-    site nodes and sites their closures hold) by identity, the marked
-    ``TauO`` by its tail's identity, and the stores by content.
+    immutable, an event or a site never changes what it stands for (its
+    cached route only saves a lookup, and nothing else reads or writes
+    ``memo``), and each component compares as finely as it must: the fold
+    and the binds (functions and ``_Cat`` nodes, with the nodes, events and
+    sites their closures hold) by identity, the marked ``TauO`` by its
+    tail's identity, and the stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -305,7 +329,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         while True:
             kind = type(head)
-            if kind is not SiteNode and kind is not VisO:  # those are resolved
+            if kind is not VisO and kind is not SiteNode:  # those are resolved
                 try:
                     head, konts = _resolve(head, konts)
                 except Exception:
@@ -334,28 +358,14 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     for d in reversed(dicts):
                         v = pair(umap(d), v)
                     return taus(total, ret(v)) if total else ret(v)
-            if kind is SiteNode:
-                site = head.site
-                memo = site.memo
-                if memo[0] is table:
-                    route = memo[1]
-                else:  # the site's first visit under this table
-                    route = table.get(site.kind, _NO_ROUTES).get(site.path)
-                    if route is None or (route[1] is None) != (site.event is None):
-                        route = ()
-                    else:
-                        route += (site.key.payload, site.tag)
-                    site.memo = (table, route)
-                value = head.value
-                kont = head.next  # the tree after it, for a write
-            else:
-                e = head.event
-                route = table.get(e.kind, _NO_ROUTES).get(e.path)
-                if route is not None:
-                    args = e.args
-                    value = args[1] if route[1] is None else None
-                    route += (args[0].payload, e.answer.sole_tag())
+            if kind is VisO:
+                x = head.event
                 kont = head._kont
+            else:  # a write node
+                x = head.site
+                kont = head.next  # the tree after the write
+            memo = x.memo
+            route = memo[1] if memo[0] is table else _route(table, x)
             if not route:
                 ob = observe(ITree(head, konts))
                 e = ob.event
@@ -372,7 +382,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 if d is given[slot]:  # the batch's first write to this store
                     d = dict(d)
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
-                d[key] = value
+                d[key] = head.value if kind is SiteNode else x.args[1]
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)

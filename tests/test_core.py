@@ -20,7 +20,6 @@ from itrees import (
     eutt,
     nat,
     observe,
-    read_at,
     ret,
     run_to_head,
     spin,
@@ -33,7 +32,7 @@ from itrees import (
     write_at,
 )
 from itrees.events import LEFT
-from itrees.imp import IMP_STATE, set_var
+from itrees.imp import IMP_STATE, Var, denote_expr, set_var
 from itrees.samples import echo, input_ev, kill9
 
 from helpers import gen_kont, gen_tree, nested_taus
@@ -274,22 +273,25 @@ def test_answer_and_argument_tags_are_checked():
 
 
 def test_a_site_node_is_observed_as_its_event():
-    read = Site(IMP_STATE, "GetVar", sym("x"), (LEFT,))
     write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
-    for t in (read_at(read, write_at(write, ret(nat(3)))),
-              bind(read_at(read, write_at(write, ret(nat(3)))), ret)):
-        ob = observe(t)
-        assert type(ob) is VisO and ob.event is read.event
-        with pytest.raises(AnswerTagMismatch):
-            ob.k(unit())
-        u = ob.k(nat(5))
-        w = observe(u)
+    for t in (write_at(write, ret(nat(3)))(nat(5)),
+              bind(write_at(write, ret(nat(3)))(nat(5)), ret)):
+        w = observe(t)
+        assert type(w) is VisO
         assert w.event == event(IMP_STATE, "SetVar", sym("x"), nat(5), path=(LEFT,))
-        assert w == observe(u)
+        assert w == observe(t)
         with pytest.raises(AnswerTagMismatch):
             w.k(nat(0))
         assert observe(w.k(unit())) == RetO(nat(3))
-    with pytest.raises(TypeError, match="write site"):
-        read_at(write, ret)
-    with pytest.raises(TypeError, match="read site"):
-        write_at(read, ret(unit()))
+
+
+def test_a_read_node_is_its_own_observation():
+    # reads are vis nodes over an event built with the denotation, so
+    # observing one allocates nothing and gives the same node each time
+    t = denote_expr(Var("x"))
+    ob = observe(t)
+    assert observe(t) is ob
+    assert ob.event == event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
+    with pytest.raises(AnswerTagMismatch):
+        ob.k(unit())
+    assert observe(ob.k(nat(5))) == RetO(nat(5))

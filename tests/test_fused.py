@@ -39,7 +39,6 @@ from itrees import (
     map_default_sig,
     observe,
     pair,
-    read_at,
     ret,
     run_to_head,
     spin,
@@ -52,7 +51,7 @@ from itrees import (
 )
 from itrees import asm, compiler, imp
 from itrees.events import LEFT, RIGHT, EventInstance
-from itrees.interp import _BATCH_STEPS, _HARD_STEPS
+from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _TABLES, _TABLES_KEPT
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
@@ -567,13 +566,11 @@ def test_a_hand_built_write_of_a_wrong_value_raises_at_the_read():
         bad = EventInstance(IMP_STATE, "SetVar", (sym("x"), boolean(True)), (LEFT,))
         return bind(trigger(bad), lambda _: bind(get_var("z"), lambda _: get_var("x")))
 
-    def at_sites():
+    def at_site():
         write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
-        read_z = Site(IMP_STATE, "GetVar", sym("z"), (LEFT,))
-        read_x = Site(IMP_STATE, "GetVar", sym("x"), (LEFT,))
-        return write_at(write, read_at(read_z, lambda _: read_at(read_x, ret)))(boolean(True))
+        return write_at(write, bind(get_var("z"), lambda _: get_var("x")))(boolean(True))
 
-    for make in (program, at_sites):
+    for make in (program, at_site):
         _raises_answer_mismatch_at(lambda: interp_imp(make(), env_of()), 9)
 
 
@@ -583,14 +580,12 @@ def test_an_answer_shape_a_tag_does_not_decide_is_checked_in_full():
     lbl = EventSig("Lbl", (KindSpec("Get", (SYM_T,), label_t(3)),
                            KindSpec("Set", (SYM_T, label_t(3)), UNIT_T)))
     routes = {((LEFT,), "Get"): (0, label(0, 3)), ((LEFT,), "Set"): (0, None)}
-    reads = (trigger(event(lbl, "Get", sym("x"), path=(LEFT,))),
-             read_at(Site(lbl, "Get", sym("x"), (LEFT,)), ret))
-    for t in reads:
-        store = umap({"x": label(2, 3)})
-        got = run_to_head(interp_stores(t, (store,), routes, (RIGHT,)), FUEL)
-        assert got == (RetO(pair(store, label(2, 3))), 3)
-        with pytest.raises(AnswerTagMismatch):
-            run_to_head(interp_stores(t, (umap({"x": label(2, 4)}),), routes, (RIGHT,)), FUEL)
+    t = trigger(event(lbl, "Get", sym("x"), path=(LEFT,)))
+    store = umap({"x": label(2, 3)})
+    got = run_to_head(interp_stores(t, (store,), routes, (RIGHT,)), FUEL)
+    assert got == (RetO(pair(store, label(2, 3))), 3)
+    with pytest.raises(AnswerTagMismatch):
+        run_to_head(interp_stores(t, (umap({"x": label(2, 4)}),), routes, (RIGHT,)), FUEL)
 
 
 def test_a_site_follows_the_routes_of_each_run():
@@ -603,6 +598,20 @@ def test_a_site_follows_the_routes_of_each_run():
         regs = umap({0: nat(default), 1: nat(default)})
         assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
             RetO(pair(umap(), pair(regs, label(0, 1)))), 14)
+
+
+def test_cached_routes_follow_the_route_tables_through_eviction():
+    # more route sets than interp keeps tables for, twice round: tables are
+    # dropped and rebuilt while the unit's events and sites still cache
+    # routes under the dropped ones
+    move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r1, r2\n  jmp 0\n")
+    t = den_asm(move)(label(0, 1))
+    defaults = range(_TABLES_KEPT + 6)
+    for default in list(defaults) * 2:
+        regs = umap({1: nat(default)})
+        assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
+            RetO(pair(umap(), pair(regs, label(0, 1)))), 6)
+    assert len(_TABLES) < len(defaults)
 
 
 def _run(t):
@@ -744,13 +753,14 @@ def _layered_two_paths(t, s0, s1):
 
 
 def _var(kind, path, name, *value, at_site=False):
-    if not at_site:
+    """A read, or a write of ``value``, as an event node, or for a write
+    with ``at_site`` as a write node at its site."""
+    if not (at_site and value):
         return trigger(event(IMP_STATE, kind, sym(name), *value, path=path))
-    site = Site(IMP_STATE, kind, sym(name), path)
-    return write_at(site, ret(unit()))(*value) if value else read_at(site, ret)
+    return write_at(Site(IMP_STATE, kind, sym(name), path), ret(unit()))(*value)
 
 
-# Which of the program's events, by position, are site nodes.
+# Which of the program's writes, by position, are write nodes.
 _AT_SITES = {"none": lambda j: False, "all": lambda j: True,
              "even": lambda j: j % 2 == 0, "odd": lambda j: j % 2 == 1}
 
@@ -758,7 +768,7 @@ _AT_SITES = {"none": lambda j: False, "all": lambda j: True,
 def _two_path_program(third, at_sites="none"):
     """Writes and reads of ``x`` and ``y`` through both routed paths, then
     one GetVar on the path ``third``, whose answer is written to ``z``.
-    The events ``_AT_SITES[at_sites]`` picks are site nodes."""
+    The writes ``_AT_SITES[at_sites]`` picks are write nodes."""
     left, right = (LEFT,), (RIGHT, LEFT)
     pick = _AT_SITES[at_sites]
 
@@ -778,7 +788,7 @@ def _two_path_program(third, at_sites="none"):
 
 
 def test_one_kind_on_two_paths_reaches_two_stores():
-    # site nodes and VisO events take the same step of the fold
+    # write nodes and VisO events take the same step of the fold
     s0, s1 = env_of({"v": 5}), env_of({"x": 9})
     layered = _layered_two_paths(_two_path_program(_OUTWARD), s0, s1)
     for at_sites in sorted(_AT_SITES):
@@ -812,8 +822,28 @@ def test_one_kind_on_an_unrouted_path_raises_like_the_layered_stack():
 
 
 def test_a_site_whose_route_reads_where_it_writes_has_no_route():
+    # event nodes, hand-built with trigger, and write nodes alike: a read's
+    # one argument does not fit a write route, nor a write's two a read's
     routes = {((LEFT,), "GetVar"): (0, None), ((LEFT,), "SetVar"): (0, nat(0))}
-    for kind, value in (("GetVar", ()), ("SetVar", (nat(1),))):
-        t = _var(kind, (LEFT,), "x", *value, at_site=True)
+    for kind, value, at_site in (("GetVar", (), False), ("SetVar", (nat(1),), False),
+                                 ("SetVar", (nat(1),), True)):
+        t = _var(kind, (LEFT,), "x", *value, at_site=at_site)
         with pytest.raises(UnhandledEvent, match=f"L:{kind}"):
             run_to_head(interp_stores(t, (env_of(),), routes, (RIGHT,)), FUEL)
+
+
+def test_an_event_whose_arguments_do_not_fit_its_route_raises_at_its_step():
+    # EventInstance skips event()'s arity check; a GetVar without its key
+    # has no route, so it raises at its own step, the layered stack's
+    # renaming fold spending one more first, as for any unrouted event
+    def make(run):
+        bad = EventInstance(IMP_STATE, "GetVar", (), (LEFT,))
+        return run(taus(5, trigger(bad)), env_of())
+
+    for fuel in range(5):
+        ob, steps = run_to_head(make(interp_imp), fuel)
+        assert (type(ob), steps) == (TauO, fuel)
+    for fuel in (5, 6, FUEL):
+        with pytest.raises(UnhandledEvent):
+            run_to_head(make(interp_imp), fuel)
+    assert _least_raising_fuel(make(layered_interp_imp), 100)[0] == 6

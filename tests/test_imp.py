@@ -292,10 +292,10 @@ def test_statements_are_denoted_once_however_long_the_loop_runs(monkeypatch):
 
 
 def test_events_are_built_once_however_long_the_loop_runs(monkeypatch, tmp_path):
-    # Every read or write in the text has its site, built with the
-    # denotation; a read's event is built with its site, and a write's only
-    # when something observes it, which the fused fold never does.  So no
-    # event, writes included, is built per execution of the loop.
+    # Every read in the text has its event, and every write its site, built
+    # with the denotation; a write's event is built only when something
+    # observes it, which the fused fold never does.  So no event, writes
+    # included, is built per execution of the loop.
     calls = 0
     build = EventInstance.__init__
 

@@ -4,13 +4,18 @@ The tree core keeps its node types, bind queue and resolver private.  Only
 the core itself and the fused store fold in ``interp`` may use them, so
 there is one resolution loop and one fold that steps it directly.
 
+Store events and write sites cache their route in a ``memo`` slot that
+only ``events``, which defines it, and the fused store fold in ``interp``
+may read or assign: the fold's loop key relies on an event or a site never
+changing what it stands for, and the cache only saves a lookup.
+
 Both denotations iterate only through ``combinators.iterate``: ``imp`` and
 ``asm`` use no other iteration combinator, and ``asm`` takes no sums apart
 itself, so every loop of either language is one ``iterate`` on one argument.
 
-Both denotations are in continuation-passing form: each event is one site
-node, so ``imp`` and ``asm`` use ``trigger`` only in their public
-single-event helpers.
+Both denotations are in continuation-passing form: each event is one node,
+a ``vis`` node for a read and a write node for a write, so ``imp`` and
+``asm`` use ``trigger`` only in their public single-event helpers.
 
 The package exports its functions and types by an explicit list, which
 names no submodule.
@@ -80,6 +85,38 @@ def test_the_check_sees_private_imports():
     }
     for text, want in samples.items():
         assert _core_privates(ast.parse(text)) == want, text
+
+
+MAY_USE_ROUTE_CACHE = {"events.py", "interp.py"}
+
+
+def _memo_uses(tree):
+    """The lines where a module reads or assigns a ``memo`` attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "memo"]
+
+
+def test_only_events_and_the_store_fold_use_the_route_cache():
+    offenders = {}
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name in MAY_USE_ROUTE_CACHE:
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            used = _memo_uses(ast.parse(fh.read(), name))
+        if used:
+            offenders[name] = used
+    assert offenders == {}
+
+
+def test_the_check_sees_route_cache_uses():
+    samples = {
+        "def f(e):\n    return e.memo": [2],
+        "e.memo = (None, None)": [1],
+        "x = head.event.memo[1]": [1],
+        "getattr(e, 'memo')\nmemo = e.args": [],
+    }
+    for text, want in samples.items():
+        assert _memo_uses(ast.parse(text)) == want, text
 
 
 ITERATES_ONLY_THROUGH_ITERATE = {
