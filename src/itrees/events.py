@@ -117,7 +117,7 @@ class EventInstance:
         return EventInstance(self.sig, self.kind, self.args, path)
 
     def __repr__(self):
-        inside = ",".join(repr(a.payload) for a in self.args)
+        inside = ",".join(repr(a.payload if isinstance(a, UValue) else a) for a in self.args)
         where = "".join(self.path)
         prefix = f"{where}:" if where else ""
         return f"{prefix}{self.kind}({inside})"

@@ -11,6 +11,7 @@ single pass with the same step counts.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from .core import (
@@ -175,50 +176,36 @@ def interp_map(t: ITree, m0: UValue) -> ITree:
 
 # The fused store-passing fold.
 
-# The silent steps after which a batch of ``interp_stores`` hands a node to
-# its consumer; a source silent run that crosses it ends the batch whole.
-# A tree can step silently or emit store events forever, and observing the
-# interpreted tree must still return.  A batch that has passed a loop mark
-# goes on to the next mark instead, but never past ``_HARD_STEPS``.
+# The silent steps after which a batch of ``interp_stores`` ends, so that
+# observing a tree that steps silently or emits store events forever still
+# returns.  The batch ends after the silent run or store event that reaches
+# them, taking a run whole.  A batch that has passed a loop mark goes on to
+# the next mark instead, but never past ``_HARD_STEPS``.
 _BATCH_STEPS = 256
 _HARD_STEPS = 4 * _BATCH_STEPS
 
-_NO_ROUTES: dict = {}  # what the table of ``interp_stores`` holds for a kind it never routes
 
-# Route tables by store count and routes, so that calls with equal routes
-# share one table and the route an event or write site caches (``memo``)
-# serves them all.  A caller that keeps changing its routes only refills
-# the cache.
-_TABLES: dict = {}
-_TABLES_KEPT = 64
-
-
-def _route_table(routes: dict, n: int) -> dict:
-    """kind -> path -> (slot, default, steps) over ``n`` stores, keyed by
-    kind, then path, so no key tuple is built per event."""
-    key = (n, tuple(routes.items()))
-    table = _TABLES.get(key)
-    if table is None:
-        if len(_TABLES) >= _TABLES_KEPT:
-            _TABLES.clear()
-        table = _TABLES[key] = {}
-        for (path, kind), (slot, default) in routes.items():
-            table.setdefault(kind, {})[path] = (slot, default, 1 + len(path) + n - slot)
-    return table
+@lru_cache(maxsize=64)
+def _route_table(n: int, items: tuple) -> dict:
+    """(path, kind) -> (slot, default, steps) over ``n`` stores, for the
+    routes ``items``.  Calls with equal routes share one table, so the
+    route an event or write site caches (``memo``) serves them all."""
+    return {where: (slot, default, 1 + len(where[0]) + n - slot)
+            for where, (slot, default) in items}
 
 
 def _route(table: dict, x) -> tuple:
     """The route under ``table`` of ``x``, a store head's event or write
     site, cached in ``x.memo``: (slot, default, steps, key, answer tag), or
     () for none.  An event whose arguments do not fit its route, a key for
-    a read and a key and a value for a write, has no route, and neither has
-    a write site routed as a read."""
-    route = table.get(x.kind, _NO_ROUTES).get(x.path)
+    a read and a key and a value for a write, or whose key is not a value,
+    has no route, and neither has a write site routed as a read."""
+    route = table.get((x.path, x.kind))
     if route is None:
         route = ()
     elif type(x) is EventInstance:
         args = x.args
-        if len(args) == (2 if route[1] is None else 1):
+        if len(args) == (2 if route[1] is None else 1) and isinstance(args[0], UValue):
             route += (args[0].payload, x.answer.sole_tag())
         else:
             route = ()
@@ -263,15 +250,16 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     it queues the continuation's own pending binds in place.
 
     A store event comes as a ``VisO`` or, for a write the denotations emit,
-    as a write node (``core.SiteNode``).  Either way one helper,
-    ``_route``, looks up its route, key and answer tag on the first visit
-    of its event or write site under a route table, and caches them there
-    (``memo``); from there both take the same step.  Calls with equal
-    routes over as many stores share one table, so a denotation run from
-    several initial stores looks each of its events and sites up once.  An
-    event whose arguments do not fit its route, or a write site routed as
-    a read, has no route.  A write node carries no event, so none is built
-    or taken apart, and it holds the tree after it, which the pass takes
+    as a write node (``core.SiteNode``).  Either way its route is read from
+    one flat table, (path, kind) -> (slot, default, steps), interned so that
+    calls with equal routes over as many stores share it, and read only on
+    the first visit of the event or write site under that table:
+    ``_route`` caches the route, key and answer tag there (``memo``), and
+    from there both take the same step.  A denotation run from several
+    initial stores thus looks each of its events and sites up once.  An
+    event whose arguments do not fit its route, or a write site routed as a
+    read, has no route.  A write node carries no event, so none is built or
+    taken apart, and it holds the tree after it, which the pass takes
     without a call.  Each answer is checked once, by one tag test when the
     event's declared answer shape is decided by its tag (the unit, for a
     write), and a mismatch raises ``AnswerTagMismatch`` at the read that
@@ -280,40 +268,46 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
     whole skip it at once, and a batch takes the source's silent runs whole
-    too, so a loop iteration or a block jump does not end it.  A batch ends
-    at a return; at an outward event, after its steps; before a node whose
-    observation or continuation raises, or that has no route, so the tree
-    raises at the step it would raise unbatched; and once it holds
-    ``_BATCH_STEPS`` steps or more, so that observing ``spin()`` or a tree
-    of endless store events returns.  A batch copies each store at most
-    once, on its first write to it, and never writes the stores it was
-    handed, so a batch that runs again, or an outward event answered twice,
-    starts from the same stores.
+    too, so a loop iteration or a block jump does not end it.  Loops mark
+    their re-entry nodes (``iterate``).  A batch ends:
 
-    Loops mark their re-entry nodes (``iterate``).  A batch that has
-    passed a mark and holds ``_BATCH_STEPS`` steps or more ends at the next
-    mark, before its step, or once it holds ``_HARD_STEPS`` or more, so a
-    long loop body cannot stretch it; a source with no marks ends every
-    batch at ``_BATCH_STEPS`` as before.  Grouping steps into batches is
-    not observable, so step counts do not change.  A batch that ends at a
-    mark carries in ``TauO._key`` the loop key: the fold, the marked head,
-    the pending binds and the stores, the whole state the rest of the tree
-    is a function of.  The stores are snapshots there, since the next batch
-    copies a store before it writes to it, so the key costs one tuple per
-    batch and nothing on the fold's per-step path.  ``eutt`` compares keys
-    with ``==`` and relies on one condition: two equal keys lead to the
-    same tree.  It holds because trees and continuations are pure and
-    immutable, an event or a site never changes what it stands for (its
-    cached route only saves a lookup, and nothing else reads or writes
-    ``memo``), and each component compares as finely as it must: the fold
-    and the binds (functions and ``_Cat`` nodes, with the nodes, events and
-    sites their closures hold) by identity, the marked ``TauO`` by its
-    tail's identity, and the stores by content.
+    - at a return;
+    - at an outward event, after its steps;
+    - at a store event whose answer does not fit or whose continuation
+      raises, after its steps, leaving the raise to the event's ``VisO.k``;
+    - or before a node, as one silent-run node whose tail runs the next
+      batch: before a node whose producer raises, or an event that has no
+      route and is not outward, so the tree raises at the step it would
+      raise unbatched (a batch with no steps raises there and then); after
+      the silent run or store event that brings it to ``_BATCH_STEPS``
+      steps, or to ``_HARD_STEPS`` once it has passed a mark, so that
+      observing ``spin()`` or a tree of endless store events returns and a
+      long loop body cannot stretch it; and at a mark, before its step,
+      once it has passed a mark and holds ``_BATCH_STEPS`` steps or more.
+
+    A batch copies each store at most once, on its first write to it, and
+    never writes the stores it was handed, so a batch that runs again, or
+    an outward event answered twice, starts from the same stores.  Grouping
+    steps into batches is not observable, so step counts do not change.
+
+    A batch that ends at a mark carries in ``TauO._key`` the loop key: the
+    fold, the marked head, the pending binds and the stores, the whole
+    state the rest of the tree is a function of.  The stores are snapshots
+    there, since the next batch copies a store before it writes to it, so
+    the key costs one tuple per batch and nothing on the fold's per-step
+    path.  ``eutt`` compares keys with ``==`` and relies on one condition:
+    two equal keys lead to the same tree.  It holds because trees and
+    continuations are pure and immutable, an event or a site never changes
+    what it stands for (its cached route only saves a lookup, and nothing
+    else reads or writes ``memo``), and each component compares as finely
+    as it must: the fold and the binds (functions and ``_Cat`` nodes, with
+    the nodes, events and sites their closures hold) by identity, the
+    marked ``TauO`` by its tail's identity, and the stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
     n = len(stores)
-    table = _route_table(routes, n)
+    table = _route_table(n, tuple(routes.items()))
     cut = len(outward)
     outward_steps = 1 + cut + n
 
@@ -327,6 +321,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         given = dicts
         total = 0
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
+        loop_key = None  # set only by a batch that ends at a mark
         while True:
             kind = type(head)
             if kind is not VisO and kind is not SiteNode:  # those are resolved
@@ -335,14 +330,14 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 except Exception:
                     if not total:
                         raise
-                    return taus(total, lazy(lambda: go(head, konts, dicts)))
+                    break
                 kind = type(head)
                 if kind is TauO:
                     if head._mark:
                         # at the cap here only if the batch passed a mark
                         if total >= _BATCH_STEPS:
-                            return ITree(TauO(lazy(lambda: go(head, konts, dicts)), total,
-                                              _key=(go, head, konts, dicts)))
+                            loop_key = (go, head, konts, dicts)
+                            break
                         limit = _HARD_STEPS
                     total += head.run
                     tail = head._tail
@@ -351,7 +346,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     if more is not None:
                         konts = more if konts is None else _Cat(more, konts)
                     if total >= limit:
-                        return taus(total, lazy(lambda: go(head, konts, dicts)))
+                        break
                     continue
                 if kind is RetO:
                     v = head.value
@@ -375,7 +370,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                         e.at(path[cut:]), lambda x: lazy(lambda: resume(ob.k(x), dicts))))
                 if not total:
                     raise UnhandledEvent(f"{e!r} has no route in interp_stores")
-                return taus(total, lazy(lambda: go(head, konts, dicts)))
+                break
             slot, default, steps, key, tag = route
             if default is None:
                 d = dicts[slot]
@@ -400,7 +395,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             if more is not None:
                 konts = more if konts is None else _Cat(more, konts)
             if total >= limit:
-                return taus(total, lazy(lambda: go(head, konts, dicts)))
+                break
+        return ITree(TauO(lazy(lambda: go(head, konts, dicts)), total, _key=loop_key))
 
     def resume(t, dicts):
         return go(t._head, t._konts, dicts)

@@ -203,7 +203,7 @@ class VType:
 
     def accepts(self, v: UValue) -> bool:
         tag = self.tag
-        if v.tag is not tag or tag is _EMPTY:
+        if not isinstance(v, UValue) or v.tag is not tag or tag is _EMPTY:
             return False
         return tag is not _LABEL or self.bound is None or v.bound == self.bound
 

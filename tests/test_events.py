@@ -8,6 +8,7 @@ from itrees import (
     NAT_T,
     UNIT_T,
     AmbiguousSignature,
+    AnswerTagMismatch,
     EventSig,
     KindSpec,
     SignatureNotFound,
@@ -76,6 +77,16 @@ def test_sites_are_writes_of_a_key():
         Site(IMP_STATE, "DelVar", sym("x"))
     with pytest.raises(Exception, match="key of"):
         Site(IMP_STATE, "SetVar", nat(1))
+
+
+def test_a_key_that_is_not_a_value_is_refused_or_shown_raw():
+    # event() and Site check the key; a hand-built event shows it with repr
+    with pytest.raises(AnswerTagMismatch, match="argument of GetVar"):
+        event(IMP_STATE, "GetVar", "x")
+    with pytest.raises(AnswerTagMismatch, match="key of SetVar"):
+        Site(IMP_STATE, "SetVar", "x")
+    assert repr(EventInstance(IMP_STATE, "GetVar", ("x",), (LEFT,))) == "L:GetVar('x')"
+    assert repr(EventInstance(IMP_STATE, "SetVar", (sym("x"), 3))) == "SetVar('x',3)"
 
 
 def test_events_cache_a_route_outside_equality():

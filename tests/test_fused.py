@@ -7,6 +7,7 @@ the CLI goldens and checker witnesses count steps, exactly step for step.
 """
 
 import os
+import sys
 
 import pytest
 
@@ -51,7 +52,7 @@ from itrees import (
 )
 from itrees import asm, compiler, imp
 from itrees.events import LEFT, RIGHT, EventInstance
-from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _TABLES, _TABLES_KEPT
+from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _route_table
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
@@ -606,12 +607,29 @@ def test_cached_routes_follow_the_route_tables_through_eviction():
     # routes under the dropped ones
     move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r1, r2\n  jmp 0\n")
     t = den_asm(move)(label(0, 1))
-    defaults = range(_TABLES_KEPT + 6)
+    defaults = range(_route_table.cache_info().maxsize + 6)
     for default in list(defaults) * 2:
         regs = umap({1: nat(default)})
         assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
             RetO(pair(umap(), pair(regs, label(0, 1)))), 6)
-    assert len(_TABLES) < len(defaults)
+    assert _route_table.cache_info().currsize < len(defaults)
+
+
+def test_runs_with_equal_routes_share_the_cached_routes(monkeypatch):
+    # a denotation run again from another store, under the same routes,
+    # finds every event's and site's route cached from the first run
+    calls = []
+    fold = sys.modules["itrees.interp"]  # ``itrees.interp`` is the function
+    route = fold._route
+    monkeypatch.setattr(fold, "_route", lambda table, x: calls.append(x) or route(table, x))
+    prog = parse_imp("z := x + 2; while z do z := z - 1; y := y + z end")
+    source = denote_stmt(prog)
+    target = den_asm(compile_stmt(prog))(label(0, 1))
+    for store in (umap(), umap({"x": nat(3)})):
+        calls.clear()
+        for t in (interp_imp(source, store), interp_asm(target, store, umap())):
+            assert type(run_to_head(t, FUEL)[0]) is RetO
+        assert bool(calls) == (store == umap())
 
 
 def _run(t):
@@ -847,3 +865,21 @@ def test_an_event_whose_arguments_do_not_fit_its_route_raises_at_its_step():
         with pytest.raises(UnhandledEvent):
             run_to_head(make(interp_imp), fuel)
     assert _least_raising_fuel(make(layered_interp_imp), 100)[0] == 6
+
+
+def test_an_event_whose_key_is_not_a_value_raises_at_its_step():
+    # a hand-built GetVar keyed by a raw string has no route, so it raises
+    # UnhandledEvent at its own step, naming the event; the layered stack's
+    # renaming fold spends one more step and then refuses the key
+    def make(run):
+        bad = EventInstance(IMP_STATE, "GetVar", ("x",), (LEFT,))
+        return run(taus(5, trigger(bad)), env_of())
+
+    for fuel in range(5):
+        ob, steps = run_to_head(make(interp_imp), fuel)
+        assert (type(ob), steps) == (TauO, fuel)
+    for fuel in (5, 6, FUEL):
+        with pytest.raises(UnhandledEvent, match=r"L:GetVar\('x'\)"):
+            run_to_head(make(interp_imp), fuel)
+    at, err = _least_raising_fuel(make(layered_interp_imp), 100)
+    assert at == 6 and issubclass(err, AnswerTagMismatch)

@@ -108,6 +108,15 @@ def test_each_type_accepts_exactly_its_tag():
             v for v in ALL_VALUES if v.tag is vt.tag]
 
 
+def test_types_refuse_what_is_not_a_value():
+    # a raw payload fits no type, so a check raises AnswerTagMismatch
+    for vt in (UNIT_T, NAT_T, BOOL_T, SYM_T, MAP_T, EMPTY_T, label_t(2)):
+        assert not any(vt.accepts(raw) for raw in ("x", 3, None, (nat(1),)))
+    assert NAT_T.accepts("x") is False
+    with pytest.raises(AnswerTagMismatch, match="'x' does not fit nat"):
+        NAT_T.check("x")
+
+
 def test_a_label_type_refuses_a_label_of_another_bound():
     assert label_t(2).accepts(label(1, 2))
     assert not label_t(2).accepts(label(0, 1))
