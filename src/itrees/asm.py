@@ -222,8 +222,12 @@ def halt() -> ITree:
 # same ones.  A register read or a load is a ``vis`` node over an event
 # built with the unit, and so is its node, unless it holds an earlier
 # answer.  Every register or memory write has its write ``Site``, built with
-# the unit too; a write's node is built when it runs and holds the site, the
-# value and the tree after it, so no event is built at run time.  The value
+# the unit too, and its continuation is a ``Write`` of that site, so no
+# event is built at run time.  A move (``load``, ``mov`` or ``store`` of a
+# register) hands the ``Write`` to its read, and the fused store fold
+# answers the write in place; only a computed write (``add``, ``sub``,
+# ``mul``) builds its node when it runs, holding the site, the value and
+# the tree after it, through the ``Write``'s bound ``__call__``.  The value
 # is a checked answer or a fresh ``nat``, so the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
@@ -247,14 +251,15 @@ def _instr_then(i: Instr, rest: ITree) -> ITree:
     if isinstance(i, Iload):
         return vis(_load_event(i.addr), write)
     f = _OPS[type(i)]
+    put = write.__call__
     if isinstance(i.rhs, Oimm):
         b = nat(i.rhs.value).payload  # checked, as a read of it would be
-        then = lambda a: write(nat(f(a.payload, b)))
+        then = lambda a: put(nat(f(a.payload, b)))
     else:
         # the second read's node holds the first answer, so it is built
         # when it runs
         read_rhs = _get_reg_event(i.rhs.reg)
-        then = lambda a: vis(read_rhs, lambda b: write(nat(f(a.payload, b.payload))))
+        then = lambda a: vis(read_rhs, lambda b: put(nat(f(a.payload, b.payload))))
     return vis(_get_reg_event(i.lhs), then)
 
 

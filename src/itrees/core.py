@@ -13,6 +13,10 @@ carries them.  A write node is a store write at a prebuilt ``events.Site``
 holding the value it writes and the tree after it; ``observe`` turns one
 into the event node it stands for, while the fused store fold
 (``interp.interp_stores``) runs it without building that node or its event.
+A write's continuation is a ``Write``, which builds the write node when
+called.  The fold answers a move, a read whose continuation is a
+``Write``, in place and calls nothing, so only a computed write, whose
+value the program works out, builds a write node.
 """
 
 from __future__ import annotations
@@ -162,7 +166,9 @@ Observation = RetO | TauO | VisO
 class SiteNode:
     """A store write at a prebuilt site (``events.Site``): ``value`` is the
     value written and ``next`` the tree after the write, whose answer is
-    always the unit.  Build one with ``write_at``."""
+    always the unit.  A ``Write`` continuation builds one when it is called,
+    which the fused store fold does only for a computed write: it answers a
+    move, a read continued by a ``Write``, without one."""
 
     __slots__ = ("site", "value", "next")
 
@@ -181,10 +187,32 @@ class SiteNode:
         return VisO(self.site.written(self.value), self._after_write, konts)
 
 
-def write_at(site, rest: ITree) -> Callable[[UValue], ITree]:
+class Write:
     """The continuation that writes its argument at the write site
-    ``site``, then runs ``rest``."""
-    return lambda v: ITree(SiteNode(site, v, rest))
+    ``site``, then runs ``rest``: called with a value, it returns the write
+    node (``SiteNode``) of that value.
+
+    A read continued by a ``Write`` is a move, whose answer is written
+    unchanged; the fused store fold sees the ``Write`` and does the write in
+    place, building no node and calling nothing.  A computed write calls the
+    bound method ``__call__``, taken once when the denotation is built,
+    rather than the instance, whose call is dispatched through its type.
+    """
+
+    __slots__ = ("site", "rest")
+
+    def __init__(self, site, rest: ITree):
+        self.site = site
+        self.rest = rest
+
+    def __call__(self, v: UValue) -> ITree:
+        return ITree(SiteNode(self.site, v, self.rest))
+
+
+def write_at(site, rest: ITree) -> Write:
+    """The continuation that writes its argument at the write site
+    ``site``, then runs ``rest`` (a ``Write``)."""
+    return Write(site, rest)
 
 
 def ret(v: UValue) -> ITree:

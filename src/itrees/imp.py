@@ -346,8 +346,11 @@ def set_var(name: str, v: UValue) -> ITree:
 # through a ``trigger`` and a pending bind.  Every variable read in the text
 # has its ``GetVar`` event, built with the denotation, and is one ``vis``
 # node over it.  Every assignment has its write ``Site``, built with the
-# denotation too; its node, built when it runs, holds the site, the value
-# and the tree after it, so no event is built at run time.
+# denotation too, and its continuation is a ``Write`` of that site, so no
+# event is built at run time.  A move (``x := y``) hands the ``Write`` to
+# its read, and the fused store fold answers the write in place; only a
+# computed write builds its node when it runs, holding the site, the value
+# and the tree after it, through the ``Write``'s bound ``__call__``.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
@@ -428,8 +431,9 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
         return rest
     if isinstance(s, Assign):
         # the value is a checked answer or a fresh nat, so the write needs
-        # no argument check
-        return _expr_then(s.expr, write_at(Site(IMP_STATE, "SetVar", sym(s.name), (LEFT,)), rest))
+        # no argument check; a move hands its read the ``Write`` itself
+        write = write_at(Site(IMP_STATE, "SetVar", sym(s.name), (LEFT,)), rest)
+        return _expr_then(s.expr, write if isinstance(s.expr, Var) else write.__call__)
     if isinstance(s, Seq):
         second = s.second
         return _stmt_then(s.first, lazy(lambda: _stmt_then(second, rest)))

@@ -20,6 +20,7 @@ from .core import (
     SiteNode,
     TauO,
     VisO,
+    Write,
     _Cat,
     _resolve,
     bind,
@@ -250,20 +251,27 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     it queues the continuation's own pending binds in place.
 
     A store event comes as a ``VisO`` or, for a write the denotations emit,
-    as a write node (``core.SiteNode``).  Either way its route is read from
+    as a write node (``core.SiteNode``), or it is a move's write: a read
+    whose continuation is a ``core.Write``.  Any way its route is read from
     one flat table, (path, kind) -> (slot, default, steps), interned so that
     calls with equal routes over as many stores share it, and read only on
     the first visit of the event or write site under that table:
     ``_route`` caches the route, key and answer tag there (``memo``), and
-    from there both take the same step.  A denotation run from several
+    from there all take the same step.  A denotation run from several
     initial stores thus looks each of its events and sites up once.  An
     event whose arguments do not fit its route, or a write site routed as a
     read, has no route.  A write node carries no event, so none is built or
     taken apart, and it holds the tree after it, which the pass takes
-    without a call.  Each answer is checked once, by one tag test when the
-    event's declared answer shape is decided by its tag (the unit, for a
-    write), and a mismatch raises ``AnswerTagMismatch`` at the read that
-    produced it, as ``VisO.k`` would.
+    without a call.  A move's write is answered in place: once the read's
+    answer has passed its tag test, the pass writes it at the ``Write``'s
+    site and goes on with the ``Write``'s tree, building no node and
+    calling nothing, so only a computed write builds a node.  When the
+    site has no route, or the read's steps bring the batch to its cap, the
+    pass calls the ``Write`` and takes the write node's step as it comes.
+    Each answer is checked once, by one tag test when the event's declared
+    answer shape is decided by its tag (the unit, for a write), and a
+    mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
+    ``VisO.k`` would.
 
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
@@ -280,7 +288,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
       route and is not outward, so the tree raises at the step it would
       raise unbatched (a batch with no steps raises there and then); after
       the silent run or store event that brings it to ``_BATCH_STEPS``
-      steps, or to ``_HARD_STEPS`` once it has passed a mark, so that
+      steps, or to ``_HARD_STEPS`` once it has passed a mark (a move's
+      read that does so ends it before its write node), so that
       observing ``spin()`` or a tree of endless store events returns and a
       long loop body cannot stretch it; and at a mark, before its step,
       once it has passed a mark and holds ``_BATCH_STEPS`` steps or more.
@@ -299,9 +308,10 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     two equal keys lead to the same tree.  It holds because trees and
     continuations are pure and immutable, an event or a site never changes
     what it stands for (its cached route only saves a lookup, and nothing
-    else reads or writes ``memo``), and each component compares as finely
-    as it must: the fold and the binds (functions and ``_Cat`` nodes, with
-    the nodes, events and sites their closures hold) by identity, the
+    else reads or writes ``memo``), nor does a ``Write``, whose site and
+    tree are set once, and each component compares as finely as it must:
+    the fold and the binds (functions, ``Write`` continuations and ``_Cat``
+    nodes, with the nodes, events and sites they hold) by identity, the
     marked ``TauO`` by its tail's identity, and the stores by content.
     """
     for m in stores:
@@ -372,6 +382,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     raise UnhandledEvent(f"{e!r} has no route in interp_stores")
                 break
             slot, default, steps, key, tag = route
+            total += steps
             if default is None:
                 d = dicts[slot]
                 if d is given[slot]:  # the batch's first write to this store
@@ -381,11 +392,30 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)
-            total += steps
+                if type(kont) is Write and answer.tag is tag and total < limit:
+                    x = kont.site
+                    memo = x.memo
+                    route = memo[1] if memo[0] is table else _route(table, x)
+                    if route:  # a move: its write is answered here, with no node
+                        slot, _, steps, key, _ = route
+                        d = dicts[slot]
+                        if d is given[slot]:
+                            d = dict(d)
+                            dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
+                        d[key] = answer
+                        total += steps
+                        nxt = kont.rest
+                        head = nxt._head
+                        more = nxt._konts
+                        if more is not None:
+                            konts = more if konts is None else _Cat(more, konts)
+                        if total >= limit:
+                            break
+                        continue
             try:
                 if answer.tag is not tag:
                     raise AnswerTagMismatch
-                nxt = kont if type(kont) is ITree else kont(answer)
+                nxt = kont if kind is SiteNode else kont(answer)
                 more = nxt._konts
                 head = nxt._head
             except Exception:

@@ -57,7 +57,8 @@ class UValue:
       LABEL -> int index, with ``bound`` giving the finite domain size
       PAIR  -> (UValue, UValue)
       SYM   -> nonempty identifier string
-      MAP   -> tuple of (key, UValue) pairs sorted by key; keys are str or int
+      MAP   -> tuple of (key, UValue) pairs sorted by key, int keys before
+               str keys; keys are str or int
       EMPTY -> never constructed (answer tag of halting events only)
 
     Values compare and hash by (tag, payload, bound) and are never assigned
@@ -160,7 +161,15 @@ def nat_mul(a: int, b: int) -> int:
 # Finite maps: ordered association tuples inside a MAP UValue.  Absent keys
 # are the concern of the map-event handlers (which carry a default); map
 # equality is key set plus per-key values, which UValue equality gives us
-# for free on the sorted representation.
+# for free on the sorted representation.  Keys of one kind sort as
+# themselves; when str and int keys mix, ints come first.
+
+def _sorted_entries(entries) -> tuple:
+    try:
+        return tuple(sorted(entries))
+    except TypeError:  # str and int keys do not compare
+        return tuple(sorted(entries, key=lambda e: (isinstance(e[0], str), e[0])))
+
 
 def umap(items=()) -> UValue:
     entries = dict(items)
@@ -169,7 +178,7 @@ def umap(items=()) -> UValue:
             raise AnswerTagMismatch(f"bad map key: {k!r}")
         if not isinstance(v, UValue):
             raise AnswerTagMismatch(f"bad map value: {v!r}")
-    return UValue(_MAP, tuple(sorted(entries.items())))
+    return UValue(_MAP, _sorted_entries(entries.items()))
 
 
 def map_items(m: UValue):
@@ -187,7 +196,7 @@ def map_get(m: UValue, key, default: UValue) -> UValue:
 
 def map_set(m: UValue, key, value: UValue) -> UValue:
     rest = tuple((k, v) for k, v in map_items(m) if k != key)
-    return UValue(_MAP, tuple(sorted(rest + ((key, value),))))
+    return UValue(_MAP, _sorted_entries(rest + ((key, value),)))
 
 
 def map_remove(m: UValue, key) -> UValue:

@@ -50,7 +50,7 @@ from itrees import (
     vis,
     write_at,
 )
-from itrees import asm, compiler, imp
+from itrees import asm, compiler, core, imp
 from itrees.events import LEFT, RIGHT, EventInstance
 from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _route_table
 from itrees.asm import den_asm, interp_asm, load, store
@@ -67,7 +67,7 @@ from itrees.imp import (
     parse_imp,
     set_var,
 )
-from itrees.values import boolean, label, label_t, nat, sym, umap, unit
+from itrees.values import boolean, fst, label, label_t, map_items, nat, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp, to_map_events
 
@@ -883,3 +883,91 @@ def test_an_event_whose_key_is_not_a_value_raises_at_its_step():
             run_to_head(make(interp_imp), fuel)
     at, err = _least_raising_fuel(make(layered_interp_imp), 100)
     assert at == 6 and issubclass(err, AnswerTagMismatch)
+
+
+# A move, a read whose answer is written unchanged, hands its read a
+# ``Write``; the fold writes it in place and builds no write node, so only
+# computed writes build one.
+
+def _count_write_nodes(monkeypatch):
+    built = []
+    init = core.SiteNode.__init__
+
+    def counting(self, site, value, next):
+        built.append(site)
+        init(self, site, value, next)
+
+    monkeypatch.setattr(core.SiteNode, "__init__", counting)
+    return built
+
+
+def test_moves_build_no_write_node(monkeypatch):
+    runs = {}
+    for n in (50, 51):
+        prog = parse_imp(f"c := {n}; x := 1; while c do x := x + c; c := c - 1 end")
+        entry = den_asm(compile_stmt(prog))(label(0, 1))
+        with monkeypatch.context() as patch:
+            built = _count_write_nodes(patch)
+            ob, _ = run_to_head(interp_asm(entry, env_of(), umap()), 10 ** 6)
+        assert type(ob) is RetO
+        runs[n] = len(built)
+    # per iteration, the ``add`` and the ``sub``; every other write is a move
+    assert runs[51] - runs[50] == 2
+    assert runs[50] == 2 * 50
+    moves = denote_stmt(parse_imp("y := x; z := y"))
+    built = _count_write_nodes(monkeypatch)
+    got, _ = run_to_head(interp_imp(moves, env_of({"x": 4})), FUEL)
+    assert got == RetO(pair(env_of({"x": 4, "y": 4, "z": 4}), unit()))
+    assert built == []
+
+
+def test_an_observed_move_still_writes_its_answer():
+    # observing the uninterpreted denotation calls the ``Write``, which
+    # builds the write node the event node stands for
+    t = asm.denote_instr(asm.Iload(0, "x"))
+    ob = observe(t)
+    assert type(ob) is VisO and ob.event == event(asm.MEM_E, "Load", sym("x"), path=(RIGHT, LEFT))
+    after = observe(ob.k(nat(5)))
+    assert type(after) is VisO and after.event == event(
+        asm.REG_E, "SetReg", nat(0), nat(5), path=(LEFT,))
+    assert observe(after.k(unit())) == RetO(unit())
+
+
+def test_a_move_across_a_batch_boundary_matches_layered():
+    # the read's three steps bring the batch to the cap, so the write node
+    # is built and the next batch writes it
+    move = denote_stmt(Assign("y", Var("x")))
+    assert _BATCH_STEPS - 3 == 253
+    env0 = env_of({"x": 6})
+    for fuel in range(250, 263):
+        a, a_steps = run_to_head(interp_imp(taus(_BATCH_STEPS - 3, move), env0), fuel)
+        b, b_steps = run_to_head(layered_interp_imp(taus(_BATCH_STEPS - 3, move), env0), fuel)
+        assert (type(a), a_steps) == (type(b), b_steps)
+    a, _ = run_to_head(interp_imp(taus(_BATCH_STEPS - 3, move), env0), FUEL)
+    b, _ = run_to_head(layered_interp_imp(taus(_BATCH_STEPS - 3, move), env0), FUEL)
+    assert a == b == RetO(pair(env_of({"x": 6, "y": 6}), unit()))
+
+
+def test_a_move_whose_write_is_unrouted_raises_like_the_layered_stack():
+    # the read is routed (three steps), its ``Write`` site lies on (RIGHT,),
+    # which names neither leaf and lies outside the outward prefix
+    def program():
+        read = event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
+        stray = Site(IMP_STATE, "SetVar", sym("z"), (RIGHT,))
+        return taus(5, vis(read, write_at(stray, ret(unit()))))
+
+    s0, s1 = env_of(), env_of()
+    at, err = _least_raising_fuel(_fused_two_paths(program(), s0, s1), 100)
+    assert at == 5 + 3 and issubclass(err, UnhandledEvent)
+    layered_at, layered_err = _least_raising_fuel(_layered_two_paths(program(), s0, s1), 100)
+    assert layered_at == at + 1 and issubclass(layered_err, UnhandledEvent)
+
+
+def test_a_return_over_a_store_whose_keys_mix_str_and_int():
+    # a register and a memory cell routed to one store: the returned map
+    # orders int keys before str keys
+    routes = {((LEFT,), "SetReg"): (0, None), ((RIGHT, LEFT), "Store"): (0, None)}
+    t = bind(asm.set_reg(1, nat(7)), lambda _: store("x", nat(8)))
+    got = run_to_head(interp_stores(t, (umap(),), routes, (RIGHT, RIGHT)), 100)
+    assert got == (RetO(pair(umap({"x": nat(8), 1: nat(7)}), unit())), 3 + 4)
+    assert map_items(fst(got[0].value)) == ((1, nat(7)), ("x", nat(8)))

@@ -27,6 +27,7 @@ from itrees.values import (
     label,
     label_t,
     map_items,
+    map_set,
     nat,
     pair,
     snd,
@@ -130,3 +131,12 @@ def test_map_items_refuses_a_non_map():
     assert map_items(umap({"b": nat(2), "a": nat(1)})) == (("a", nat(1)), ("b", nat(2)))
     with pytest.raises(AnswerTagMismatch, match="not a map"):
         map_items(nat(0))
+
+
+def test_a_map_whose_keys_mix_str_and_int_puts_int_keys_first():
+    # keys of one kind keep their own order; mixed, ints sort before strs
+    mixed = umap({"b": nat(1), 10: nat(2), "a": nat(3), 2: nat(4)})
+    assert map_items(mixed) == ((2, nat(4)), (10, nat(2)), ("a", nat(3)), ("b", nat(1)))
+    assert map_set(umap({"a": nat(1)}), 2, nat(2)) == umap({"a": nat(1), 2: nat(2)})
+    assert map_set(umap({2: nat(2)}), "a", nat(1)) == umap({"a": nat(1), 2: nat(2)})
+    assert map_items(umap({10: nat(0), 9: nat(0)})) == ((9, nat(0)), (10, nat(0)))
