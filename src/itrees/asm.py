@@ -3,20 +3,32 @@
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
 label, iterating the block table on block labels; each block's tree is
-built once per unit, one node per event, and replayed on every visit.
-Linking is pure block-table surgery; the semantic equations tying surgery
-to combinators on denotations are checked by the test suite.
+built on the block's first entry, one node per event, and replayed on
+every later visit, and a block never entered is never denoted.  Linking is
+pure block-table surgery, every block relabeled once per combinator; the
+semantic equations tying surgery to combinators on denotations are checked
+by the test suite.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, iterate
 from .core import ITree, ret, trigger, vis, write_at
-from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, Site, event
+from .events import (
+    INTERNED,
+    LEFT,
+    RIGHT,
+    EventInstance,
+    EventSig,
+    KindSpec,
+    Site,
+    event,
+)
 from .interp import interp_stores
 from .values import (
     EMPTY_T,
@@ -187,12 +199,27 @@ _MEM_PATH = (RIGHT, LEFT)
 _DONE_PATH = (RIGHT, RIGHT)
 
 
+# A unit's read events and write sites are interned per register or
+# address, in tables of ``INTERNED`` entries (see ``events.Site``).
+
+@lru_cache(maxsize=INTERNED)
 def _get_reg_event(r: int) -> EventInstance:
     return event(REG_E, "GetReg", nat(r), path=_REG_PATH)
 
 
+@lru_cache(maxsize=INTERNED)
 def _load_event(addr: str) -> EventInstance:
     return event(MEM_E, "Load", sym(addr), path=_MEM_PATH)
+
+
+@lru_cache(maxsize=INTERNED)
+def _set_reg_site(r: int) -> Site:
+    return Site(REG_E, "SetReg", nat(r), _REG_PATH)
+
+
+@lru_cache(maxsize=INTERNED)
+def _store_site(addr: str) -> Site:
+    return Site(MEM_E, "Store", sym(addr), _MEM_PATH)
 
 
 def get_reg(r: int) -> ITree:
@@ -219,16 +246,17 @@ def halt() -> ITree:
 # trees once: an instruction is denoted together with the tree that follows
 # it, each event is one node whose continuation leads straight to the next
 # tree, and trees are immutable, so every execution of a block replays the
-# same ones.  A register read or a load is a ``vis`` node over an event
-# built with the unit, and so is its node, unless it holds an earlier
-# answer.  Every register or memory write has its write ``Site``, built with
-# the unit too, and its continuation is a ``Write`` of that site, so no
-# event is built at run time.  A move (``load``, ``mov`` or ``store`` of a
-# register) hands the ``Write`` to its read, and the fused store fold
-# answers the write in place; only a computed write (``add``, ``sub``,
-# ``mul``) builds its node when it runs, holding the site, the value and
-# the tree after it, through the ``Write``'s bound ``__call__``.  The value
-# is a checked answer or a fresh ``nat``, so the write needs no check.
+# same ones.  A register read or a load is a ``vis`` node over the event
+# interned for its register or address, built with its block unless it
+# holds an earlier answer.  Every register or memory write has the write
+# ``Site`` interned for its register or address, and its continuation is a
+# ``Write`` of that site, built with its block, so no event is built at run
+# time.  A move (``load``, ``mov`` or ``store`` of a register) hands the
+# ``Write`` to its read, and the fused store fold answers the write in
+# place; only a computed write (``add``, ``sub``, ``mul``) builds its node
+# when it runs, holding the site, the value and the tree after it, through
+# the ``Write``'s bound ``__call__``.  The value is a checked answer or a
+# fresh ``nat``, so the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
     """Read ``op``, then continue with ``k`` of its value; an immediate is
@@ -244,8 +272,8 @@ _OPS = {Iadd: nat_add, Isub: nat_sub, Imul: nat_mul}
 def _instr_then(i: Instr, rest: ITree) -> ITree:
     """The tree that runs ``i`` and then ``rest``."""
     if isinstance(i, Istore):
-        return _read_then(i.src, write_at(Site(MEM_E, "Store", sym(i.addr), _MEM_PATH), rest))
-    write = write_at(Site(REG_E, "SetReg", nat(i.dst), _REG_PATH), rest)
+        return _read_then(i.src, write_at(_store_site(i.addr), rest))
+    write = write_at(_set_reg_site(i.dst), rest)
     if isinstance(i, Imov):
         return _read_then(i.src, write)
     if isinstance(i, Iload):
@@ -296,15 +324,18 @@ def den_asm(u: AsmUnit) -> KTree:
     runs the blocks on their labels directly.  A jump to internal label
     ``i`` returns ``Left(i)``, which re-enters block ``i`` after one silent
     step, and a jump to exit ``x`` returns ``Right(x)``, which leaves.  Each
-    block's tree and each jump's return are built once per unit; within a
-    block, each event is one node leading straight to the next
+    jump's return is built once per call; each block's tree is built on
+    the block's first entry, which ``iterate`` shares with every later
+    entry, so a block never entered is never denoted, and one that cannot
+    be denoted raises when, and each time, its entry is observed.  Within
+    a block, each event is one node leading straight to the next
     instruction's tree, with no ``bind``.
     """
     ia = u.internal + u.entries
     targets = (tuple(ret(inl(label(i, ia))) for i in range(u.internal))
                + tuple(ret(inr(label(x, u.exits))) for x in range(u.exits)))
-    blocks = tuple(denote_bk(blk, targets) for blk in u.code)
-    run = iterate(KTree(lambda l: blocks[l.payload]))
+    code = u.code
+    run = iterate(KTree(lambda l: denote_bk(code[l.payload], targets)))
     entry_t = label_t(u.entries)
 
     def go(a):
@@ -326,16 +357,16 @@ def _relabel_block(blk: Block, f: Callable[[int], int]) -> Block:
     return Block(blk.instrs, nb)
 
 
+def _shift(internal: int, first: int, exit_base: int) -> Callable[[int], int]:
+    """The relabeling that moves a unit's ``internal`` internal labels to
+    start at ``first`` and its exits to start at ``exit_base``."""
+    return lambda l: first + l if l < internal else exit_base + (l - internal)
+
+
 def app_asm(u1: AsmUnit, u2: AsmUnit) -> AsmUnit:
     """Place two units side by side; entries and exits concatenate."""
     i1, i2 = u1.internal, u2.internal
-
-    def re1(l):
-        return l if l < i1 else i1 + i2 + (l - i1)
-
-    def re2(l):
-        return i1 + l if l < i2 else i1 + i2 + u1.exits + (l - i2)
-
+    re1, re2 = _shift(i1, 0, i1 + i2), _shift(i2, i1, i1 + i2 + u1.exits)
     blocks = [_relabel_block(u1.code[j], re1) for j in range(i1)]
     blocks += [_relabel_block(u2.code[j], re2) for j in range(i2)]
     blocks += [_relabel_block(u1.code[i1 + a], re1) for a in range(u1.entries)]
@@ -415,11 +446,8 @@ def chain_asm(units: Sequence[AsmUnit]) -> AsmUnit:
         at += units[j].entries
     exit_bases[-1] = at
 
-    def relabeler(j):
-        i, first, exit_base = units[j].internal, firsts[j], exit_bases[j]
-        return lambda l: first + l if l < i else exit_base + (l - i)
-
-    fs = [relabeler(j) for j in range(len(units))]
+    fs = [_shift(u.internal, first, exit_base)
+          for u, first, exit_base in zip(units, firsts, exit_bases)]
     blocks = [_relabel_block(blk, f) for u, f in zip(units, fs)
               for blk in u.code[:u.internal]]
     for j in range(len(units) - 1, -1, -1):
@@ -431,29 +459,51 @@ def chain_asm(units: Sequence[AsmUnit]) -> AsmUnit:
 TMP_IF = 0  # register the guard code leaves its result in
 
 
-def cond_asm(e: Sequence[Instr]) -> AsmUnit:
-    """Run the guard code, then branch: exit 0 when the test register is
-    nonzero (the truthy arm), exit 1 when it is zero."""
-    return AsmUnit(1, 2, 0, (Block(tuple(e), Bbrz(TMP_IF, 1, 0)),))
-
-
 def if_asm(e: Sequence[Instr], t: AsmUnit, f: AsmUnit) -> AsmUnit:
+    """Run the guard code, then ``t`` when the test register is nonzero and
+    ``f`` when it is zero; both arms leave by the same exits.
+
+    This is the guard block, exit 0 to ``t`` and exit 1 to ``f``,
+    sequenced (``seq_asm``) into ``app_asm(t, f)`` with both arms' exits
+    relabeled onto the same ones, with every block relabeled once.  The
+    blocks keep the order of that composition: the internal blocks of
+    ``t`` then ``f``, their entry blocks, now internal, then the guard
+    block, the unit's entry.
+    """
     if t.entries != 1 or f.entries != 1 or t.exits != f.exits:
         raise BoundViolation("if arms must be asm 1 A with equal exits")
-    a = t.exits
-    both = app_asm(t, f)
-    merged = relabel_asm((0, 1), tuple(range(a)) + tuple(range(a)), both, a)
-    return seq_asm(cond_asm(e), merged)
+    i1, i2 = t.internal, f.internal
+    arms = i1 + i2  # the label of t's entry block; f's follows it
+    on_t, on_f = _shift(i1, 0, arms + 2), _shift(i2, i1, arms + 2)
+    blocks = [_relabel_block(blk, on_t) for blk in t.code[:i1]]
+    blocks += [_relabel_block(blk, on_f) for blk in f.code[:i2]]
+    blocks.append(_relabel_block(t.code[i1], on_t))
+    blocks.append(_relabel_block(f.code[i2], on_f))
+    blocks.append(Block(tuple(e), Bbrz(TMP_IF, arms + 1, arms)))
+    return AsmUnit(1, t.exits, arms + 2, tuple(blocks))
 
 
 def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
+    """Run the guard code, then leave when the test register is zero, or
+    run ``p`` and test again.
+
+    This is ``loop_asm`` over the ``if_asm`` of ``p`` and a jump to the
+    exit, placed beside a re-entry jump (``app_asm``) and relabeled, with
+    every block relabeled once.  The blocks keep the order of that
+    composition: ``p``'s internal and entry blocks, its exit now the guard;
+    the jump to the exit; the guard block; then the unit's entry, a jump
+    to the guard.
+    """
     if p.entries != 1 or p.exits != 1:
         raise BoundViolation("loop body must be asm 1 1")
-    body = if_asm(e, relabel_asm((0,), (0,), p, 2), pure_asm(1, 2, lambda _: 1))
-    reenter = pure_asm(1, 2, lambda _: 0)
-    both = app_asm(body, reenter)
-    merged = relabel_asm((0, 1), (0, 1, 0, 1), both, 2)
-    return loop_asm(merged, 1)
+    ip = p.internal
+    guard = ip + 2
+    on_p = _shift(ip, 0, guard)
+    blocks = [_relabel_block(blk, on_p) for blk in p.code]
+    blocks.append(Block((), Bjmp(ip + 3)))
+    blocks.append(Block(tuple(e), Bbrz(TMP_IF, ip + 1, ip)))
+    blocks.append(Block((), Bjmp(guard)))
+    return AsmUnit(1, 1, ip + 3, tuple(blocks))
 
 
 # Stateful interpretation: registers inner, memory outer.

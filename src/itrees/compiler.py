@@ -184,8 +184,10 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     unit = compile_stmt(s, low)
     rel = StateInvariantSpec().relspec()
     tau_budget, depth = cfg.budgets()
-    # Denotations are immutable, so both are built once and interpreted
-    # under every initial store.
+    # Denotations are immutable, so both are built once, an Asm block on
+    # its first entry, and interpreted under every initial store; their
+    # read events and write sites are interned, so the routes that earlier
+    # checks cached in them serve this one too.
     source = denote_stmt(s)
     target = asm.den_asm(unit)(label(0, 1))
     return merge_verdicts(

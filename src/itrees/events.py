@@ -133,18 +133,30 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
     return EventInstance(sig, kind, args, tuple(path))
 
 
+# The entries in each table in which the Imp and Asm denotations intern
+# their read events and write sites, one per (kind, key).
+INTERNED = 1024
+
+
 class Site:
-    """A store write in the program text, built once with the denotation
-    that holds it.
+    """A store write to one key.
+
+    The denotations intern one site per kind and key, and one read event
+    per kind and key, each in a bounded table of ``INTERNED`` entries:
+    every write to that key, in one program text and in every program
+    denoted while the site stays in the table, shares the site and the
+    route cached in it.  A key beyond the table's size evicts the least
+    recently used one, whose writes get a fresh site the next time they
+    are denoted.
 
     A site's kind takes a key and a value and answers the unit, so a write
     needs no continuation; any other kind is refused.  The key is known, and
     checked, here; the value is known only when the write runs, so the
     site's event is not built here: ``written(value)`` builds it, without
     ``event``'s check of the value, when a consumer observes the write.
-    Sites compare by identity, and what a site stands for never changes:
-    its one assigned slot, ``memo``, is where the fused store fold caches
-    the site's route, as it does an event's.
+    Sites compare by identity, and what a site stands for never changes,
+    so sharing one is safe: its one assigned slot, ``memo``, is where the
+    fused store fold caches the site's route, as it does an event's.
     """
 
     __slots__ = ("sig", "kind", "key", "path", "memo")

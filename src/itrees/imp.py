@@ -13,11 +13,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from .combinators import KTree, iterate
 from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis, write_at
-from .events import LEFT, RIGHT, EventInstance, EventSig, KindSpec, Site, event
+from .events import (
+    INTERNED,
+    LEFT,
+    RIGHT,
+    EventInstance,
+    EventSig,
+    KindSpec,
+    Site,
+    event,
+)
 from .interp import interp_stores
 from .values import (
     NAT_MASK,
@@ -329,8 +339,17 @@ IMP_STATE = EventSig(
 )
 
 
+# A program's read events and write sites are interned per variable, in
+# tables of ``INTERNED`` entries (see ``events.Site``).
+
+@lru_cache(maxsize=INTERNED)
 def _get_var_event(name: str) -> EventInstance:
     return event(IMP_STATE, "GetVar", sym(name), path=(LEFT,))
+
+
+@lru_cache(maxsize=INTERNED)
+def _set_var_site(name: str) -> Site:
+    return Site(IMP_STATE, "SetVar", sym(name), (LEFT,))
 
 
 def get_var(name: str) -> ITree:
@@ -344,10 +363,10 @@ def set_var(name: str, v: UValue) -> ITree:
 # The denotations are in continuation-passing form: each event is one node
 # whose continuation builds or returns the next tree, so no event goes
 # through a ``trigger`` and a pending bind.  Every variable read in the text
-# has its ``GetVar`` event, built with the denotation, and is one ``vis``
-# node over it.  Every assignment has its write ``Site``, built with the
-# denotation too, and its continuation is a ``Write`` of that site, so no
-# event is built at run time.  A move (``x := y``) hands the ``Write`` to
+# is one ``vis`` node over the ``GetVar`` event interned for its variable.
+# Every assignment has the write ``Site`` interned for its variable, and its
+# continuation is a ``Write`` of that site, built with the denotation, so
+# no event is built at run time.  A move (``x := y``) hands the ``Write`` to
 # its read, and the fused store fold answers the write in place; only a
 # computed write builds its node when it runs, holding the site, the value
 # and the tree after it, through the ``Write``'s bound ``__call__``.
@@ -432,7 +451,7 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
     if isinstance(s, Assign):
         # the value is a checked answer or a fresh nat, so the write needs
         # no argument check; a move hands its read the ``Write`` itself
-        write = write_at(Site(IMP_STATE, "SetVar", sym(s.name), (LEFT,)), rest)
+        write = write_at(_set_var_site(s.name), rest)
         return _expr_then(s.expr, write if isinstance(s.expr, Var) else write.__call__)
     if isinstance(s, Seq):
         second = s.second

@@ -39,6 +39,7 @@ from itrees.asm import (
     Bjmp,
     Block,
     BoundViolation,
+    Iadd,
     Iload,
     Imov,
     Istore,
@@ -62,12 +63,14 @@ from itrees.asm import (
     seq_asm,
     while_asm,
 )
-from itrees import compiler
+from itrees import asm, compiler
+from itrees.events import INTERNED
+from itrees.values import AnswerTagMismatch
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import parse_imp
 
 from bigstep import run_machine
-from helpers import den_asm_by_loop, gen_asm_unit
+from helpers import den_asm_by_loop, gen_asm_unit, gen_instr
 
 # Uninterpreted denotations branch over every probed answer at every
 # register read, so law checks use a two-value probe set to stay small.
@@ -344,6 +347,44 @@ def test_chain_asm_is_seq_by_wiring_folded_from_the_right():
         chain_asm([u, gen_asm_unit(rng, 1, 1, 0)])
 
 
+def _if_by_wiring(e, t, f):
+    """``if`` as wiring: a guard block leaving by exit 0 when the test
+    register is nonzero and by exit 1 when it is zero, sequenced into both
+    arms side by side, their exits merged."""
+    a = t.exits
+    guard = AsmUnit(1, 2, 0, (Block(tuple(e), Bbrz(TMP_IF, 1, 0)),))
+    return seq_asm(guard, relabel_asm((0, 1), tuple(range(a)) * 2, app_asm(t, f), a))
+
+
+def _while_by_wiring(e, p):
+    """``while`` as wiring: an ``if`` of the body and a jump to exit 1,
+    beside a jump to exit 0, with exit 0 looped back into the guard."""
+    body = _if_by_wiring(e, relabel_asm((0,), (0,), p, 2), pure_asm(1, 2, lambda _: 1))
+    both = app_asm(body, pure_asm(1, 2, lambda _: 0))
+    return loop_asm(relabel_asm((0, 1), (0, 1, 0, 1), both, 2), 1)
+
+
+def test_if_and_while_asm_are_their_wiring():
+    rng = random.Random(71)
+    for _ in range(80):
+        e = [gen_instr(rng) for _ in range(rng.randint(0, 2))]
+        exits = rng.randint(1, 3)  # multi-exit arms too
+        t = gen_asm_unit(rng, 1, exits, rng.randint(0, 3), max_instrs=1)
+        f = gen_asm_unit(rng, 1, exits, rng.randint(0, 3), max_instrs=1)
+        assert if_asm(e, t, f) == _if_by_wiring(e, t, f)
+        p = gen_asm_unit(rng, 1, 1, rng.randint(0, 3), max_instrs=1)
+        assert while_asm(e, p) == _while_by_wiring(e, p)
+        assert while_asm(e, if_asm(e, p, p)) == _while_by_wiring(e, _if_by_wiring(e, p, p))
+    one_two, one_one = gen_asm_unit(rng, 1, 2, 1), gen_asm_unit(rng, 1, 1, 1)
+    for t, f in ((gen_asm_unit(rng, 2, 2, 1), one_two), (one_two, gen_asm_unit(rng, 2, 2, 0)),
+                 (one_two, one_one)):
+        with pytest.raises(BoundViolation):
+            if_asm([], t, f)
+    for p in (one_two, gen_asm_unit(rng, 2, 1, 1)):
+        with pytest.raises(BoundViolation):
+            while_asm([], p)
+
+
 def _guard(rng, value):
     """Random scratch work, then force the test register to ``value``."""
     instrs = [Imov(rng.randint(1, 3), Oimm(rng.randint(0, 5)))
@@ -464,3 +505,66 @@ def test_compiled_while_runs_to_exit():
     assert type(ob) is RetO
     mem = ob.value.payload[0]
     assert mem == umap({"x": nat(0)})
+
+
+# ``den_asm`` denotes a block on its first entry, and the events and sites
+# of its blocks are interned in bounded tables.
+
+def test_den_asm_denotes_only_the_blocks_it_enters(monkeypatch):
+    # the guard is constant, so the blocks of the false arm are never entered
+    unit = compile_stmt(parse_imp("if 1 then x := 1 else y := 2; z := 3 end"))
+    denoted = []
+    denote_bk = asm.denote_bk
+
+    def counting(blk, targets):
+        denoted.append(blk)
+        return denote_bk(blk, targets)
+
+    monkeypatch.setattr(asm, "denote_bk", counting)
+    entry = den_asm(unit)(label(0, 1))
+    for _ in range(2):  # the second run replays the first's trees
+        ob, _ = run_to_head(interp_asm(entry, umap(), umap()), 1000)
+        assert type(ob) is RetO and ob.value.payload[0] == umap({"x": nat(1)})
+    # the false arm's two blocks, then the true arm's entry, then the guard
+    assert [blk.instrs[-1] for blk in unit.code[:3]] == [
+        Istore("z", Oreg(0)), Istore("x", Oreg(0)), Istore("y", Oreg(0))]
+    assert denoted == [unit.code[3], unit.code[1]]
+
+
+def test_a_block_that_cannot_be_denoted_raises_only_once_entered():
+    bad = Block((Iload(0, ""),), Bjmp(1))  # ``sym("")`` raises
+    with pytest.raises(AnswerTagMismatch):
+        denote_instr(Iload(0, ""))
+    skipped = AsmUnit(1, 1, 1, (bad, Block((), Bjmp(1))))
+    ob, _ = _interp_run(skipped)
+    assert type(ob) is RetO
+    entered = AsmUnit(1, 1, 1, (bad, Block((), Bjmp(0))))
+    for run in (den_asm(entered)(label(0, 1)), interp_asm(
+            den_asm(entered)(label(0, 1)), umap(), umap())):
+        for _ in range(2):  # observing it again raises again
+            with pytest.raises(AnswerTagMismatch):
+                run_to_head(run, 1000)
+    with pytest.raises(AnswerTagMismatch):  # an entry block raises at the call
+        den_asm(AsmUnit(1, 1, 0, (Block(bad.instrs, Bjmp(0)),)))(label(0, 1))
+
+
+def test_intern_tables_stay_bounded():
+    # a chain of moves through more registers than a table holds
+    n = INTERNED + 40
+    chain = tuple(Imov(r, Oreg(r - 1)) for r in range(2, n + 1))
+    unit = AsmUnit(1, 1, 0, (Block((Imov(1, Oimm(7)),) + chain + (
+        Iload(0, "a"), Iadd(0, 0, Oreg(n)), Istore("a", Oreg(0))), Bjmp(0)),))
+    tables = (asm._get_reg_event, asm._set_reg_site, asm._load_event, asm._store_site)
+    runs = []
+    for _ in range(2):  # the second run rebuilds what the first evicted
+        runs.append(_interp_run(unit, mem=umap({"a": nat(5)})))
+        for table in tables:
+            assert table.cache_info().maxsize == INTERNED
+            assert table.cache_info().currsize <= INTERNED
+    assert asm._set_reg_site.cache_info().currsize == INTERNED
+    assert runs[0] == runs[1]
+    ref = run_machine(unit, 0, {"a": 5}, {})
+    ob, _ = runs[0]
+    mem, rest = ob.value.payload
+    assert mem == umap({"a": nat(12)}) == umap({k: nat(v) for k, v in ref.mem.items()})
+    assert rest.payload[0] == umap({k: nat(v) for k, v in ref.regs.items()})

@@ -286,7 +286,7 @@ def test_a_site_node_is_observed_as_its_event():
 
 
 def test_a_read_node_is_its_own_observation():
-    # reads are vis nodes over an event built with the denotation, so
+    # reads are vis nodes over an event interned by the denotation, so
     # observing one allocates nothing and gives the same node each time
     t = denote_expr(Var("x"))
     ob = observe(t)

@@ -906,6 +906,9 @@ def test_moves_build_no_write_node(monkeypatch):
     for n in (50, 51):
         prog = parse_imp(f"c := {n}; x := 1; while c do x := x + c; c := c - 1 end")
         entry = den_asm(compile_stmt(prog))(label(0, 1))
+        # blocks are denoted on first entry, building the write nodes of
+        # immediate moves then, so a first run leaves only the run's own
+        run_to_head(interp_asm(entry, env_of(), umap()), 10 ** 6)
         with monkeypatch.context() as patch:
             built = _count_write_nodes(patch)
             ob, _ = run_to_head(interp_asm(entry, env_of(), umap()), 10 ** 6)

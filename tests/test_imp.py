@@ -292,10 +292,11 @@ def test_statements_are_denoted_once_however_long_the_loop_runs(monkeypatch):
 
 
 def test_events_are_built_once_however_long_the_loop_runs(monkeypatch, tmp_path):
-    # Every read in the text has its event, and every write its site, built
-    # with the denotation; a write's event is built only when something
-    # observes it, which the fused fold never does.  So no event, writes
-    # included, is built per execution of the loop.
+    # Every read in the text has its interned event, and every write its
+    # interned site, taken when the text is denoted; a write's event is
+    # built only when something observes it, which the fused fold never
+    # does.  So no event, writes included, is built per execution of the
+    # loop.
     calls = 0
     build = EventInstance.__init__
 
@@ -310,6 +311,9 @@ def test_events_are_built_once_however_long_the_loop_runs(monkeypatch, tmp_path)
 
     def events_built(n, run):
         nonlocal calls
+        # read events are interned across denotations; start afresh
+        for table in (imp._get_var_event, asm._get_reg_event, asm._load_event):
+            table.cache_clear()
         calls = 0
         run(text.format(n=n))
         return calls
