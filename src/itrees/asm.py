@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, ret, trigger, vis, write_at
+from .core import Compute, ITree, ret, trigger, vis, write_at
 from .events import (
     INTERNED,
     LEFT,
@@ -252,10 +252,10 @@ def halt() -> ITree:
 # ``Site`` interned for its register or address, and its continuation is a
 # ``Write`` of that site, built with its block, so no event is built at run
 # time.  A move (``load``, ``mov`` or ``store`` of a register) hands the
-# ``Write`` to its read, and the fused store fold answers the write in
-# place; only a computed write (``add``, ``sub``, ``mul``) builds its node
-# when it runs, holding the site, the value and the tree after it, through
-# the ``Write``'s bound ``__call__``.  The value is a checked answer or a
+# ``Write`` to its read; ``add``, ``sub`` and ``mul`` continue their first
+# read with a ``Compute`` of the second read, if any, the operation and the
+# ``Write``.  The fused store fold answers the reads and the write of
+# either in place, building no node.  The value is a checked answer or a
 # fresh ``nat``, so the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
@@ -279,15 +279,11 @@ def _instr_then(i: Instr, rest: ITree) -> ITree:
     if isinstance(i, Iload):
         return vis(_load_event(i.addr), write)
     f = _OPS[type(i)]
-    put = write.__call__
     if isinstance(i.rhs, Oimm):
         b = nat(i.rhs.value).payload  # checked, as a read of it would be
-        then = lambda a: put(nat(f(a.payload, b)))
+        then = Compute((), lambda p: f(p[0], b), write)
     else:
-        # the second read's node holds the first answer, so it is built
-        # when it runs
-        read_rhs = _get_reg_event(i.rhs.reg)
-        then = lambda a: vis(read_rhs, lambda b: put(nat(f(a.payload, b.payload))))
+        then = Compute((_get_reg_event(i.rhs.reg),), lambda p: f(p[0], p[1]), write)
     return vis(_get_reg_event(i.lhs), then)
 
 

@@ -345,7 +345,11 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
 
 
 def replay_witness(r: RelSpec, t1: ITree, t2: ITree, witness) -> bool:
-    """Walk both trees along a refutation path and confirm the violation."""
+    """Walk both trees along a refutation path and confirm the violation.
+
+    Every step must be what the trees do: silent steps where they step
+    silently, the named event on both sides, and a final step whose
+    returns, events or shapes are the ones it names."""
     for step in witness:
         kind = step[0]
         o1, o2 = observe(t1), observe(t2)
@@ -377,12 +381,20 @@ def replay_witness(r: RelSpec, t1: ITree, t2: ITree, witness) -> bool:
         elif kind == "rel-fails":
             return (
                 type(o1) is RetO and type(o2) is RetO
+                and o1.value == step[1] and o2.value == step[2]
                 and not r.relates(o1.value, o2.value)
             )
         elif kind == "event-mismatch":
-            return type(o1) is VisO and type(o2) is VisO and o1.event != o2.event
+            return (
+                type(o1) is VisO and type(o2) is VisO
+                and o1.event == step[1] and o2.event == step[2]
+                and step[1] != step[2]
+            )
         elif kind == "shape":
-            return type(o1) is not type(o2)
+            return (
+                type(o1) is not type(o2)
+                and _observed_shape(o1) == step[1] and _observed_shape(o2) == step[2]
+            )
         else:
             return False
     return False

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import asm
@@ -162,19 +163,24 @@ class StateInvariantSpec:
 _VAR_POOL = ("x", "y", "z", "w", "v")
 
 
-def initial_stores(cfg: SimConfig, seed: int):
+def initial_stores(cfg: SimConfig, seed: int) -> tuple:
     """The canonical empty pair plus sampled identical stores.
 
     Identical maps are exactly the store pairs the final-state relation
-    accepts, with variables and addresses identified.
+    accepts, with variables and addresses identified.  Stores are immutable,
+    so calls with the same sample count, probe set and seed share one tuple.
     """
+    return _initial_stores(cfg.samples, tuple(cfg.nat_probe_set), seed)
+
+
+@lru_cache(maxsize=256)
+def _initial_stores(samples: int, probes: tuple, seed: int) -> tuple:
     rng = random.Random(seed)
     stores = [umap()]
-    for _ in range(cfg.samples):
+    for _ in range(samples):
         names = rng.sample(_VAR_POOL, rng.randint(1, len(_VAR_POOL)))
-        stores.append(umap({n: nat(rng.choice(list(cfg.nat_probe_set)))
-                            for n in names}))
-    return stores
+        stores.append(umap({n: nat(rng.choice(probes)) for n in names}))
+    return tuple(stores)
 
 
 def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,

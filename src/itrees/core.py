@@ -14,9 +14,11 @@ holding the value it writes and the tree after it; ``observe`` turns one
 into the event node it stands for, while the fused store fold
 (``interp.interp_stores``) runs it without building that node or its event.
 A write's continuation is a ``Write``, which builds the write node when
-called.  The fold answers a move, a read whose continuation is a
-``Write``, in place and calls nothing, so only a computed write, whose
-value the program works out, builds a write node.
+called.  A computed write's reads, or a branch's, are continued by a
+``Compute``, which feeds their answers to a pure function and its value to
+a ``Write`` or a branch.  The fold answers a move, a read whose
+continuation is a ``Write``, and a ``Compute``'s reads and write in place
+and calls nothing, so neither builds a write node when the fold runs it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .values import AnswerTagMismatch, UValue
+from .values import AnswerTagMismatch, UValue, nat
 
 
 # A tree's head is a return, silent-run or event node, which is its own
@@ -167,8 +169,9 @@ class SiteNode:
     """A store write at a prebuilt site (``events.Site``): ``value`` is the
     value written and ``next`` the tree after the write, whose answer is
     always the unit.  A ``Write`` continuation builds one when it is called,
-    which the fused store fold does only for a computed write: it answers a
-    move, a read continued by a ``Write``, without one."""
+    which the fused store fold does only when the write's site has no route
+    or a batch ends before it: it answers the write of a move or of a
+    ``Compute`` without one."""
 
     __slots__ = ("site", "value", "next")
 
@@ -193,10 +196,9 @@ class Write:
     node (``SiteNode``) of that value.
 
     A read continued by a ``Write`` is a move, whose answer is written
-    unchanged; the fused store fold sees the ``Write`` and does the write in
-    place, building no node and calling nothing.  A computed write calls the
-    bound method ``__call__``, taken once when the denotation is built,
-    rather than the instance, whose call is dispatched through its type.
+    unchanged, and a ``Compute`` continued by one is a computed write; the
+    fused store fold sees the ``Write`` and does the write in place,
+    building no node and calling nothing.
     """
 
     __slots__ = ("site", "rest")
@@ -207,6 +209,37 @@ class Write:
 
     def __call__(self, v: UValue) -> ITree:
         return ITree(SiteNode(self.site, v, self.rest))
+
+
+class Compute:
+    """The continuation of a read whose answer, with the answers of the
+    reads ``reads`` still to come, feeds the pure ``fn``; the ``nat`` of
+    ``fn``'s int goes to ``then``, a ``Write`` (a computed write) or a
+    callable from that value to a tree (a branch).  ``fn`` takes the tuple
+    of every read's payload, in order; ``got`` holds those of the reads
+    answered before this one.
+
+    Called with an answer, it builds the node of the next read, continued
+    by a ``Compute`` that holds the answers so far, or after the last read
+    it applies ``then`` to the value.  The fused store fold answers the
+    reads, computes the value and does a ``Write`` in place instead.  Its
+    fields are set once, and it compares by identity.
+    """
+
+    __slots__ = ("reads", "fn", "then", "got")
+
+    def __init__(self, reads: tuple, fn: Callable[[tuple], int], then, got: tuple = ()):
+        self.reads = reads
+        self.fn = fn
+        self.then = then
+        self.got = got
+
+    def __call__(self, a: UValue) -> ITree:
+        got = self.got + (a.payload,)
+        reads = self.reads
+        if reads:
+            return ITree(VisO(reads[0], Compute(reads[1:], self.fn, self.then, got)))
+        return self.then(nat(self.fn(got)))
 
 
 def write_at(site, rest: ITree) -> Write:

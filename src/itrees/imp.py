@@ -14,10 +14,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Union
 
 from .combinators import KTree, iterate
-from .core import ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis, write_at
+from .core import Compute, ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis, write_at
 from .events import (
     INTERNED,
     LEFT,
@@ -367,9 +368,10 @@ def set_var(name: str, v: UValue) -> ITree:
 # Every assignment has the write ``Site`` interned for its variable, and its
 # continuation is a ``Write`` of that site, built with the denotation, so
 # no event is built at run time.  A move (``x := y``) hands the ``Write`` to
-# its read, and the fused store fold answers the write in place; only a
-# computed write builds its node when it runs, holding the site, the value
-# and the tree after it, through the ``Write``'s bound ``__call__``.
+# its read; an expression with an operator continues its first read with a
+# ``Compute`` of the reads after it, the function of their answers and the
+# ``Write``, or a guard's branch.  The fused store fold answers the reads
+# and the write of either in place, building no node.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
@@ -377,46 +379,36 @@ _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
     """Append the ``GetVar`` event of each variable in ``e`` to ``reads``,
     left to right, and return the function that computes ``e`` from the
-    answers to them."""
+    tuple of the payloads of the answers to them."""
     if isinstance(e, Lit):
         value = e.value
-        return lambda answers: value
+        return lambda payloads: value
     if isinstance(e, Var):
-        j = len(reads)
         reads.append(_get_var_event(e.name))
-        return lambda answers: answers[j].payload
+        return itemgetter(len(reads) - 1)
     f = _OPS[type(e)]
     lhs = _evaluator(e.lhs, reads)
     rhs = _evaluator(e.rhs, reads)
-    return lambda answers: f(lhs(answers), rhs(answers))
+    return lambda payloads: f(lhs(payloads), rhs(payloads))
 
 
 def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
-    """Evaluate ``e``, then continue with ``k`` of its value.
+    """Evaluate ``e``, then continue with ``k`` of its value: a ``Write``,
+    or a callable from the value to a tree.
 
-    Every variable is read by one ``GetVar`` node, left to right.  The
-    events, and the node of the first read, are built here once; a later
-    read's node holds the answers before it.  An expression without
-    variables is computed here, so ``k`` runs here too.
+    Every variable is read by one ``GetVar`` node, left to right, and the
+    first read's node and its ``Compute`` are built here once; the node of
+    a later read holds the answers before it, so the ``Compute`` builds it
+    when called.  An expression without variables is computed here, so
+    ``k`` runs here too.
     """
     if isinstance(e, Var):
         return vis(_get_var_event(e.name), k)
     reads = []
     value = _evaluator(e, reads)
-    last = len(reads) - 1
-    if last < 0:
+    if not reads:
         return k(nat(value(())))
-
-    def read(j, answers):
-        def kont(a):
-            got = answers + (a,)
-            if j == last:
-                return k(nat(value(got)))
-            return read(j + 1, got)
-
-        return vis(reads[j], kont)
-
-    return read(0, ())
+    return vis(reads[0], Compute(tuple(reads[1:]), value, k))
 
 
 def denote_expr(e: Expr) -> ITree:
@@ -450,9 +442,8 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
         return rest
     if isinstance(s, Assign):
         # the value is a checked answer or a fresh nat, so the write needs
-        # no argument check; a move hands its read the ``Write`` itself
-        write = write_at(_set_var_site(s.name), rest)
-        return _expr_then(s.expr, write if isinstance(s.expr, Var) else write.__call__)
+        # no argument check
+        return _expr_then(s.expr, write_at(_set_var_site(s.name), rest))
     if isinstance(s, Seq):
         second = s.second
         return _stmt_then(s.first, lazy(lambda: _stmt_then(second, rest)))

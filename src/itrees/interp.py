@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .core import (
+    Compute,
     ITree,
     RetO,
     SiteNode,
@@ -22,6 +23,7 @@ from .core import (
     VisO,
     Write,
     _Cat,
+    _Thunk,
     _resolve,
     bind,
     lazy,
@@ -47,6 +49,7 @@ from .values import (
     map_items,
     map_remove,
     map_set,
+    nat,
     pair,
     umap,
 )
@@ -251,11 +254,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     it queues the continuation's own pending binds in place.
 
     A store event comes as a ``VisO`` or, for a write the denotations emit,
-    as a write node (``core.SiteNode``), or it is a move's write: a read
-    whose continuation is a ``core.Write``.  Any way its route is read from
-    one flat table, (path, kind) -> (slot, default, steps), interned so that
-    calls with equal routes over as many stores share it, and read only on
-    the first visit of the event or write site under that table:
+    as a write node (``core.SiteNode``), or it is the write of a move, a
+    read whose continuation is a ``core.Write``, or of a computed write.
+    Any way its route is read from one flat table, (path, kind) -> (slot,
+    default, steps), interned so that calls with equal routes over as many
+    stores share it, and read only on the first visit of the event or
+    write site under that table:
     ``_route`` caches the route, key and answer tag there (``memo``), and
     from there all take the same step.  A denotation run from several
     initial stores thus looks each of its events and sites up once.  An
@@ -265,10 +269,17 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     without a call.  A move's write is answered in place: once the read's
     answer has passed its tag test, the pass writes it at the ``Write``'s
     site and goes on with the ``Write``'s tree, building no node and
-    calling nothing, so only a computed write builds a node.  When the
-    site has no route, or the read's steps bring the batch to its cap, the
-    pass calls the ``Write`` and takes the write node's step as it comes.
-    Each answer is checked once, by one tag test when the event's declared
+    calling nothing.  A read continued by a ``core.Compute`` is answered
+    in place too: the pass answers the reads still to come through their
+    cached routes, one tag test each, computes the value, and writes it
+    through the same code as a move's when the ``Compute`` goes on to a
+    ``Write``, or goes on with the tree its branch returns.  When a read
+    has no route or an answer that does not fit, a read's steps bring the
+    batch to its cap, the write site has no route, or the value or the
+    branch raises, the pass takes the node that calling the continuation
+    would build as it comes instead, so step counts and raises do not
+    change.  Each
+    answer is checked once, by one tag test when the event's declared
     answer shape is decided by its tag (the unit, for a write), and a
     mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
     ``VisO.k`` would.
@@ -288,8 +299,9 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
       route and is not outward, so the tree raises at the step it would
       raise unbatched (a batch with no steps raises there and then); after
       the silent run or store event that brings it to ``_BATCH_STEPS``
-      steps, or to ``_HARD_STEPS`` once it has passed a mark (a move's
-      read that does so ends it before its write node), so that
+      steps, or to ``_HARD_STEPS`` once it has passed a mark (a read
+      that does so ends it before the next read or write node of its
+      move or ``Compute``), so that
       observing ``spin()`` or a tree of endless store events returns and a
       long loop body cannot stretch it; and at a mark, before its step,
       once it has passed a mark and holds ``_BATCH_STEPS`` steps or more.
@@ -308,11 +320,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     two equal keys lead to the same tree.  It holds because trees and
     continuations are pure and immutable, an event or a site never changes
     what it stands for (its cached route only saves a lookup, and nothing
-    else reads or writes ``memo``), nor does a ``Write``, whose site and
-    tree are set once, and each component compares as finely as it must:
-    the fold and the binds (functions, ``Write`` continuations and ``_Cat``
-    nodes, with the nodes, events and sites they hold) by identity, the
-    marked ``TauO`` by its tail's identity, and the stores by content.
+    else reads or writes ``memo``), nor does a ``Write`` or a ``Compute``,
+    whose fields are set once, and each component compares as finely as it
+    must: the fold and the binds (functions, ``Write`` and ``Compute``
+    continuations and ``_Cat`` nodes, with the nodes, events and sites they
+    hold) by identity, the marked ``TauO`` by its tail's identity, and the
+    stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -392,11 +405,52 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)
-                if type(kont) is Write and answer.tag is tag and total < limit:
-                    x = kont.site
-                    memo = x.memo
-                    route = memo[1] if memo[0] is table else _route(table, x)
-                    if route:  # a move: its write is answered here, with no node
+                if answer.tag is tag and total < limit:
+                    if type(kont) is Compute:
+                        # the reads still to come, each through its route
+                        got = kont.got + (answer.payload,)
+                        reads = kont.reads
+                        j = 0
+                        for e in reads:
+                            memo = e.memo
+                            route = memo[1] if memo[0] is table else _route(table, e)
+                            if not route:
+                                break
+                            slot, default, steps, key, tag = route
+                            if default is None:
+                                break
+                            answer = dicts[slot].get(key, default)
+                            if answer.tag is not tag or total + steps >= limit:
+                                break
+                            total += steps
+                            got += (answer.payload,)
+                            j += 1
+                        if j < len(reads):  # the read node the call would build
+                            head = VisO(reads[j], Compute(reads[j + 1:], kont.fn, kont.then, got))
+                            continue
+                        fn, then = kont.fn, kont.then
+                        try:
+                            answer = nat(fn(got))
+                            if type(then) is not Write:  # a branch, under the cap
+                                nxt = then(answer)
+                                head = nxt._head
+                                more = nxt._konts
+                                if more is not None:
+                                    konts = more if konts is None else _Cat(more, konts)
+                                continue
+                        except Exception:
+                            # the call raises again when observed, after the reads' steps
+                            return taus(total, lazy(lambda: go(
+                                _Thunk(lambda: then(nat(fn(got)))), konts, dicts)))
+                        kont = then
+                    if type(kont) is Write:
+                        x = kont.site
+                        memo = x.memo
+                        route = memo[1] if memo[0] is table else _route(table, x)
+                        if not route:  # the write node the call would build
+                            head = SiteNode(x, answer, kont.rest)
+                            continue
+                        # a move or a computed write: answered here, with no node
                         slot, _, steps, key, _ = route
                         d = dicts[slot]
                         if d is given[slot]:

@@ -74,6 +74,65 @@ def test_eutt_witness_is_the_path_to_the_refutation():
     assert replay_witness(EQ, lhs, rhs, verdict.witness)
 
 
+def _real_witnesses():
+    """Pairs of trees with the witness a checker refutes them by, one per
+    kind of final step and with runs of each kind of silent step."""
+    e, out = input_ev(), output_ev(1)
+    cases = {
+        "strong": (nested_taus(3, ret(nat(1))), nested_taus(3, ret(nat(2)))),
+        "strong event": (bind(trigger(e), lambda x: tau(ret(x))),
+                         bind(trigger(e), lambda x: tau(ret(nat(0) if x == nat(9) else x)))),
+        "weak": (taus(2, vis(out, lambda _: taus(3, trigger(e)))),
+                 vis(out, lambda _: taus(3, bind(
+                     trigger(e), lambda x: taus(2, ret(nat(0) if x == nat(9) else x)))))),
+        "event mismatch": (taus(2, trigger(out)), tau(trigger(output_ev(2)))),
+        "shape": (tau(ret(nat(1))), tau(trigger(out))),
+    }
+    witnesses = {}
+    for name, (lhs, rhs) in cases.items():
+        check = strong_bisim if name.startswith("strong") else (
+            lambda a, b, depth: eutt(EQ, a, b, 5, depth))
+        verdict = check(lhs, rhs, 20)
+        assert verdict.refuted and replay_witness(EQ, lhs, rhs, verdict.witness)
+        witnesses[name] = (lhs, rhs, verdict.witness)
+    return witnesses
+
+
+def _with_last(w, step):
+    return w[:-1] + (step,)
+
+
+# Each tamper changes one step of a real witness so that it names what the
+# trees do not do.
+TAMPERS = {
+    "one tau more": ("strong", lambda w: (("tau",),) + w),
+    "one tau fewer": ("strong", lambda w: w[1:]),
+    "one left tau more": ("weak", lambda w: (("taul",),) + w),
+    "one left tau fewer": ("weak", lambda w: w[1:]),
+    "one right tau more": ("weak", lambda w: w[:-1] + (("taur",),) + w[-1:]),
+    "one right tau fewer": ("weak", lambda w: w[:-2] + w[-1:]),
+    "wrong answer": ("strong event", lambda w: (("event", input_ev(), nat(8)),) + w[1:]),
+    "wrong event": ("strong event", lambda w: (("event", output_ev(9), nat(9)),) + w[1:]),
+    "changed ret-mismatch value": (
+        "strong", lambda w: _with_last(w, ("ret-mismatch", nat(1), nat(3)))),
+    "changed rel-fails value": ("weak", lambda w: _with_last(w, ("rel-fails", nat(9), nat(1)))),
+    "wrong event-mismatch event": ("event mismatch", lambda w: _with_last(
+        w, ("event-mismatch", output_ev(1), output_ev(3)))),
+    "wrong shape": ("shape", lambda w: _with_last(w, ("shape", "ret UValue<2>", w[-1][2]))),
+    "unknown kind": ("weak", lambda w: _with_last(w, ("rel-holds", nat(9), nat(0)))),
+    "no last step": ("weak", lambda w: w[:-1]),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_replay_rejects_a_tampered_witness(tamper):
+    name, change = TAMPERS[tamper]
+    lhs, rhs, witness = _real_witnesses()[name]
+    tampered = change(witness)
+    assert tampered != witness
+    assert not replay_witness(EQ, lhs, rhs, tampered)
+
+
 def test_eutt_witness_of_a_long_event_chain():
     # 1,000 events, each followed by a 50-step run, before the returns differ
     def chain(last):

@@ -67,7 +67,7 @@ from itrees.imp import (
     parse_imp,
     set_var,
 )
-from itrees.values import boolean, fst, label, label_t, map_items, nat, sym, umap, unit
+from itrees.values import boolean, fst, label, label_t, map_items, nat, snd, sym, umap, unit
 
 from helpers import layered_interp_asm, layered_interp_imp, to_map_events
 
@@ -886,8 +886,9 @@ def test_an_event_whose_key_is_not_a_value_raises_at_its_step():
 
 
 # A move, a read whose answer is written unchanged, hands its read a
-# ``Write``; the fold writes it in place and builds no write node, so only
-# computed writes build one.
+# ``Write``, and a computed write continues its first read with a
+# ``Compute`` that ends in one; the fold answers the reads and the write in
+# place and builds no write node for either.
 
 def _count_write_nodes(monkeypatch):
     built = []
@@ -914,13 +915,14 @@ def test_moves_build_no_write_node(monkeypatch):
             ob, _ = run_to_head(interp_asm(entry, env_of(), umap()), 10 ** 6)
         assert type(ob) is RetO
         runs[n] = len(built)
-    # per iteration, the ``add`` and the ``sub``; every other write is a move
-    assert runs[51] - runs[50] == 2
-    assert runs[50] == 2 * 50
-    moves = denote_stmt(parse_imp("y := x; z := y"))
+    # none per iteration: the ``add`` and the ``sub`` are computed in place
+    assert runs[51] == runs[50] == 0
     built = _count_write_nodes(monkeypatch)
-    got, _ = run_to_head(interp_imp(moves, env_of({"x": 4})), FUEL)
-    assert got == RetO(pair(env_of({"x": 4, "y": 4, "z": 4}), unit()))
+    for src, env0, env in (("y := x; z := y", {"x": 4}, {"x": 4, "y": 4, "z": 4}),
+                           ("y := x + 1; z := y * y - x", {"x": 4}, {"x": 4, "y": 5, "z": 21}),
+                           ("while c - 1 do c := c - 1 end", {"c": 5}, {"c": 1})):
+        got, _ = run_to_head(interp_imp(denote_stmt(parse_imp(src)), env_of(env0)), FUEL)
+        assert got == RetO(pair(env_of(env), unit()))
     assert built == []
 
 
@@ -934,6 +936,24 @@ def test_an_observed_move_still_writes_its_answer():
     assert type(after) is VisO and after.event == event(
         asm.REG_E, "SetReg", nat(0), nat(5), path=(LEFT,))
     assert observe(after.k(unit())) == RetO(unit())
+
+
+def test_an_observed_computed_write_still_writes_its_value():
+    # the ``Compute`` builds the second read's node and then the write node
+    t = denote_stmt(parse_imp("x := x + y"))
+    ob = observe(t)
+    assert type(ob) is VisO and ob.event == event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
+    second = observe(ob.k(nat(4)))
+    assert type(second) is VisO and second.event == event(
+        IMP_STATE, "GetVar", sym("y"), path=(LEFT,))
+    after = observe(second.k(nat(3)))
+    assert type(after) is VisO and after.event == event(
+        IMP_STATE, "SetVar", sym("x"), nat(7), path=(LEFT,))
+    assert observe(after.k(unit())) == RetO(unit())
+    ob = observe(denote_stmt(parse_imp("x := x + 1")))
+    after = observe(ob.k(nat(4)))
+    assert type(after) is VisO and after.event == event(
+        IMP_STATE, "SetVar", sym("x"), nat(5), path=(LEFT,))
 
 
 def test_a_move_across_a_batch_boundary_matches_layered():
@@ -964,6 +984,80 @@ def test_a_move_whose_write_is_unrouted_raises_like_the_layered_stack():
     assert at == 5 + 3 and issubclass(err, UnhandledEvent)
     layered_at, layered_err = _least_raising_fuel(_layered_two_paths(program(), s0, s1), 100)
     assert layered_at == at + 1 and issubclass(layered_err, UnhandledEvent)
+
+
+def test_a_computed_write_across_a_batch_boundary_matches_layered():
+    # three steps per read and three for the write: with ``lead`` silent
+    # steps before it, the first read, the second or the write brings the
+    # batch to the cap, or none does
+    add = denote_stmt(parse_imp("x := x + y"))
+    env0 = env_of({"x": 6, "y": 5})
+    for lead in range(_BATCH_STEPS - 10, _BATCH_STEPS):
+        # the first batch ends after the read or write that reaches the cap
+        ends = (lead, lead + 3, lead + 6, lead + 9)
+        first = next((n for n in ends if n >= _BATCH_STEPS), lead + 9)
+        assert observe(interp_imp(taus(lead, add), env0)).run == first
+        for fuel in range(_BATCH_STEPS - 12, _BATCH_STEPS + 10):
+            a, a_steps = run_to_head(interp_imp(taus(lead, add), env0), fuel)
+            b, b_steps = run_to_head(layered_interp_imp(taus(lead, add), env0), fuel)
+            assert (type(a), a_steps) == (type(b), b_steps)
+        a, _ = run_to_head(interp_imp(taus(lead, add), env0), FUEL)
+        b, _ = run_to_head(layered_interp_imp(taus(lead, add), env0), FUEL)
+        assert a == b == RetO(pair(env_of({"x": 11, "y": 5}), unit()))
+
+
+def test_a_wrong_answer_to_a_second_read_raises_like_the_layered_stack():
+    env0 = umap({"x": nat(1), "y": boolean(True)})
+    for lead in (1, _BATCH_STEPS - 5, _BATCH_STEPS - 3):
+        def make(run):
+            return run(taus(lead, denote_stmt(parse_imp("z := x + y"))), env0)
+
+        at, err = _least_raising_fuel(make(interp_imp), lead + 100)
+        assert at == lead + 6 and issubclass(err, AnswerTagMismatch)
+        assert _least_raising_fuel(make(layered_interp_imp), lead + 100) == (at, err)
+
+
+def test_a_computed_write_whose_second_read_is_unrouted_raises_like_the_layered_stack():
+    # the first read is routed (three steps), the second lies on (RIGHT,),
+    # which names neither leaf and lies outside the outward prefix
+    def program():
+        first = event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
+        stray = event(IMP_STATE, "GetVar", sym("y"), path=(RIGHT,))
+        write = write_at(Site(IMP_STATE, "SetVar", sym("z"), (LEFT,)), ret(unit()))
+        return taus(5, vis(first, core.Compute((stray,), lambda p: p[0] + p[1], write)))
+
+    s0, s1 = env_of(), env_of()
+    at, err = _least_raising_fuel(_fused_two_paths(program(), s0, s1), 100)
+    assert at == 5 + 3 and issubclass(err, UnhandledEvent)
+    # the layered stack's renaming fold spends its own step before it fails
+    layered_at, layered_err = _least_raising_fuel(_layered_two_paths(program(), s0, s1), 100)
+    assert layered_at == at + 1 and issubclass(layered_err, UnhandledEvent)
+
+
+def test_a_compute_that_raises_raises_like_the_layered_stack():
+    # the value or the branch raises once both reads are answered
+    def program(fn, then):
+        reads = (imp._get_var_event("x"), imp._get_var_event("y"))
+        return taus(5, vis(reads[0], core.Compute(reads[1:], fn, then)))
+
+    write = write_at(imp._set_var_site("z"), ret(unit()))
+    for fn, then in ((_boom, write), (lambda p: p[0] + p[1], _boom)):
+        at, err = _least_raising_fuel(interp_imp(program(fn, then), env_of()), 100)
+        assert at == 5 + 6 and issubclass(err, Boom)
+        assert _least_raising_fuel(layered_interp_imp(program(fn, then), env_of()), 100) == (
+            at, err)
+
+
+def test_a_computed_write_reads_an_absent_register_as_the_default():
+    # ``wrong-default`` reads absent registers as 1
+    add = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n"
+                        "  add r0, r0, r1\n  jmp 0\n")
+    default = compiler.MUTATIONS["wrong-default"].asm_default
+    assert default == 1
+    for run in (interp_asm, layered_interp_asm):
+        got, _ = run_to_head(run(den_asm(add)(label(0, 1)), umap(), umap({0: nat(5)}),
+                                 default=default), FUEL)
+        assert type(got) is RetO and fst(snd(got.value)) == umap({0: nat(6)})
 
 
 def test_a_return_over_a_store_whose_keys_mix_str_and_int():
