@@ -249,14 +249,16 @@ def halt() -> ITree:
 # same ones.  A register read or a load is a ``vis`` node over the event
 # interned for its register or address, built with its block unless it
 # holds an earlier answer.  Every register or memory write has the write
-# ``Site`` interned for its register or address, and its continuation is a
-# ``Write`` of that site, built with its block, so no event is built at run
-# time.  A move (``load``, ``mov`` or ``store`` of a register) hands the
-# ``Write`` to its read; ``add``, ``sub`` and ``mul`` continue their first
-# read with a ``Compute`` of the second read, if any, the operation and the
-# ``Write``.  The fused store fold answers the reads and the write of
-# either in place, building no node.  The value is a checked answer or a
-# fresh ``nat``, so the write needs no check.
+# ``Site`` interned for its register or address, and its value goes to a
+# ``Write`` of that site, built with its block.  A write is an event node
+# built by its ``Write``, so a move of an immediate builds its write's
+# event once, with its block.  A move (``load``, ``mov`` or ``store`` of a
+# register) hands the ``Write`` to its read; ``add``, ``sub`` and ``mul``
+# continue their first read with a ``Compute`` of the second read, if any,
+# the operation and the ``Write``.  The fused store fold answers the reads
+# and the write of either in place, building no event node, so no event is
+# built at run time.  The value is a checked answer or a fresh ``nat``, so
+# the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
     """Read ``op``, then continue with ``k`` of its value; an immediate is

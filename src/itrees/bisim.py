@@ -349,7 +349,10 @@ def replay_witness(r: RelSpec, t1: ITree, t2: ITree, witness) -> bool:
 
     Every step must be what the trees do: silent steps where they step
     silently, the named event on both sides, and a final step whose
-    returns, events or shapes are the ones it names."""
+    returns, events or shapes are the ones it names.  It replays the
+    witnesses of ``strong_bisim`` and ``eutt``; the leading ``("input", v)``
+    of a ``ktree_equiv`` witness and the ``("trace", tr)`` of a
+    ``traces.trace_refines`` one are checked as those functions say."""
     for step in witness:
         kind = step[0]
         o1, o2 = observe(t1), observe(t2)
@@ -407,7 +410,9 @@ def ktree_equiv(r: RelSpec, f, g, inputs=None, tau_budget: int = 100,
     """Pointwise weak bisimulation over a sample or exhaustive domain.
 
     With ``inputs=None`` the domain is enumerated from ``f.dom`` (which must
-    be a finite shape).
+    be a finite shape).  A refutation's witness is ``("input", v)``
+    followed by an ``eutt`` witness of ``f(v)`` and ``g(v)``: to check it,
+    replay the rest with ``replay_witness(r, f(v), g(v), witness[1:])``.
     """
     if inputs is None:
         if f.dom is None:

@@ -9,16 +9,14 @@ is a run of one); it observes one step at a time like nested ``tau``
 nodes, and ``TauO.after`` lets a consumer skip any part of it at once.
 Return, run and event nodes are their own observations: ``observe``
 returns the node itself, or, with binds pending above it, a copy that
-carries them.  A write node is a store write at a prebuilt ``events.Site``
-holding the value it writes and the tree after it; ``observe`` turns one
-into the event node it stands for, while the fused store fold
-(``interp.interp_stores``) runs it without building that node or its event.
-A write's continuation is a ``Write``, which builds the write node when
-called.  A computed write's reads, or a branch's, are continued by a
-``Compute``, which feeds their answers to a pure function and its value to
-a ``Write`` or a branch.  The fold answers a move, a read whose
-continuation is a ``Write``, and a ``Compute``'s reads and write in place
-and calls nothing, so neither builds a write node when the fold runs it.
+carries them.  A store write at a prebuilt ``events.Site`` is continued
+by a ``Write``, and a write is an event node built by its ``Write`` when
+called with the value.  A computed write's reads, or a branch's, are
+continued by a ``Compute``, which feeds their answers to a pure function
+and its value to a ``Write`` or a branch.  The fused store fold
+(``interp.interp_stores``) answers moves, reads whose continuation is a
+``Write``, and ``Compute``s without one: it answers their reads and write
+in place and calls nothing.
 """
 
 from __future__ import annotations
@@ -30,8 +28,9 @@ from .values import AnswerTagMismatch, UValue, nat
 
 
 # A tree's head is a return, silent-run or event node, which is its own
-# observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), a
-# write node (``SiteNode``), or a deferred producer.
+# observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), or
+# a deferred producer.  A write is an event node built by its ``Write``;
+# the fused store fold answers moves and ``Compute``s without one.
 
 class _Thunk:
     """Deferred tree producer, evaluated at most once."""
@@ -165,35 +164,11 @@ class VisO:
 Observation = RetO | TauO | VisO
 
 
-class SiteNode:
-    """A store write at a prebuilt site (``events.Site``): ``value`` is the
-    value written and ``next`` the tree after the write, whose answer is
-    always the unit.  A ``Write`` continuation builds one when it is called,
-    which the fused store fold does only when the write's site has no route
-    or a batch ends before it: it answers the write of a move or of a
-    ``Compute`` without one."""
-
-    __slots__ = ("site", "value", "next")
-
-    def __init__(self, site, value, next):
-        self.site = site
-        self.value = value
-        self.next = next
-
-    def _after_write(self, _):
-        return self.next
-
-    def observation(self, konts) -> VisO:
-        """The event node this node stands for, with ``konts`` pending.  The
-        write's event is built here, and its continuation is a bound method,
-        so two observations of one node compare equal."""
-        return VisO(self.site.written(self.value), self._after_write, konts)
-
-
 class Write:
     """The continuation that writes its argument at the write site
-    ``site``, then runs ``rest``: called with a value, it returns the write
-    node (``SiteNode``) of that value.
+    ``site``, then runs ``rest``: called with a value, it returns the event
+    node of that write, whose continuation is a bound method of the
+    ``Write``, so two observations of one write compare equal.
 
     A read continued by a ``Write`` is a move, whose answer is written
     unchanged, and a ``Compute`` continued by one is a computed write; the
@@ -208,7 +183,10 @@ class Write:
         self.rest = rest
 
     def __call__(self, v: UValue) -> ITree:
-        return ITree(SiteNode(self.site, v, self.rest))
+        return ITree(VisO(self.site.written(v), self._after_write))
+
+    def _after_write(self, _):
+        return self.rest
 
 
 class Compute:
@@ -295,9 +273,8 @@ def trigger(event) -> ITree:
 
 def _resolve(head, konts):
     """Force deferred producers and consume pending continuations until a
-    genuine node surfaces: a return with no binds pending, a silent run, an
-    event or a write node.  Returns that raw head and the binds still pending
-    above it.
+    genuine node surfaces: a return with no binds pending, a silent run or
+    an event.  Returns that raw head and the binds still pending above it.
 
     Each resolution step consumes a pending continuation or a produced node,
     so a single call terminates even on globally infinite trees.  This is
@@ -334,16 +311,12 @@ def observe(t: ITree) -> Observation:
     """Resolve to the next return, silent step, or event node.
 
     Deferred producers are forced (once) and return-value continuations are
-    consumed until a genuine node surfaces (see ``_resolve``); a write node
-    is observed as the event node it stands for.
+    consumed until a genuine node surfaces (see ``_resolve``).
     """
     head, konts = _resolve(t._head, t._konts)
-    tp = type(head)
-    if tp is SiteNode:
-        return head.observation(konts)
     if konts is None:
         return head
-    if tp is TauO:
+    if type(head) is TauO:
         return TauO(head._tail, head.run, konts, head._mark, head._key)
     return VisO(head.event, head._kont, konts)
 

@@ -86,12 +86,13 @@ class EventInstance:
     in a table the signature builds once.  Instances compare and hash by
     (sig, kind, args, path), and what an instance stands for never changes:
     its one slot assigned after construction, ``memo``, is where the fused
-    store fold caches the event's route (see ``interp.interp_stores``), so
-    equality, hashing and ``repr`` leave it out.
+    store fold caches the event's route (see ``interp.interp_stores``), or
+    ``Site.written`` hands it its site's, so equality, hashing and ``repr``
+    leave it out.
 
     The class defines its own ``__init__``, which ``dataclass`` keeps, so
-    that building an instance, as observing a write at a ``Site`` does, is
-    one Python call rather than two.
+    that building an instance, as a ``Write`` does for its ``Site`` each
+    time it is called, is one Python call rather than two.
     """
 
     sig: EventSig
@@ -149,14 +150,17 @@ class Site:
     recently used one, whose writes get a fresh site the next time they
     are denoted.
 
-    A site's kind takes a key and a value and answers the unit, so a write
-    needs no continuation; any other kind is refused.  The key is known, and
-    checked, here; the value is known only when the write runs, so the
-    site's event is not built here: ``written(value)`` builds it, without
-    ``event``'s check of the value, when a consumer observes the write.
-    Sites compare by identity, and what a site stands for never changes,
-    so sharing one is safe: its one assigned slot, ``memo``, is where the
-    fused store fold caches the site's route, as it does an event's.
+    A site's kind takes a key and a value and answers the unit, so the tree
+    after a write does not depend on the answer; any other kind is refused.
+    The key is known, and checked, here; the value is known only when the
+    write runs, so the site's event is not built here: ``written(value)``
+    builds it, without ``event``'s check of the value, when the site's
+    ``core.Write`` is called.  A write is an event node
+    built by its ``Write``; the fused store fold answers moves and
+    ``Compute``s without one.  Sites compare by identity, and what a site
+    stands for never changes, so sharing one is safe: its one assigned
+    slot, ``memo``, is where the fused store fold caches the site's route,
+    as it does an event's.
     """
 
     __slots__ = ("sig", "kind", "key", "path", "memo")
@@ -177,8 +181,12 @@ class Site:
         self.memo = (None, None)
 
     def written(self, value: UValue) -> EventInstance:
-        """The event of this write site writing ``value``."""
-        return EventInstance(self.sig, self.kind, (self.key, value), self.path)
+        """The event of this write site writing ``value``.  It shares the
+        site's path, kind, key and answer, so their routes are the same, and
+        it starts with the route the site has cached."""
+        e = EventInstance(self.sig, self.kind, (self.key, value), self.path)
+        e.memo = self.memo
+        return e
 
     def __repr__(self):
         where = "".join(self.path)

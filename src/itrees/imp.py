@@ -366,12 +366,14 @@ def set_var(name: str, v: UValue) -> ITree:
 # through a ``trigger`` and a pending bind.  Every variable read in the text
 # is one ``vis`` node over the ``GetVar`` event interned for its variable.
 # Every assignment has the write ``Site`` interned for its variable, and its
-# continuation is a ``Write`` of that site, built with the denotation, so
-# no event is built at run time.  A move (``x := y``) hands the ``Write`` to
-# its read; an expression with an operator continues its first read with a
-# ``Compute`` of the reads after it, the function of their answers and the
-# ``Write``, or a guard's branch.  The fused store fold answers the reads
-# and the write of either in place, building no node.
+# value goes to a ``Write`` of that site, built with the denotation.  A
+# write is an event node built by its ``Write``, so a literal assignment's
+# is built once, when it is denoted.  A move (``x := y``) hands the
+# ``Write`` to its read; an expression with an operator continues its first
+# read with a ``Compute`` of the reads after it, the function of their
+# answers and the ``Write``, or a guard's branch.  The fused store fold
+# answers the reads and the write of either in place, building no event
+# node, so no event is built at run time.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 

@@ -18,7 +18,6 @@ from .core import (
     Compute,
     ITree,
     RetO,
-    SiteNode,
     TauO,
     VisO,
     Write,
@@ -248,38 +247,36 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and an answered store event feeds
     its answer straight to the event's continuation, with no observation or
-    tree built per event.  An event or write node is already resolved, so
-    when a continuation returns one, as the denotations' continuations do,
+    tree built per event.  An event node is already resolved, so when a
+    continuation returns one, as the denotations' continuations do,
     the pass goes straight to its route without calling ``_resolve``, and
     it queues the continuation's own pending binds in place.
 
-    A store event comes as a ``VisO`` or, for a write the denotations emit,
-    as a write node (``core.SiteNode``), or it is the write of a move, a
-    read whose continuation is a ``core.Write``, or of a computed write.
-    Any way its route is read from one flat table, (path, kind) -> (slot,
-    default, steps), interned so that calls with equal routes over as many
-    stores share it, and read only on the first visit of the event or
-    write site under that table:
-    ``_route`` caches the route, key and answer tag there (``memo``), and
-    from there all take the same step.  A denotation run from several
-    initial stores thus looks each of its events and sites up once.  An
-    event whose arguments do not fit its route, or a write site routed as a
-    read, has no route.  A write node carries no event, so none is built or
-    taken apart, and it holds the tree after it, which the pass takes
-    without a call.  A move's write is answered in place: once the read's
-    answer has passed its tag test, the pass writes it at the ``Write``'s
-    site and goes on with the ``Write``'s tree, building no node and
-    calling nothing.  A read continued by a ``core.Compute`` is answered
+    A store event comes as a ``VisO``, or it is the write of a move, a read
+    whose continuation is a ``core.Write``, or of a computed write.  A write
+    is an event node built by its ``Write``; the fold answers moves and
+    ``Compute``s without one.  Either way its route is read from one flat
+    table, (path, kind) -> (slot, default, steps), interned so that calls
+    with equal routes over as many stores share it, and read only on the
+    first visit of the event or write site under that table: ``_route``
+    caches the route, key and answer tag there (``memo``), and from there
+    all take the same step.  The event a ``Write`` builds starts with its
+    site's cached route (``events.Site.written``).  A denotation run from
+    several initial stores thus looks each of its events and sites up once.
+    An event whose arguments do not fit its route, or a write site routed as
+    a read, has no route.  A move's write is answered in place: once the
+    read's answer has passed its tag test, the pass writes it at the
+    ``Write``'s site and goes on with the ``Write``'s tree, building no node
+    and calling nothing.  A read continued by a ``core.Compute`` is answered
     in place too: the pass answers the reads still to come through their
     cached routes, one tag test each, computes the value, and writes it
     through the same code as a move's when the ``Compute`` goes on to a
-    ``Write``, or goes on with the tree its branch returns.  When a read
-    has no route or an answer that does not fit, a read's steps bring the
-    batch to its cap, the write site has no route, or the value or the
-    branch raises, the pass takes the node that calling the continuation
-    would build as it comes instead, so step counts and raises do not
-    change.  Each
-    answer is checked once, by one tag test when the event's declared
+    ``Write``, or goes on with the tree its branch returns.  When a read has
+    no route or an answer that does not fit, a read's steps bring the batch
+    to its cap, the write site has no route, or the value or the branch
+    raises, the pass takes the node that calling the continuation would
+    build as it comes instead, so step counts and raises do not change.
+    Each answer is checked once, by one tag test when the event's declared
     answer shape is decided by its tag (the unit, for a write), and a
     mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
     ``VisO.k`` would.
@@ -300,11 +297,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
       raise unbatched (a batch with no steps raises there and then); after
       the silent run or store event that brings it to ``_BATCH_STEPS``
       steps, or to ``_HARD_STEPS`` once it has passed a mark (a read
-      that does so ends it before the next read or write node of its
-      move or ``Compute``), so that
-      observing ``spin()`` or a tree of endless store events returns and a
-      long loop body cannot stretch it; and at a mark, before its step,
-      once it has passed a mark and holds ``_BATCH_STEPS`` steps or more.
+      that does so ends it before the next read or the write of its
+      move or ``Compute``), so that observing ``spin()`` or a tree of
+      endless store events returns and a long loop body cannot stretch
+      it; and at a mark, before its step, once it has passed a mark and
+      holds ``_BATCH_STEPS`` steps or more.
 
     A batch copies each store at most once, on its first write to it, and
     never writes the stores it was handed, so a batch that runs again, or
@@ -320,12 +317,14 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     two equal keys lead to the same tree.  It holds because trees and
     continuations are pure and immutable, an event or a site never changes
     what it stands for (its cached route only saves a lookup, and nothing
-    else reads or writes ``memo``), nor does a ``Write`` or a ``Compute``,
-    whose fields are set once, and each component compares as finely as it
-    must: the fold and the binds (functions, ``Write`` and ``Compute``
-    continuations and ``_Cat`` nodes, with the nodes, events and sites they
-    hold) by identity, the marked ``TauO`` by its tail's identity, and the
-    stores by content.
+    else reads or writes ``memo`` but ``Site.written``, which hands a
+    site's route to the event it builds, the same route the event would be
+    given), nor does a ``Write`` or a ``Compute``, whose fields are set
+    once, and each component compares as finely as it must: the fold and
+    the binds (functions, ``Write`` and ``Compute`` continuations and
+    ``_Cat`` nodes, with the nodes, events and sites they hold) by
+    identity, the marked ``TauO`` by its tail's identity, and the stores by
+    content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -346,8 +345,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         loop_key = None  # set only by a batch that ends at a mark
         while True:
-            kind = type(head)
-            if kind is not VisO and kind is not SiteNode:  # those are resolved
+            if type(head) is not VisO:  # an event node is resolved
                 try:
                     head, konts = _resolve(head, konts)
                 except Exception:
@@ -376,12 +374,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     for d in reversed(dicts):
                         v = pair(umap(d), v)
                     return taus(total, ret(v)) if total else ret(v)
-            if kind is VisO:
-                x = head.event
-                kont = head._kont
-            else:  # a write node
-                x = head.site
-                kont = head.next  # the tree after the write
+            x = head.event
+            kont = head._kont
             memo = x.memo
             route = memo[1] if memo[0] is table else _route(table, x)
             if not route:
@@ -401,7 +395,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 if d is given[slot]:  # the batch's first write to this store
                     d = dict(d)
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
-                d[key] = head.value if kind is SiteNode else x.args[1]
+                d[key] = x.args[1]
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)
@@ -447,8 +441,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                         x = kont.site
                         memo = x.memo
                         route = memo[1] if memo[0] is table else _route(table, x)
-                        if not route:  # the write node the call would build
-                            head = SiteNode(x, answer, kont.rest)
+                        if not route:  # the event node the call would build
+                            head = kont(answer)._head
                             continue
                         # a move or a computed write: answered here, with no node
                         slot, _, steps, key, _ = route
@@ -469,7 +463,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             try:
                 if answer.tag is not tag:
                     raise AnswerTagMismatch
-                nxt = kont if kind is SiteNode else kont(answer)
+                nxt = kont(answer)
                 more = nxt._konts
                 head = nxt._head
             except Exception:

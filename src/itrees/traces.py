@@ -163,7 +163,9 @@ def trace_refines(t: ITree, u: ITree, event_depth: int, tau_budget: int,
     ``event_depth`` above ``MAX_EVENT_DEPTH`` raises ``ValueError``.
 
     The traces are checked in enumeration order, so a refutation names the
-    same trace from run to run."""
+    same trace from run to run.  Its witness is one ``("trace", tr)``
+    step, checked with ``is_trace_of``: ``tr`` is a trace of ``t`` and not
+    of ``u``."""
     def verdict(tr):
         got = is_trace_of(u, tr, tau_budget)
         if got is None:

@@ -7,9 +7,12 @@ import pytest
 
 from itrees import (
     EQ,
+    NAT_T,
+    KTree,
     Reason,
     RelSpec,
     eutt,
+    is_trace_of,
     kt_cat,
     kt_id,
     kt_pure,
@@ -23,6 +26,7 @@ from itrees import (
     strong_bisim,
     tau,
     taus,
+    trace_refines,
     trigger,
     unit,
     vis,
@@ -223,6 +227,21 @@ def test_ktree_equiv_examples():
     f = kt_pure(lambda v: nat(v.payload + 1))
     g = kt_pure(lambda v: nat(v.payload + 2))
     assert ktree_equiv(EQ, f, g, [nat(0)]).refuted
+
+
+def test_ktree_and_trace_witnesses_can_be_checked():
+    # a ktree_equiv witness is the input, then an eutt witness at it
+    f, g = KTree(ret, NAT_T), KTree(lambda v: ret(nat(0)), NAT_T)
+    witness = ktree_equiv(EQ, f, g, inputs=[nat(3)]).witness
+    assert witness == (("input", nat(3)), ("rel-fails", nat(3), nat(0)))
+    assert replay_witness(EQ, f(nat(3)), g(nat(3)), witness[1:])
+    assert not replay_witness(EQ, f(nat(4)), g(nat(4)), witness[1:])
+    # a trace_refines witness is a trace of the one tree and not the other
+    t, u = trigger(output_ev(1)), trigger(output_ev(2))
+    (kind, tr), = trace_refines(t, u, 3, 10).witness
+    assert kind == "trace"
+    assert is_trace_of(t, tr, 10) is True
+    assert is_trace_of(u, tr, 10) is False
 
 
 def _echo_after(mk, before, after, bump=0):

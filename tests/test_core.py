@@ -32,7 +32,7 @@ from itrees import (
     write_at,
 )
 from itrees.events import LEFT
-from itrees.imp import IMP_STATE, Var, denote_expr, set_var
+from itrees.imp import IMP_STATE, Assign, Lit, Var, denote_expr, denote_stmt, set_var
 from itrees.samples import echo, input_ev, kill9
 
 from helpers import gen_kont, gen_tree, nested_taus
@@ -272,17 +272,25 @@ def test_answer_and_argument_tags_are_checked():
         ret(5)
 
 
-def test_a_site_node_is_observed_as_its_event():
-    write = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
-    for t in (write_at(write, ret(nat(3)))(nat(5)),
-              bind(write_at(write, ret(nat(3)))(nat(5)), ret)):
-        w = observe(t)
+def test_a_write_node_is_its_own_observation():
+    # a write is a vis node over the event its ``Write`` builds, so with no
+    # binds pending observing one allocates nothing and gives the same node
+    # each time; with binds pending it is a copy that carries them
+    t = denote_stmt(Assign("x", Lit(5)))
+    ob = observe(t)
+    assert observe(t) is ob
+    for w in (ob, observe(bind(t, ret))):
         assert type(w) is VisO
         assert w.event == event(IMP_STATE, "SetVar", sym("x"), nat(5), path=(LEFT,))
-        assert w == observe(t)
         with pytest.raises(AnswerTagMismatch):
             w.k(nat(0))
-        assert observe(w.k(unit())) == RetO(nat(3))
+        assert observe(w.k(unit())) == RetO(unit())
+    assert observe(bind(t, ret)) == observe(bind(t, ret))
+    # the continuation is a bound method of the ``Write``, so two calls of
+    # one ``Write`` with one value give equal observations
+    write = write_at(Site(IMP_STATE, "SetVar", sym("x"), (LEFT,)), ret(nat(3)))
+    assert observe(write(nat(5))) == observe(write(nat(5)))
+    assert observe(observe(write(nat(5))).k(unit())) == RetO(nat(3))
 
 
 def test_a_read_node_is_its_own_observation():

@@ -622,14 +622,25 @@ def test_runs_with_equal_routes_share_the_cached_routes(monkeypatch):
     fold = sys.modules["itrees.interp"]  # ``itrees.interp`` is the function
     route = fold._route
     monkeypatch.setattr(fold, "_route", lambda table, x: calls.append(x) or route(table, x))
+
+    def run(source, target, store):
+        calls.clear()
+        for t in (interp_imp(source, store), interp_asm(target, store, umap())):
+            assert type(run_to_head(t, FUEL)[0]) is RetO
+
     prog = parse_imp("z := x + 2; while z do z := z - 1; y := y + z end")
     source = denote_stmt(prog)
     target = den_asm(compile_stmt(prog))(label(0, 1))
     for store in (umap(), umap({"x": nat(3)})):
-        calls.clear()
-        for t in (interp_imp(source, store), interp_asm(target, store, umap())):
-            assert type(run_to_head(t, FUEL)[0]) is RetO
+        run(source, target, store)
         assert bool(calls) == (store == umap())
+    # a literal write's event is built when its program is denoted, and it
+    # starts with the route its interned site cached, so a program denoted
+    # afresh looks none of its writes up again
+    prog = parse_imp("y := 5; z := x + y; while z do z := z - 1 end")
+    for store in (umap(), umap({"x": nat(3)})):
+        run(denote_stmt(prog), den_asm(compile_stmt(prog))(label(0, 1)), store)
+    assert calls == []
 
 
 def _run(t):
@@ -771,14 +782,15 @@ def _layered_two_paths(t, s0, s1):
 
 
 def _var(kind, path, name, *value, at_site=False):
-    """A read, or a write of ``value``, as an event node, or for a write
-    with ``at_site`` as a write node at its site."""
+    """A read, or a write of ``value``, as a hand-built event node, or for
+    a write with ``at_site`` as a write built through a ``Site``."""
     if not (at_site and value):
         return trigger(event(IMP_STATE, kind, sym(name), *value, path=path))
     return write_at(Site(IMP_STATE, kind, sym(name), path), ret(unit()))(*value)
 
 
-# Which of the program's writes, by position, are write nodes.
+# Which of the program's writes, by position, are writes built through a
+# ``Site``.
 _AT_SITES = {"none": lambda j: False, "all": lambda j: True,
              "even": lambda j: j % 2 == 0, "odd": lambda j: j % 2 == 1}
 
@@ -786,7 +798,7 @@ _AT_SITES = {"none": lambda j: False, "all": lambda j: True,
 def _two_path_program(third, at_sites="none"):
     """Writes and reads of ``x`` and ``y`` through both routed paths, then
     one GetVar on the path ``third``, whose answer is written to ``z``.
-    The writes ``_AT_SITES[at_sites]`` picks are write nodes."""
+    The writes ``_AT_SITES[at_sites]`` picks are built through a ``Site``."""
     left, right = (LEFT,), (RIGHT, LEFT)
     pick = _AT_SITES[at_sites]
 
@@ -806,7 +818,8 @@ def _two_path_program(third, at_sites="none"):
 
 
 def test_one_kind_on_two_paths_reaches_two_stores():
-    # write nodes and VisO events take the same step of the fold
+    # writes built through a ``Site``, which share its cached route, and
+    # hand-built events take the same step of the fold
     s0, s1 = env_of({"v": 5}), env_of({"x": 9})
     layered = _layered_two_paths(_two_path_program(_OUTWARD), s0, s1)
     for at_sites in sorted(_AT_SITES):
@@ -840,8 +853,9 @@ def test_one_kind_on_an_unrouted_path_raises_like_the_layered_stack():
 
 
 def test_a_site_whose_route_reads_where_it_writes_has_no_route():
-    # event nodes, hand-built with trigger, and write nodes alike: a read's
-    # one argument does not fit a write route, nor a write's two a read's
+    # event nodes, hand-built with trigger, and writes built through a
+    # ``Site`` alike: a read's one argument does not fit a write route, nor
+    # a write's two a read's
     routes = {((LEFT,), "GetVar"): (0, None), ((LEFT,), "SetVar"): (0, nat(0))}
     for kind, value, at_site in (("GetVar", (), False), ("SetVar", (nat(1),), False),
                                  ("SetVar", (nat(1),), True)):
@@ -888,17 +902,18 @@ def test_an_event_whose_key_is_not_a_value_raises_at_its_step():
 # A move, a read whose answer is written unchanged, hands its read a
 # ``Write``, and a computed write continues its first read with a
 # ``Compute`` that ends in one; the fold answers the reads and the write in
-# place and builds no write node for either.
+# place and builds no event node for the write of either.
 
 def _count_write_nodes(monkeypatch):
+    # a write's event node is built only by calling its ``Write``
     built = []
-    init = core.SiteNode.__init__
+    call = core.Write.__call__
 
-    def counting(self, site, value, next):
-        built.append(site)
-        init(self, site, value, next)
+    def counting(self, v):
+        built.append(self.site)
+        return call(self, v)
 
-    monkeypatch.setattr(core.SiteNode, "__init__", counting)
+    monkeypatch.setattr(core.Write, "__call__", counting)
     return built
 
 
@@ -907,8 +922,9 @@ def test_moves_build_no_write_node(monkeypatch):
     for n in (50, 51):
         prog = parse_imp(f"c := {n}; x := 1; while c do x := x + c; c := c - 1 end")
         entry = den_asm(compile_stmt(prog))(label(0, 1))
-        # blocks are denoted on first entry, building the write nodes of
-        # immediate moves then, so a first run leaves only the run's own
+        # blocks are denoted on first entry, building the writes' event
+        # nodes of immediate moves then, so a first run leaves only the
+        # run's own
         run_to_head(interp_asm(entry, env_of(), umap()), 10 ** 6)
         with monkeypatch.context() as patch:
             built = _count_write_nodes(patch)
@@ -928,7 +944,7 @@ def test_moves_build_no_write_node(monkeypatch):
 
 def test_an_observed_move_still_writes_its_answer():
     # observing the uninterpreted denotation calls the ``Write``, which
-    # builds the write node the event node stands for
+    # builds the write's event node
     t = asm.denote_instr(asm.Iload(0, "x"))
     ob = observe(t)
     assert type(ob) is VisO and ob.event == event(asm.MEM_E, "Load", sym("x"), path=(RIGHT, LEFT))
@@ -939,7 +955,7 @@ def test_an_observed_move_still_writes_its_answer():
 
 
 def test_an_observed_computed_write_still_writes_its_value():
-    # the ``Compute`` builds the second read's node and then the write node
+    # the ``Compute`` builds the second read's node and then the write's
     t = denote_stmt(parse_imp("x := x + y"))
     ob = observe(t)
     assert type(ob) is VisO and ob.event == event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
@@ -957,8 +973,8 @@ def test_an_observed_computed_write_still_writes_its_value():
 
 
 def test_a_move_across_a_batch_boundary_matches_layered():
-    # the read's three steps bring the batch to the cap, so the write node
-    # is built and the next batch writes it
+    # the read's three steps bring the batch to the cap, so the write's
+    # event node is built and the next batch writes it
     move = denote_stmt(Assign("y", Var("x")))
     assert _BATCH_STEPS - 3 == 253
     env0 = env_of({"x": 6})

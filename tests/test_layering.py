@@ -14,8 +14,9 @@ Both denotations iterate only through ``combinators.iterate``: ``imp`` and
 itself, so every loop of either language is one ``iterate`` on one argument.
 
 Both denotations are in continuation-passing form: each event is one node,
-a ``vis`` node for a read and a write node for a write, so ``imp`` and
-``asm`` use ``trigger`` only in their public single-event helpers.
+a ``vis`` node for a read and the node a ``Write`` builds for a write, so
+``imp`` and ``asm`` use ``trigger`` only in their public single-event
+helpers.
 
 The package exports its functions and types by an explicit list, which
 names no submodule.
