@@ -2,10 +2,10 @@
 
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
-label, iterating the block table on block labels; each block's tree is
-built on the block's first entry, one node per event, and replayed on
-every later visit, and a block never entered is never denoted.  Linking is
-pure block-table surgery, every block relabeled once per combinator; the
+label, a jump to a block going through the block's loop mark; each block's
+tree is built on the block's first entry, one node per event, and replayed
+on every later visit, and a block never entered is never denoted.  Linking
+is pure block-table surgery, every block relabeled once per combinator; the
 semantic equations tying surgery to combinators on denotations are checked
 by the test suite.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from .combinators import KTree, iterate
+from .combinators import KTree, loop_mark
 from .core import Compute, ITree, ret, trigger, vis, write_at
 from .events import (
     INTERNED,
@@ -37,8 +37,6 @@ from .values import (
     SYM_T,
     UNIT_T,
     UValue,
-    inl,
-    inr,
     label,
     label_t,
     nat,
@@ -245,10 +243,11 @@ def halt() -> ITree:
 # Denotations are in continuation-passing form and build each of their
 # trees once: an instruction is denoted together with the tree that follows
 # it, each event is one node whose continuation leads straight to the next
-# tree, and trees are immutable, so every execution of a block replays the
-# same ones.  A register read or a load is a ``vis`` node over the event
-# interned for its register or address, built with its block unless it
-# holds an earlier answer.  Every register or memory write has the write
+# tree, and trees do not change, so every execution of a block replays the
+# same ones, and a jump to an internal label is that label's loop mark.  A
+# register read or a load is a ``vis`` node over the event interned for its
+# register or address, built with its block unless it holds an earlier
+# answer.  Every register or memory write has the write
 # ``Site`` interned for its register or address, and its value goes to a
 # ``Write`` of that site, built with its block.  A write is an event node
 # built by its ``Write``, so a move of an immediate builds its write's
@@ -318,26 +317,30 @@ def denote_bk(blk: Block, targets: Sequence[ITree]) -> ITree:
 def den_asm(u: AsmUnit) -> KTree:
     """Denote a unit as a map from entry labels to exit labels.
 
-    The paper's form is ``loop`` over the block table; here ``iterate``
-    runs the blocks on their labels directly.  A jump to internal label
-    ``i`` returns ``Left(i)``, which re-enters block ``i`` after one silent
-    step, and a jump to exit ``x`` returns ``Right(x)``, which leaves.  Each
-    jump's return is built once per call; each block's tree is built on
-    the block's first entry, which ``iterate`` shares with every later
+    The paper's form is ``loop`` over the block table; here the blocks
+    jump to each other directly.  A jump to internal label ``i`` is block
+    ``i``'s loop mark (``loop_mark``), one silent step and then the block,
+    and a jump to exit ``x`` returns ``x``.  The marks are built once per
+    call; each block's tree is built on the block's first entry, by its
+    mark or, for an entry block, by the call, and shared with every later
     entry, so a block never entered is never denoted, and one that cannot
-    be denoted raises when, and each time, its entry is observed.  Within
-    a block, each event is one node leading straight to the next
-    instruction's tree, with no ``bind``.
+    be denoted raises when, and each time, its entry is observed (an entry
+    block raises at the call).  Within a block, each event is one node
+    leading straight to the next instruction's tree, with no ``bind``.
     """
-    ia = u.internal + u.entries
-    targets = (tuple(ret(inl(label(i, ia))) for i in range(u.internal))
-               + tuple(ret(inr(label(x, u.exits))) for x in range(u.exits)))
-    code = u.code
-    run = iterate(KTree(lambda l: denote_bk(code[l.payload], targets)))
+    code, internal = u.code, u.internal
+    targets = tuple(loop_mark(lambda i=i: denote_bk(code[i], targets))
+                    for i in range(internal))
+    targets += tuple(ret(label(x, u.exits)) for x in range(u.exits))
+    entered = {}
     entry_t = label_t(u.entries)
 
     def go(a):
-        return run(label(u.internal + entry_t.check(a, "entry label").payload, ia))
+        i = internal + entry_t.check(a, "entry label").payload
+        t = entered.get(i)
+        if t is None:
+            t = entered[i] = denote_bk(code[i], targets)
+        return t
 
     return KTree(go, entry_t)
 

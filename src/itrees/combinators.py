@@ -6,9 +6,11 @@ the value level use the Pair(Bool,_) encoding from :mod:`itrees.values`, so
 the loop primitive: one silent step per repeat, no guardedness requirement
 on the body.  It builds the tree for each label or unit payload once, so
 a body runs at most once per such payload and must be pure; other payload
-types enter and re-enter through a fresh tree each time.  ``mrec`` ties
-recursive knots by treating calls as events and interpreting them against
-the remaining tree, so deep recursions never grow the host stack.
+types enter and re-enter through a fresh tree each time.  Its shared
+re-entries are loop marks (``loop_mark``), as are the denotations' loops.
+``mrec`` ties recursive knots by treating calls as events and interpreting
+them against the remaining tree, so deep recursions never grow the host
+stack.
 """
 
 from __future__ import annotations
@@ -110,6 +112,14 @@ def _shared_key(v: UValue):
     return None
 
 
+def loop_mark(build: Callable[[], ITree]) -> ITree:
+    """A loop's shared back edge: one silent step with ``TauO._mark`` set,
+    then the tree ``build()`` returns, built on first entry.  It observes
+    like ``tau``; the fused store fold ends its batches at marks, where the
+    loop state can be read (see ``interp_stores``)."""
+    return ITree(TauO(lazy(build), _mark=True))
+
+
 def iterate(body: KTree) -> KTree:
     """Repeat ``body`` until it returns a Right.
 
@@ -125,10 +135,7 @@ def iterate(body: KTree) -> KTree:
     that raises keeps no tree: a call raises again, and a re-entry raises
     again when observed again.
 
-    The shared re-entry nodes are the loop marks: each is a one-step run
-    with ``TauO._mark`` set, which observes and compares like ``tau`` and
-    which the fused store fold tests in constant time to end its batches
-    where the loop state can be read (see ``interp_stores``).  A fresh
+    The shared re-entry nodes are loop marks (``loop_mark``); a fresh
     re-entry node carries no mark.
     """
 
@@ -154,7 +161,7 @@ def iterate(body: KTree) -> KTree:
             return tau(lazy(lambda: bind(fn(payload), step)))
         node = reentries.get(key)
         if node is None:
-            node = reentries[key] = ITree(TauO(lazy(lambda: go(payload)), _mark=True))
+            node = reentries[key] = loop_mark(lambda: go(payload))
         return node
 
     return KTree(go, body.dom)

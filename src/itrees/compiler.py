@@ -190,7 +190,7 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     unit = compile_stmt(s, low)
     rel = StateInvariantSpec().relspec()
     tau_budget, depth = cfg.budgets()
-    # Denotations are immutable, so both are built once, an Asm block on
+    # Denotations do not change, so both are built once, an Asm block on
     # its first entry, and interpreted under every initial store; their
     # read events and write sites are interned, so the routes that earlier
     # checks cached in them serve this one too.

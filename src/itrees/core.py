@@ -2,11 +2,13 @@
 
 A tree is observed one node at a time: ``observe`` resolves deferred
 producers and pending bind continuations until a genuine return, silent
-step, or event node surfaces.  Trees are immutable; binding is constant
-work because the continuation is queued rather than pushed through the
-structure.  A run of silent steps is one counted node (``taus``; ``tau``
-is a run of one); it observes one step at a time like nested ``tau``
-nodes, and ``TauO.after`` lets a consumer skip any part of it at once.
+step, or event node surfaces.  Trees do not change, but a forced lazy
+node takes on the tree it produced, the same tree (see ``_Thunk``).
+Binding is constant work because the continuation is queued rather than
+pushed through the structure.  A run of silent steps is one counted node
+(``taus``; ``tau`` is a run of one); it observes one step at a time like
+nested ``tau`` nodes, and ``TauO.after`` lets a consumer skip any part of
+it at once.
 Return, run and event nodes are their own observations: ``observe``
 returns the node itself, or, with binds pending above it, a copy that
 carries them.  A store write at a prebuilt ``events.Site`` is continued
@@ -33,22 +35,30 @@ from .values import AnswerTagMismatch, UValue, nat
 # the fused store fold answers moves and ``Compute``s without one.
 
 class _Thunk:
-    """Deferred tree producer, evaluated at most once."""
+    """Deferred tree producer and ``node``, the tree that holds it.  The
+    first ``force`` whose ``fn`` returns writes the produced head and binds
+    into ``node``, so later observations skip the thunk, and drops ``fn``:
+    no cycle is left.  A copy of ``node`` made before still holds the
+    thunk, whose ``force`` returns ``node``.  A raising ``fn`` leaves
+    ``node`` as it was and runs again at the next force."""
 
-    __slots__ = ("fn", "tree")
+    __slots__ = ("fn", "node")
 
     def __init__(self, fn):
         self.fn = fn
-        self.tree = None
+        self.node = ITree(self)
 
     def force(self):
-        if self.tree is None:
-            tree = self.fn()
+        fn = self.fn
+        if fn is not None:
+            tree = fn()
             if type(tree) is not ITree:
                 raise TypeError(f"deferred producer returned {tree!r}, not an ITree")
-            self.tree = tree
+            node = self.node
+            node._head = tree._head
+            node._konts = tree._konts
             self.fn = None
-        return self.tree
+        return self.node
 
 
 # The pending-bind queue is None, a single continuation, or a _Cat node.
@@ -111,7 +121,8 @@ class TauO:
 
     Two private fields annotate a node without changing what it is, so
     equality and hashing leave them out and an observation keeps them:
-    ``_mark`` is set on the loop re-entry nodes of ``iterate``, and
+    ``_mark`` is set on loop marks, the shared back edges of loops (see
+    ``combinators.loop_mark``), and
     ``_key`` on a batch of the fused store fold that ends at one, where it
     holds the fold's state after the batch (see ``interp_stores``).
     """
@@ -257,8 +268,9 @@ def vis(event, kont: Callable[[UValue], ITree]) -> ITree:
 
 
 def lazy(fn: Callable[[], ITree]) -> ITree:
-    """Defer construction; ``fn`` runs at most once, at first observation."""
-    return ITree(_Thunk(fn))
+    """Defer construction: ``fn`` runs at first observation, again only if
+    it raised, and the node takes on what it produced (see ``_Thunk``)."""
+    return _Thunk(fn).node
 
 
 def bind(t: ITree, k: Callable[[UValue], ITree]) -> ITree:

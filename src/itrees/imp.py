@@ -2,11 +2,11 @@
 
 Statements denote trees over variable-access events plus an arbitrary extra
 alphabet; a second stage interprets those events into a finite map with
-default 0, giving the usual store-passing semantics.  Loops go through the
-iteration combinator, so divergence is representable and fuel only appears
-in the driver.  A denotation is in continuation-passing form, one node per
-event, and builds each of its subtrees once; loop iterations and repeated
-runs replay them.
+default 0, giving the usual store-passing semantics.  A loop goes back to
+its test through its shared loop mark, so divergence is representable and
+fuel only appears in the driver.  A denotation is in continuation-passing
+form, one node per event, and builds each of its subtrees once; loop
+iterations and repeated runs replay them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Union
 
-from .combinators import KTree, iterate
-from .core import Compute, ITree, RetO, bind, lazy, ret, run_to_head, trigger, vis, write_at
+from .combinators import loop_mark
+from .core import Compute, ITree, RetO, lazy, ret, run_to_head, trigger, vis, write_at
 from .events import (
     INTERNED,
     LEFT,
@@ -37,8 +37,6 @@ from .values import (
     UNIT_T,
     UValue,
     fst,
-    inl,
-    inr,
     nat,
     nat_add,
     nat_mul,
@@ -373,7 +371,9 @@ def set_var(name: str, v: UValue) -> ITree:
 # read with a ``Compute`` of the reads after it, the function of their
 # answers and the ``Write``, or a guard's branch.  The fused store fold
 # answers the reads and the write of either in place, building no event
-# node, so no event is built at run time.
+# node, so no event is built at run time.  A ``while`` is its test: true runs
+# the body into the loop's mark (``loop_mark``), one silent step back to the
+# test, and false goes on to the tree after the loop, as ``iterate`` would.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
@@ -422,8 +422,6 @@ def _is_true(v: UValue) -> bool:
     return v.payload != 0
 
 
-_CONTINUE = ret(inl(unit()))
-_BREAK = ret(inr(unit()))
 _DONE = ret(unit())
 
 
@@ -433,8 +431,8 @@ def denote_stmt(s: Stmt) -> ITree:
     Each event is one node whose continuation leads straight to the next
     tree.  ``Seq`` tails and ``If`` arms are lazy subtrees, denoted on
     first observation and then shared, so a long ``Seq`` spine does not
-    recurse and no statement is denoted twice; a ``while`` runs through
-    ``iterate``."""
+    recurse and no statement is denoted twice; a ``while`` goes back to its
+    test through its loop mark."""
     return _stmt_then(s, _DONE)
 
 
@@ -454,9 +452,10 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
         then_t = lazy(lambda: _stmt_then(then, rest))
         else_t = lazy(lambda: _stmt_then(orelse, rest))
         return _expr_then(s.cond, lambda v: then_t if _is_true(v) else else_t)
-    body = _stmt_then(s.body, _CONTINUE)
-    test = _expr_then(s.cond, lambda v: body if _is_true(v) else _BREAK)
-    return bind(iterate(KTree(lambda _: test))(unit()), lambda _: rest)
+    mark = loop_mark(lambda: test)
+    body = _stmt_then(s.body, mark)
+    test = _expr_then(s.cond, lambda v: body if _is_true(v) else rest)
+    return test
 
 
 # Variable events read and write the one store, absent variables reading 0;

@@ -284,8 +284,8 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
     whole skip it at once, and a batch takes the source's silent runs whole
-    too, so a loop iteration or a block jump does not end it.  Loops mark
-    their re-entry nodes (``iterate``).  A batch ends:
+    too, so a loop iteration or a block jump does not end it.  A loop's back
+    edge is its loop mark (``combinators.loop_mark``).  A batch ends:
 
     - at a return;
     - at an outward event, after its steps;
@@ -315,7 +315,9 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     the key costs one tuple per batch and nothing on the fold's per-step
     path.  ``eutt`` compares keys with ``==`` and relies on one condition:
     two equal keys lead to the same tree.  It holds because trees and
-    continuations are pure and immutable, an event or a site never changes
+    continuations are pure and do not change (the one update in place, a
+    forced lazy node taking on the tree it produced, leaves it the same
+    tree, whose identity the keys compare), an event or a site never changes
     what it stands for (its cached route only saves a lookup, and nothing
     else reads or writes ``memo`` but ``Site.written``, which hands a
     site's route to the event it builds, the same route the event would be

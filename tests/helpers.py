@@ -366,8 +366,9 @@ def layered_interp_asm(t, mem0, regs0, default=0):
 
 # The Asm denotation in the paper's literal form: ``loop`` over the block
 # table, each branch returning the label it jumps to.  The library's
-# ``den_asm`` iterates on block labels directly and is compared against this
-# one, step for step; the two share only the instruction denotations.
+# ``den_asm`` jumps straight to each internal label's shared loop mark and is
+# compared against this one, step for step; the two share only the
+# instruction denotations.
 
 def _denote_br_label(b, bound: int):
     if isinstance(b, Bjmp):
@@ -419,9 +420,11 @@ def den_asm_by_loop(u: AsmUnit) -> KTree:
 
 
 # The Imp denotation in bind form: each event is a ``trigger`` whose answer
-# the rest of the statement is bound to.  The library's ``denote_stmt`` is in
-# continuation-passing form, each event one node leading straight to the
-# next tree, and is compared against this one, step for step.
+# the rest of the statement is bound to, and a ``while`` is ``iterate`` over
+# its test and body.  The library's ``denote_stmt`` is in continuation-passing
+# form, each event one node leading straight to the next tree and each loop
+# going back to its shared loop mark, and is compared against this one, step
+# for step.
 
 def denote_expr_by_bind(e):
     if isinstance(e, Lit):

@@ -1,6 +1,8 @@
 """Constructors, observation, bind, and the monad/structural laws."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from itrees import (
     burn,
     event,
     eutt,
+    lazy,
     nat,
     observe,
     ret,
@@ -29,6 +32,7 @@ from itrees import (
     taus,
     trigger,
     unit,
+    vis,
     write_at,
 )
 from itrees.events import LEFT
@@ -303,3 +307,85 @@ def test_a_read_node_is_its_own_observation():
     with pytest.raises(AnswerTagMismatch):
         ob.k(unit())
     assert observe(ob.k(nat(5))) == RetO(nat(5))
+
+
+# A lazy node takes on the tree its producer returned at its first
+# successful force, so later observations skip the deferred producer.
+
+def test_a_forced_lazy_node_is_its_produced_head():
+    runs = []
+    produced = bind(vis(input_ev(), ret), lambda v: ret(nat(v.payload + 1)))
+    t = lazy(lambda: runs.append(1) or produced)
+    ob = observe(t)
+    assert (t._head, t._konts) == (produced._head, produced._konts)
+    assert ob == observe(produced)
+    assert observe(t) == ob and runs == [1]
+    assert observe(ob.k(nat(4))) == RetO(nat(5))
+    plain = vis(input_ev(), ret)
+    t = lazy(lambda: plain)
+    assert observe(t) is plain._head  # with no binds pending, the node itself
+
+
+def test_a_raising_lazy_node_is_retried_not_updated():
+    runs = []
+
+    def producer():
+        runs.append(1)
+        raise RuntimeError("not yet")
+
+    t = lazy(producer)
+    head = t._head
+    for n in (1, 2, 3):
+        with pytest.raises(RuntimeError):
+            observe(t)
+        assert len(runs) == n and t._head is head and t._konts is None
+    not_a_tree = lazy(lambda: runs.append(1) or 5)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            observe(not_a_tree)
+    assert len(runs) == 5
+
+
+def test_spin_still_steps_back_to_itself():
+    s = spin()
+    for _ in range(3):
+        ob = observe(s)
+        assert type(ob) is TauO and ob.run == 1 and ob.rest is s
+    ob, steps = run_to_head(spin(), 1000)
+    assert type(ob) is TauO and steps == 1000
+
+
+def test_bind_of_a_lazy_node_applies_its_continuation_forced_or_not():
+    k = lambda v: ret(nat(v.payload * 10))
+    for order in ("bind first", "force first", "bind, then force elsewhere"):
+        runs = []
+        t = lazy(lambda: runs.append(1) or bind(tau(ret(nat(2))), lambda v: ret(nat(v.payload + 1))))
+        if order == "force first":
+            observe(t)
+        b = bind(t, k)
+        if order == "bind, then force elsewhere":
+            assert observe(observe(t).rest) == RetO(nat(3))
+        ob, steps = run_to_head(b, 10)
+        assert ob == RetO(nat(30)) and steps == 1 and runs == [1], order
+        assert run_to_head(t, 10) == (RetO(nat(3)), 1)
+
+
+def test_a_forced_lazy_node_holds_no_cycle():
+    # with the cycle collector off, only reference counts free the produced
+    # node, so it is freed only if no cycle through the thunk holds it
+    def answer(x):
+        return ret(x)
+
+    gone = weakref.ref(answer)
+    t = lazy(lambda k=answer: vis(input_ev(), k))
+    del answer
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert type(observe(t)) is VisO
+        assert gone() is not None
+        del t
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -20,7 +20,6 @@ from itrees import (
     EventSig,
     KindSpec,
     AnswerTagMismatch,
-    KTree,
     Reason,
     RetO,
     Site,
@@ -35,7 +34,6 @@ from itrees import (
     interp,
     interp_map,
     interp_stores,
-    iterate,
     lazy,
     map_default_sig,
     observe,
@@ -50,7 +48,7 @@ from itrees import (
     vis,
     write_at,
 )
-from itrees import asm, compiler, core, imp
+from itrees import asm, combinators, compiler, core, imp
 from itrees.events import LEFT, RIGHT, EventInstance
 from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _route_table
 from itrees.asm import den_asm, interp_asm, load, store
@@ -406,34 +404,81 @@ def test_fused_check_equivalent_matches_layered(monkeypatch):
 
 
 def test_loop_bodies_run_once_per_label_over_a_whole_check(monkeypatch):
-    # Every Imp while iteration and Asm block jump re-enters an iterate; its
-    # body runs once per label (or unit) however many iterations, stores and
-    # replays the check makes.
-    loops = []  # (module name, {payload: runs}) per iterate built
+    # Every Imp while iteration and Asm block jump goes back to a shared loop
+    # mark; each while and each block is denoted once however many
+    # iterations, stores and replays the check makes.
+    whiles, blocks = {}, {}  # id -> [node, times denoted]
 
-    def counting_iterate(module):
-        def counted(body):
-            runs = {}
-            loops.append((module.__name__, runs))
+    def counting(module, name, table, counts):
+        denote = getattr(module, name)
 
-            def fn(a):
-                key = (a.payload, a.bound)
-                runs[key] = runs.get(key, 0) + 1
-                return body.fn(a)
+        def counted(s, rest):
+            if counts(s):
+                table.setdefault(id(s), [s, 0])[1] += 1
+            return denote(s, rest)
 
-            return iterate(KTree(fn, body.dom))
+        monkeypatch.setattr(module, name, counted)
 
-        monkeypatch.setattr(module, "iterate", counted)
-
-    counting_iterate(imp)
-    counting_iterate(asm)
+    counting(imp, "_stmt_then", whiles, lambda s: isinstance(s, imp.While))
+    counting(asm, "denote_bk", blocks, lambda blk: True)
     with open(os.path.join(GOLDEN, "corpus", "nested_while.imp"), encoding="utf-8") as fh:
         s = parse_imp(fh.read())
     assert compiler.check_equivalent(s, CFG).proven
-    assert [name for name, _ in loops].count(imp.__name__) == 2
-    [asm_runs] = [runs for name, runs in loops if name == asm.__name__]
-    assert len(asm_runs) > 2
-    assert {n for _, runs in loops for n in runs.values()} == {1}
+    assert len(whiles) == 2
+    assert len(blocks) > 2
+    assert {n for _, n in list(whiles.values()) + list(blocks.values())} == {1}
+
+
+def _drive(t):
+    """Run a denotation to its return, answering its store events from one
+    dict, with no interpreter tree between: (steps, store)."""
+    store, steps = {}, 0
+    ob = observe(t)
+    while type(ob) is not RetO:
+        if type(ob) is TauO:
+            steps += 1
+            ob = observe(ob.rest)
+            continue
+        e = ob.event
+        where = (e.sig.name, e.args[0].payload)
+        if len(e.args) == 2:  # a write
+            store[where] = e.args[1]
+            answer = unit()
+        else:
+            answer = store.get(where, nat(0))
+        ob = observe(ob.k(answer))
+    return steps, store
+
+
+def test_loop_overhead_does_not_grow_with_iterations(monkeypatch):
+    # A while iteration or a block jump goes straight to its loop mark, whose
+    # block was denoted on first entry: no sum goes through ``iterate``'s
+    # step, and no deferred node is forced again.
+    counts = {"un_sum": 0, "force": 0, "produced": 0}
+    un_sum, force = combinators.un_sum, core._Thunk.force
+
+    def counted_un_sum(v):
+        counts["un_sum"] += 1
+        return un_sum(v)
+
+    def counted_force(thunk):
+        counts["force"] += 1
+        counts["produced"] += thunk.fn is not None
+        return force(thunk)
+
+    monkeypatch.setattr(combinators, "un_sum", counted_un_sum)
+    monkeypatch.setattr(core._Thunk, "force", counted_force)
+    seen = {}
+    for n in (50, 100):
+        s = parse_imp(f"c := {n}; x := 0; while c do x := x + c; c := c - 1 end")
+        for lang, t in (("imp", denote_stmt(s)), ("asm", den_asm(compile_stmt(s))(label(0, 1)))):
+            counts.update(dict.fromkeys(counts, 0))
+            steps, store = _drive(t)
+            assert nat(n * (n + 1) // 2) in store.values() and steps >= n
+            seen.setdefault(lang, []).append(dict(counts))
+    for lang, (fifty, hundred) in seen.items():
+        assert fifty == hundred, lang
+        assert fifty["un_sum"] == 0, lang
 
 
 def test_eutt_on_fused_and_layered_trees_agree_under_node_budgets():

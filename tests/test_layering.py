@@ -120,9 +120,12 @@ def test_the_check_sees_route_cache_uses():
         assert _memo_uses(ast.parse(text)) == want, text
 
 
-ITERATES_ONLY_THROUGH_ITERATE = {
-    "imp.py": {"loop", "mrec"},
-    "asm.py": {"loop", "mrec", "un_sum"},
+# The denotations loop only through their shared loop marks: a back edge is
+# the mark built by ``combinators.loop_mark``, never a sum through a
+# combinator.
+LOOPS_ONLY_THROUGH_LOOP_MARKS = {
+    "imp.py": {"iterate", "loop", "mrec", "un_sum"},
+    "asm.py": {"iterate", "loop", "mrec", "un_sum"},
 }
 
 
@@ -140,26 +143,47 @@ def _uses(tree, names):
     return found
 
 
-def test_the_denotations_iterate_only_through_iterate():
+def test_the_denotations_loop_only_through_loop_marks():
     offenders = {}
-    for name, forbidden in sorted(ITERATES_ONLY_THROUGH_ITERATE.items()):
+    for name, forbidden in sorted(LOOPS_ONLY_THROUGH_LOOP_MARKS.items()):
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         used = _uses(tree, forbidden)
         if used:
             offenders[name] = used
-        assert "iterate" in _uses(tree, {"iterate"}), name
+        assert "loop_mark" in _uses(tree, {"loop_mark"}), name
     assert offenders == {}
 
 
+def test_one_builder_makes_every_loop_mark():
+    # ``_mark=True`` is passed in ``loop_mark`` alone, which ``iterate``
+    # calls for its shared re-entries.
+    marks = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(k, ast.keyword) and k.arg == "_mark"
+                        for k in ast.walk(fn)):
+                    marks.setdefault(name, []).append(fn.name)
+    assert marks == {"combinators.py": ["loop_mark"]}
+    with open(os.path.join(SRC, "combinators.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [iterate] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "iterate"]
+    assert "loop_mark" in _uses(iterate, {"loop_mark"})
+
+
 def test_the_check_sees_other_iteration():
-    forbidden = ITERATES_ONLY_THROUGH_ITERATE["asm.py"]
+    forbidden = LOOPS_ONLY_THROUGH_LOOP_MARKS["asm.py"]
     samples = {
         "from .combinators import KTree, loop": ["loop"],
         "from .values import inl, un_sum": ["un_sum"],
         "from . import combinators\ncombinators.mrec(h, e)": ["mrec"],
         "from . import values\nvalues.un_sum(v)": ["un_sum"],
-        "from .combinators import KTree, iterate\nloop_asm(u, 1)": [],
+        "from .combinators import KTree, iterate": ["iterate"],
+        "from .combinators import loop_mark\nloop_asm(u, 1)": [],
     }
     for text, want in samples.items():
         assert _uses(ast.parse(text), forbidden) == want, text
