@@ -4,7 +4,8 @@ The checkers approximate the greatest-fixpoint definitions with plain
 budgets: ``depth`` bounds node-aligned descent, ``tau_budget`` bounds
 one-sided silent stripping between alignment points, and infinite answer
 spaces are probed.  Refutations carry a replayable counterexample path;
-budget exhaustion is reported as Unknown rather than guessed at.
+budget exhaustion is reported as Unknown rather than guessed at.  Strong
+bisimulation is the strict case of ``eutt``'s loop, ``_bisim``.
 """
 
 from __future__ import annotations
@@ -204,36 +205,13 @@ def _strip_runs_out(budget: int, strip: int):
 
 def strong_bisim(t1: ITree, t2: ITree, depth: int,
                  nat_probes: Sequence[int] = DEFAULT_NAT_PROBES) -> Verdict:
-    """Node-exact comparison: same shapes, same values, same step counts."""
-    # Paths share their prefixes as parent links; only a refutation pays to
-    # spell one out.
+    """Node-exact comparison: same shapes, same values, same step counts.
+
+    It is ``eutt``'s loop run strictly, with no strip budget or node cap;
+    unequal events refute at any depth, as in ``eutt``."""
     pending = [(t1, t2, depth, None)]
-    worst = PROVEN
-    while pending:
-        a, b, fuel, path = pending.pop()
-        oa, ob = observe(a), observe(b)
-        ta, tb = type(oa), type(ob)
-        if ta is not tb:
-            return _witness(path, ("shape", _observed_shape(oa), _observed_shape(ob)))
-        if ta is RetO:
-            if oa.value != ob.value:
-                return _witness(path, ("ret-mismatch", oa.value, ob.value))
-            continue
-        if fuel <= 0:
-            worst = unknown(Reason.DEPTH_BUDGET)
-            continue
-        if ta is TauO:
-            pending.append((oa.rest, ob.rest, fuel - 1, (path, _TAU, 1)))
-            continue
-        if oa.event != ob.event:
-            return _witness(path, ("event-mismatch", oa.event, ob.event))
-        answers = enumerate_answers(oa.event.answer, nat_probes)
-        if answers is None:
-            worst = unknown(Reason.ANSWER_SPACE)
-            continue
-        for x in answers:
-            pending.append((oa.k(x), ob.k(x), fuel - 1, (path, ("event", oa.event, x), 1)))
-    return worst
+    del t1, t2  # a held root would keep every run taken below it alive
+    return _bisim(EQ, pending, 0, nat_probes, None, True)
 
 
 def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
@@ -263,11 +241,20 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
     the node budget left exactly as stripping on would leave it.  Trees
     without keys are stripped until the budget runs out.
     """
-    budget = max_nodes if max_nodes is not None else -1
-    # Paths are parent-linked as in ``strong_bisim``, with a silent run of j
-    # steps as one link: races along interpreted programs run for thousands.
     pending = [(t1, t2, depth, None)]
     del t1, t2  # a held root would keep every run taken below it alive
+    return _bisim(r, pending, tau_budget, nat_probes, max_nodes, False)
+
+
+def _bisim(r, pending, tau_budget, nat_probes, max_nodes, strict) -> Verdict:
+    """The one loop of ``eutt`` and ``strong_bisim``, depth first over
+    ``(t1, t2, depth, path)`` items.  ``strict`` is read off the Proven path
+    only: a one-sided silent step with no strip budget left is a ``shape``
+    refutation, not ``Unknown(tau-budget)``, and unrelated returns a
+    ``ret-mismatch``, not ``rel-fails``."""
+    budget = max_nodes if max_nodes is not None else -1
+    # Paths share prefixes as parent links, a silent run of j steps as one:
+    # races along interpreted programs run for thousands.
     worst = PROVEN
     while pending:
         if budget == 0:
@@ -301,6 +288,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 continue
             if ta is TauO or tb is TauO:
                 if strip <= 0:
+                    if strict:
+                        return _witness(path, ("shape", _observed_shape(oa), _observed_shape(ob)))
                     worst = unknown(Reason.TAU_BUDGET)
                     break
                 side = oa if ta is TauO else ob
@@ -324,7 +313,8 @@ def eutt(r: RelSpec, t1: ITree, t2: ITree, tau_budget: int, depth: int,
                 continue
             if ta is RetO and tb is RetO:
                 if not r.relates(oa.value, ob.value):
-                    return _witness(path, ("rel-fails", oa.value, ob.value))
+                    return _witness(path, (
+                        "ret-mismatch" if strict else "rel-fails", oa.value, ob.value))
                 break
             if ta is VisO and tb is VisO:
                 if oa.event != ob.event:

@@ -48,6 +48,17 @@ def test_strong_examples():
     assert verdict.unknown and verdict.reason is Reason.DEPTH_BUDGET
 
 
+def test_strong_refutes_unequal_events_at_the_depth_boundary():
+    # both events are observed, so they refute with no depth left, as in eutt
+    k = lambda _: ret(unit())
+    lhs, rhs = vis(output_ev(1), k), vis(output_ev(2), k)
+    verdict = strong_bisim(lhs, rhs, 0)
+    assert verdict.witness == (("event-mismatch", output_ev(1), output_ev(2)),)
+    assert replay_witness(EQ, lhs, rhs, verdict.witness)
+    verdict = strong_bisim(lhs, vis(output_ev(1), k), 0)
+    assert verdict.unknown and verdict.reason is Reason.DEPTH_BUDGET
+
+
 def test_strong_witness_is_the_path_to_the_refutation():
     n = 9_999
     lhs, rhs = nested_taus(n, ret(nat(1))), nested_taus(n, ret(nat(2)))
@@ -261,14 +272,17 @@ EUTT_PAIRS = [
     lambda mk: (mk(3, spin()), mk(5, ret(nat(1)))),
     lambda mk: (_echo_after(mk, 3, 4), _echo_after(mk, 1, 2)),
     lambda mk: (_echo_after(mk, 2, 5), _echo_after(mk, 4, 1, bump=1)),
+    lambda mk: (_echo_after(mk, 2, 3), _echo_after(mk, 2, 3, bump=1)),
 ]
 
 
 def test_eutt_counted_runs_match_single_steps():
-    # budgets placed before, on and after every run's edge in these pairs
+    # budgets placed before, on and after every run's edge in these pairs;
+    # strong_bisim runs the same loop strictly, and swapping its sides
+    # mirrors its witness
     grid = [(tb, d, nodes) for tb in range(9) for d in range(9)
             for nodes in [None] + list(range(1, 26))]
-    reasons = set()
+    reasons, strong_kinds = set(), set()
     for make in EUTT_PAIRS:
         whole, single = make(taus), make(nested_taus)
         for tb, d, nodes in grid:
@@ -277,8 +291,20 @@ def test_eutt_counted_runs_match_single_steps():
             assert (a.status, a.reason, a.witness) == (b.status, b.reason, b.witness), (
                 make, tb, d, nodes)
             reasons.add((a.status.value, a.reason))
+        for d in range(9):
+            a, b = strong_bisim(*whole, d), strong_bisim(*single, d)
+            assert (a.status, a.reason, a.witness) == (b.status, b.reason, b.witness), (
+                make, d)
+            back = strong_bisim(*reversed(whole), d)
+            assert (back.status, back.reason) == (a.status, a.reason), (make, d)
+            assert back.witness == tuple(map(_mirrored, a.witness)), (make, d)
+            if a.refuted:
+                assert replay_witness(EQ, *whole, a.witness)
+                assert replay_witness(EQ, *reversed(whole), back.witness)
+            strong_kinds.add(a.witness[-1][0] if a.refuted else a.status.value)
     assert {("proven", None), ("refuted", None), ("unknown", Reason.TAU_BUDGET),
             ("unknown", Reason.DEPTH_BUDGET), ("unknown", Reason.NODE_BUDGET)} <= reasons
+    assert {"proven", "unknown", "shape", "ret-mismatch"} <= strong_kinds
 
 
 def _mirrored(step):
@@ -288,7 +314,7 @@ def _mirrored(step):
         return ("taur",)
     if kind == "taur":
         return ("taul",)
-    if kind in ("rel-fails", "shape", "event-mismatch"):
+    if kind in ("rel-fails", "ret-mismatch", "shape", "event-mismatch"):
         return (kind, step[2], step[1])
     return step
 

@@ -21,6 +21,9 @@ helpers.
 The package exports its functions and types by an explicit list, which
 names no submodule.
 
+Strong bisimulation and ``eutt`` run one loop over their pending list, in
+``bisim._bisim``; the two public checkers only set it up.
+
 The value functions the interpreters call per event, and the fused store
 fold itself, read ``Tag`` members through module-level aliases: reading a
 member off the ``Enum`` class costs about ten times a global name read.
@@ -173,6 +176,42 @@ def test_one_builder_makes_every_loop_mark():
         tree = ast.parse(fh.read())
     [iterate] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "iterate"]
     assert "loop_mark" in _uses(iterate, {"loop_mark"})
+
+
+def _loops(fn):
+    """The loops in a function, as the names each loop's test or iterable
+    reads; comprehensions count as loops over their iterables."""
+    loops = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.While):
+            head = node.test
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            head = node.iter
+        else:
+            continue
+        loops.append({n.id for n in ast.walk(head) if isinstance(n, ast.Name)})
+    return loops
+
+
+def test_one_loop_runs_both_bisimulations():
+    with open(os.path.join(SRC, "bisim.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    over_pending = [name for name, fn in functions.items()
+                    for names in _loops(fn) if "pending" in names]
+    assert over_pending == ["_bisim"]
+    assert _loops(functions["strong_bisim"]) == _loops(functions["eutt"]) == []
+
+
+def test_the_check_sees_loops():
+    samples = {
+        "def f(pending):\n    while pending:\n        pending.pop()": [{"pending"}],
+        "def f(xs):\n    for x in xs:\n        pass": [{"xs"}],
+        "def f(xs):\n    return [x for x in xs]": [{"xs"}],
+        "def f(pending):\n    return g(pending)": [],
+    }
+    for text, want in samples.items():
+        assert _loops(ast.parse(text)) == want, text
 
 
 def test_the_check_sees_other_iteration():
