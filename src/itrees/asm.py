@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, loop_mark
-from .core import Compute, ITree, ret, trigger, vis, write_at
+from .core import Compute, Guard, ITree, ret, trigger, vis, write_at
 from .events import (
     INTERNED,
     LEFT,
@@ -52,14 +52,16 @@ class BoundViolation(ValueError):
     """A label or register reference escapes its declared finite domain."""
 
 
-# Syntax.
+# Syntax.  Nodes are slotted dataclasses that compare and hash by their
+# fields; nothing assigns a node after it is built, and ``AsmUnit`` checks
+# its labels when it is built.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Oreg:
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Oimm:
     value: int
 
@@ -67,40 +69,40 @@ class Oimm:
 Operand = Union[Oreg, Oimm]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Imov:
     dst: int
     src: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Iadd:
     dst: int
     lhs: int
     rhs: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Isub:
     dst: int
     lhs: int
     rhs: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Imul:
     dst: int
     lhs: int
     rhs: Operand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Iload:
     dst: int
     addr: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Istore:
     addr: str
     src: Operand
@@ -109,19 +111,19 @@ class Istore:
 Instr = Union[Imov, Iadd, Isub, Imul, Iload, Istore]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bjmp:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bbrz:
     test: int
     yes: int
     no: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bhalt:
     pass
 
@@ -129,7 +131,7 @@ class Bhalt:
 Branch = Union[Bjmp, Bbrz, Bhalt]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Block:
     instrs: tuple[Instr, ...]
     branch: Branch
@@ -143,7 +145,7 @@ def _branch_targets(b: Branch):
     return ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AsmUnit:
     """An open control-flow subgraph.
 
@@ -254,10 +256,12 @@ def halt() -> ITree:
 # event once, with its block.  A move (``load``, ``mov`` or ``store`` of a
 # register) hands the ``Write`` to its read; ``add``, ``sub`` and ``mul``
 # continue their first read with a ``Compute`` of the second read, if any,
-# the operation and the ``Write``.  The fused store fold answers the reads
-# and the write of either in place, building no event node, so no event is
-# built at run time.  The value is a checked answer or a fresh ``nat``, so
-# the write needs no check.
+# the operation and the ``Write``.  A ``brz r -> yes, no`` reads ``r`` into
+# a ``Guard`` of the jump to ``no`` (nonzero) and the jump to ``yes``
+# (zero).  The fused store fold answers the reads and the write of either
+# in place, building no event node, and picks a ``Guard``'s jump in place,
+# so no event is built and no guard is called at run time.  The value is a
+# checked answer or a ``nat``, so the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
     """Read ``op``, then continue with ``k`` of its value; an immediate is
@@ -301,7 +305,7 @@ def denote_br(b: Branch, targets: Sequence[ITree]) -> ITree:
         return targets[b.target]
     if isinstance(b, Bbrz):
         yes, no = targets[b.yes], targets[b.no]
-        return vis(_get_reg_event(b.test), lambda v: yes if v.payload == 0 else no)
+        return vis(_get_reg_event(b.test), Guard(no, yes))
     return halt()
 
 

@@ -15,10 +15,12 @@ carries them.  A store write at a prebuilt ``events.Site`` is continued
 by a ``Write``, and a write is an event node built by its ``Write`` when
 called with the value.  A computed write's reads, or a branch's, are
 continued by a ``Compute``, which feeds their answers to a pure function
-and its value to a ``Write`` or a branch.  The fused store fold
-(``interp.interp_stores``) answers moves, reads whose continuation is a
-``Write``, and ``Compute``s without one: it answers their reads and write
-in place and calls nothing.
+and its value to a ``Write``, a ``Guard`` or a branch.  A ``Guard`` is a
+test on a value: it picks one of two prebuilt trees by whether the value
+is zero.  The fused store fold (``interp.interp_stores``) answers moves,
+reads whose continuation is a ``Write``, and ``Compute``s without one: it
+answers their reads and write in place and calls nothing, and it picks a
+``Guard``'s tree in place too.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .values import AnswerTagMismatch, UValue, nat
 # A tree's head is a return, silent-run or event node, which is its own
 # observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), or
 # a deferred producer.  A write is an event node built by its ``Write``;
-# the fused store fold answers moves and ``Compute``s without one.
+# the fused store fold answers moves and ``Compute``s without one, and
+# picks a ``Guard``'s tree without calling it.
 
 class _Thunk:
     """Deferred tree producer and ``node``, the tree that holds it.  The
@@ -200,19 +203,41 @@ class Write:
         return self.rest
 
 
+class Guard:
+    """The continuation that tests a natural: called with a value, it
+    returns the tree ``zero`` when the value's payload is 0 and the tree
+    ``nonzero`` otherwise.  Both trees are built before the test runs.
+
+    An Imp ``if`` or ``while`` test and an Asm ``brz`` continue their value
+    with a ``Guard``; the fused store fold sees it after a read or a
+    ``Compute`` and picks the tree in place, calling nothing.  Its fields
+    are set once, and it compares by identity.
+    """
+
+    __slots__ = ("nonzero", "zero")
+
+    def __init__(self, nonzero: ITree, zero: ITree):
+        self.nonzero = nonzero
+        self.zero = zero
+
+    def __call__(self, v: UValue) -> ITree:
+        return self.zero if v.payload == 0 else self.nonzero
+
+
 class Compute:
     """The continuation of a read whose answer, with the answers of the
     reads ``reads`` still to come, feeds the pure ``fn``; the ``nat`` of
-    ``fn``'s int goes to ``then``, a ``Write`` (a computed write) or a
-    callable from that value to a tree (a branch).  ``fn`` takes the tuple
-    of every read's payload, in order; ``got`` holds those of the reads
-    answered before this one.
+    ``fn``'s int goes to ``then``, a ``Write`` (a computed write), a
+    ``Guard`` (a test) or a callable from that value to a tree (a branch).
+    ``fn`` takes the tuple of every read's payload, in order; ``got`` holds
+    those of the reads answered before this one.
 
     Called with an answer, it builds the node of the next read, continued
     by a ``Compute`` that holds the answers so far, or after the last read
     it applies ``then`` to the value.  The fused store fold answers the
-    reads, computes the value and does a ``Write`` in place instead.  Its
-    fields are set once, and it compares by identity.
+    reads, computes the value and does a ``Write`` or picks a ``Guard``'s
+    tree in place instead.  Its fields are set once, and it compares by
+    identity.
     """
 
     __slots__ = ("reads", "fn", "then", "got")

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Union
 
 from .combinators import loop_mark
-from .core import Compute, ITree, RetO, lazy, ret, run_to_head, trigger, vis, write_at
+from .core import Compute, Guard, ITree, RetO, lazy, ret, run_to_head, trigger, vis, write_at
 from .events import (
     INTERNED,
     LEFT,
@@ -47,31 +47,32 @@ from .values import (
 )
 
 
-# Syntax.
+# Syntax.  Nodes are slotted dataclasses that compare and hash by their
+# fields; nothing assigns a node after it is built.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Plus:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Minus:
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mult:
     lhs: "Expr"
     rhs: "Expr"
@@ -80,31 +81,31 @@ class Mult:
 Expr = Union[Var, Lit, Plus, Minus, Mult]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Seq:
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If:
     cond: Expr
     then: "Stmt"
     orelse: "Stmt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class While:
     cond: Expr
     body: "Stmt"
@@ -369,11 +370,14 @@ def set_var(name: str, v: UValue) -> ITree:
 # is built once, when it is denoted.  A move (``x := y``) hands the
 # ``Write`` to its read; an expression with an operator continues its first
 # read with a ``Compute`` of the reads after it, the function of their
-# answers and the ``Write``, or a guard's branch.  The fused store fold
-# answers the reads and the write of either in place, building no event
-# node, so no event is built at run time.  A ``while`` is its test: true runs
-# the body into the loop's mark (``loop_mark``), one silent step back to the
-# test, and false goes on to the tree after the loop, as ``iterate`` would.
+# answers and the ``Write``, or a test's ``Guard``.  An ``if`` or ``while``
+# test goes to a ``Guard`` of its two trees, both built before it runs.
+# The fused store fold answers the reads and the write of either in place,
+# building no event node, and picks a ``Guard``'s tree in place, so no
+# event is built and no guard is called at run time.  A ``while`` is its
+# test: true runs the body into the loop's mark (``loop_mark``), one silent
+# step back to the test, and false goes on to the tree after the loop, as
+# ``iterate`` would.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 
@@ -396,7 +400,7 @@ def _evaluator(e: Expr, reads: list) -> Callable[[tuple], int]:
 
 def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
     """Evaluate ``e``, then continue with ``k`` of its value: a ``Write``,
-    or a callable from the value to a tree.
+    a ``Guard``, or a callable from the value to a tree.
 
     Every variable is read by one ``GetVar`` node, left to right, and the
     first read's node and its ``Compute`` are built here once; the node of
@@ -416,10 +420,6 @@ def _expr_then(e: Expr, k: Callable[[UValue], ITree]) -> ITree:
 def denote_expr(e: Expr) -> ITree:
     """The tree that reads ``e``'s variables and returns its value."""
     return _expr_then(e, ret)
-
-
-def _is_true(v: UValue) -> bool:
-    return v.payload != 0
 
 
 _DONE = ret(unit())
@@ -451,10 +451,10 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
         then, orelse = s.then, s.orelse
         then_t = lazy(lambda: _stmt_then(then, rest))
         else_t = lazy(lambda: _stmt_then(orelse, rest))
-        return _expr_then(s.cond, lambda v: then_t if _is_true(v) else else_t)
+        return _expr_then(s.cond, Guard(then_t, else_t))
     mark = loop_mark(lambda: test)
     body = _stmt_then(s.body, mark)
-    test = _expr_then(s.cond, lambda v: body if _is_true(v) else rest)
+    test = _expr_then(s.cond, Guard(body, rest))
     return test
 
 

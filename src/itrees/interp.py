@@ -16,6 +16,7 @@ from typing import Callable
 
 from .core import (
     Compute,
+    Guard,
     ITree,
     RetO,
     TauO,
@@ -41,6 +42,8 @@ from .events import (
 )
 from .values import (
     MAP_T,
+    NATS,
+    SHARED_NATS,
     UNIT,
     AnswerTagMismatch,
     UValue,
@@ -247,10 +250,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and an answered store event feeds
     its answer straight to the event's continuation, with no observation or
-    tree built per event.  An event node is already resolved, so when a
-    continuation returns one, as the denotations' continuations do,
-    the pass goes straight to its route without calling ``_resolve``, and
-    it queues the continuation's own pending binds in place.
+    tree built per event.  An event node or a silent run is already
+    resolved, so when a continuation returns one, as the denotations'
+    continuations do, or the pass reaches a loop mark, it goes straight on
+    without calling ``_resolve``, and it queues the continuation's own
+    pending binds in place.
 
     A store event comes as a ``VisO``, or it is the write of a move, a read
     whose continuation is a ``core.Write``, or of a computed write.  A write
@@ -271,11 +275,17 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     in place too: the pass answers the reads still to come through their
     cached routes, one tag test each, computes the value, and writes it
     through the same code as a move's when the ``Compute`` goes on to a
-    ``Write``, or goes on with the tree its branch returns.  When a read has
-    no route or an answer that does not fit, a read's steps bring the batch
-    to its cap, the write site has no route, or the value or the branch
-    raises, the pass takes the node that calling the continuation would
-    build as it comes instead, so step counts and raises do not change.
+    ``Write``, or goes on with the tree its branch returns.  The value is
+    the shared natural of ``values.NATS`` when it is below
+    ``values.SHARED_NATS``, looked up with no call, and ``nat``'s
+    otherwise.  A guard head, a read or a ``Compute`` whose continuation
+    is a ``core.Guard``, is answered in place too: once its value is
+    known, the pass goes on with the tree the ``Guard`` picks for it,
+    calling nothing.  When a read has no route or an answer that does not
+    fit, a read's steps bring the batch to its cap, the write site has no
+    route, or the value or the branch raises, the pass takes the node that
+    calling the continuation would build as it comes instead, so step
+    counts and raises do not change.
     Each answer is checked once, by one tag test when the event's declared
     answer shape is decided by its tag (the unit, for a write), and a
     mismatch raises ``AnswerTagMismatch`` at the read that produced it, as
@@ -321,12 +331,12 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     what it stands for (its cached route only saves a lookup, and nothing
     else reads or writes ``memo`` but ``Site.written``, which hands a
     site's route to the event it builds, the same route the event would be
-    given), nor does a ``Write`` or a ``Compute``, whose fields are set
-    once, and each component compares as finely as it must: the fold and
-    the binds (functions, ``Write`` and ``Compute`` continuations and
-    ``_Cat`` nodes, with the nodes, events and sites they hold) by
-    identity, the marked ``TauO`` by its tail's identity, and the stores by
-    content.
+    given), nor does a ``Write``, a ``Compute`` or a ``Guard``, whose
+    fields are set once, and each component compares as finely as it must:
+    the fold and the binds (functions, ``Write``, ``Compute`` and
+    ``Guard`` continuations and ``_Cat`` nodes, with the nodes, events and
+    sites they hold) by identity, the marked ``TauO`` by its tail's
+    identity, and the stores by content.
     """
     for m in stores:
         MAP_T.check(m, "initial map")
@@ -347,14 +357,16 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         loop_key = None  # set only by a batch that ends at a mark
         while True:
-            if type(head) is not VisO:  # an event node is resolved
-                try:
-                    head, konts = _resolve(head, konts)
-                except Exception:
-                    if not total:
-                        raise
-                    break
-                kind = type(head)
+            kind = type(head)
+            if kind is not VisO:  # an event node is resolved
+                if kind is not TauO:  # and so is a silent run
+                    try:
+                        head, konts = _resolve(head, konts)
+                    except Exception:
+                        if not total:
+                            raise
+                        break
+                    kind = type(head)
                 if kind is TauO:
                     if head._mark:
                         # at the cap here only if the batch passed a mark
@@ -426,9 +438,13 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                             continue
                         fn, then = kont.fn, kont.then
                         try:
-                            answer = nat(fn(got))
-                            if type(then) is not Write:  # a branch, under the cap
-                                nxt = then(answer)
+                            v = fn(got)
+                            answer = NATS[v] if type(v) is int and 0 <= v < SHARED_NATS else nat(v)
+                            if type(then) is not Write:  # a test or a branch, under the cap
+                                if type(then) is Guard:
+                                    nxt = then.zero if v == 0 else then.nonzero
+                                else:
+                                    nxt = then(answer)
                                 head = nxt._head
                                 more = nxt._konts
                                 if more is not None:
@@ -461,6 +477,13 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                             konts = more if konts is None else _Cat(more, konts)
                         if total >= limit:
                             break
+                        continue
+                    if type(kont) is Guard:  # a test: its tree, picked here
+                        nxt = kont.zero if answer.payload == 0 else kont.nonzero
+                        head = nxt._head
+                        more = nxt._konts
+                        if more is not None:
+                            konts = more if konts is None else _Cat(more, konts)
                         continue
             try:
                 if answer.tag is not tag:

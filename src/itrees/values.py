@@ -10,6 +10,11 @@ Code here reads tags through module-level aliases (``_NAT`` for
 build and test values for every event they answer, and on CPython reading
 a member off an ``Enum`` class is a Python-level attribute lookup that
 costs about ten times a global name read.
+
+The naturals below ``SHARED_NATS`` are shared: ``nat`` returns one
+prebuilt value for each, so equal small naturals are one object and
+compare by the identity shortcut.  Sharing is safe because a ``UValue`` is
+never assigned after construction and compares and hashes by value.
 """
 
 from __future__ import annotations
@@ -82,8 +87,15 @@ def unit() -> UValue:
     return UNIT
 
 
+# ``nat(n)`` for ``0 <= n < SHARED_NATS`` is ``NATS[n]``.
+SHARED_NATS = 256
+NATS = tuple(UValue(_NAT, n) for n in range(SHARED_NATS))
+
+
 def nat(n: int) -> UValue:
     if type(n) is int and 0 <= n <= NAT_MASK:
+        if n < SHARED_NATS:
+            return NATS[n]
         return UValue(_NAT, n)
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= NAT_MASK:
         raise AnswerTagMismatch(f"not a 64-bit natural: {n!r}")

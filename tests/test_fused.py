@@ -6,6 +6,7 @@ layered stacks in ``helpers`` compose the renaming ``interp`` with one
 the CLI goldens and checker witnesses count steps, exactly step for step.
 """
 
+import importlib
 import os
 import sys
 
@@ -479,6 +480,128 @@ def test_loop_overhead_does_not_grow_with_iterations(monkeypatch):
     for lang, (fifty, hundred) in seen.items():
         assert fifty == hundred, lang
         assert fifty["un_sum"] == 0, lang
+
+
+def test_guards_and_marks_cost_no_call_under_the_fused_fold(monkeypatch):
+    # The fold picks a guard's tree in place, after a read or a ``Compute``,
+    # and passes a loop mark without resolving it: neither the guard nor the
+    # resolver is called once per iteration.
+    fold = importlib.import_module("itrees.interp")  # ``itrees.interp`` is the function
+    counts = {"resolve": 0, "guard": 0}
+    resolve, guard = fold._resolve, core.Guard.__call__
+
+    def counted_resolve(head, konts):
+        counts["resolve"] += 1
+        return resolve(head, konts)
+
+    def counted_guard(self, v):
+        counts["guard"] += 1
+        return guard(self, v)
+
+    monkeypatch.setattr(fold, "_resolve", counted_resolve)
+    monkeypatch.setattr(core.Guard, "__call__", counted_guard)
+    seen = {}
+    for n in (50, 100):
+        # the test is a read, or a ``Compute`` in Imp
+        for test in ("c", "c + 0"):
+            s = parse_imp(f"c := {n}; x := 0; while {test} do x := x + c; c := c - 1 end")
+            entry = den_asm(compile_stmt(s))(label(0, 1))
+            for lang, t in (("imp", interp_imp(denote_stmt(s), env_of())),
+                            ("asm", interp_asm(entry, umap(), umap()))):
+                counts.update(dict.fromkeys(counts, 0))
+                ob, _ = run_to_head(t, 10**6)
+                # the variables, or the memory, first in the returned stores
+                assert type(ob) is RetO and (
+                    "x", nat(n * (n + 1) // 2)) in map_items(fst(ob.value))
+                seen.setdefault((lang, test), []).append(dict(counts))
+    for case, (fifty, hundred) in seen.items():
+        assert fifty == hundred, case
+
+
+_GUARDS = (
+    ("while c do c := c - 1 end; y := 7", {"c": 2}),
+    ("while c - 1 do c := c - 1 end; y := 7", {"c": 3}),
+    ("if x then y := 1 else y := 2 end", {"x": 5}),
+    ("if x then y := 1 else y := 2 end", {"x": 0}),
+    ("if x * 1 then y := 1 else y := 2 end", {"x": 0}),
+)
+
+
+def test_a_guard_across_a_batch_boundary_matches_layered():
+    # ``pre`` steps before the guard's read, whose three steps end below
+    # the cap, at it or past it, or come after a batch already at its cap:
+    # the cap of a batch that has passed no mark, and the hard cap of one
+    # that has passed one (a silent step, then a mark)
+    for src, env in _GUARDS:
+        stmt = parse_imp(src)
+        env0 = env_of(env)
+        for cap, marked in ((_BATCH_STEPS, False), (_HARD_STEPS, True)):
+            for pre in range(cap - 5, cap + 1):
+                def program():
+                    if marked:
+                        return taus(1, combinators.loop_mark(
+                            lambda: taus(pre - 2, denote_stmt(stmt))))
+                    return taus(pre, denote_stmt(stmt))
+
+                run = observe(interp_imp(program(), env0)).run
+                if pre >= cap:
+                    assert run == pre
+                elif pre + 3 >= cap:
+                    assert run == pre + 3
+                else:
+                    assert run > pre + 3
+                for fuel in range(pre - 1, pre + 8):
+                    a, a_steps = run_to_head(interp_imp(program(), env0), fuel)
+                    b, b_steps = run_to_head(layered_interp_imp(program(), env0), fuel)
+                    assert (type(a), a_steps) == (type(b), b_steps), (src, pre, fuel)
+                a, _ = run_to_head(interp_imp(program(), env0), 10**4)
+                b, _ = run_to_head(layered_interp_imp(program(), env0), 10**4)
+                assert type(a) is RetO and a == b, (src, pre)
+
+
+def _arm(t, answer):
+    """What ``t``, a guard's read, leads to when answered with ``answer``,
+    with no interpreter: the key and value of the first write, or the
+    return value."""
+    ob = observe(t)
+    assert type(ob) is VisO and len(ob.event.args) == 1
+    ob = observe(ob.k(answer))
+    while type(ob) is TauO:
+        ob = observe(ob.rest)
+    if type(ob) is RetO:
+        return ob.value
+    return ob.event.args[0].payload, ob.event.args[1].payload
+
+
+def test_an_uninterpreted_guard_reaches_the_same_arm():
+    # ``VisO.k`` calls the guard: a nonzero test takes the then arm or the
+    # loop body, a zero one the else arm or the tree after the loop, and a
+    # compiled ``brz r -> yes, no`` jumps to ``yes`` on zero
+    cases = (
+        ("if x then y := 1 else y := 2 end", 2, ("y", 1), ("y", 2)),
+        ("while x do y := 3 end; y := 4", 2, ("y", 3), ("y", 4)),
+        ("while x + 0 do y := 3 end; y := 4", 2, ("y", 3), ("y", 4)),
+    )
+    for src, nonzero, then_arm, else_arm in cases:
+        t = denote_stmt(parse_imp(src))
+        assert _arm(t, nat(nonzero)) == then_arm, src
+        assert _arm(t, nat(0)) == else_arm, src
+    brz = asm.parse_asm("asm entries=1 exits=2 internal=0\nblock 0:\n  brz r3 -> 0, 1\n")
+    entry = den_asm(brz)(label(0, 1))
+    assert _arm(entry, nat(0)) == label(0, 2)
+    assert _arm(entry, nat(9)) == label(1, 2)
+
+    # the variables, or the memory cells, of a store ``_drive`` built
+    def variables(store):
+        return {key: v.payload for (sig, key), v in store.items() if sig != "Reg"}
+
+    for n, y in ((0, 2), (6, 1)):
+        s = parse_imp(f"x := {n}; if x then y := 1 else y := 2 end")
+        for t in (denote_stmt(s), den_asm(compile_stmt(s))(label(0, 1))):
+            assert variables(_drive(t)[1]) == {"x": n, "y": y}
+    s = parse_imp("c := 4; while c do c := c - 1; y := y + 2 end")
+    for t in (denote_stmt(s), den_asm(compile_stmt(s))(label(0, 1))):
+        assert variables(_drive(t)[1]) == {"c": 0, "y": 8}
 
 
 def test_eutt_on_fused_and_layered_trees_agree_under_node_budgets():

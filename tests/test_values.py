@@ -14,6 +14,7 @@ from itrees.values import (
     MAP_T,
     NAT_MASK,
     NAT_T,
+    SHARED_NATS,
     SYM_T,
     TRUE,
     UNIT,
@@ -52,6 +53,28 @@ def test_nat_accepts_every_64_bit_natural(n):
     v = nat(n)
     assert v.tag is Tag.NAT and v.payload == n and v.bound is None
     assert v == UValue(Tag.NAT, n)
+
+
+def test_small_naturals_are_shared():
+    for n in range(SHARED_NATS):
+        v = nat(n)
+        assert v is nat(n)
+        direct = UValue(Tag.NAT, n)
+        assert v is not direct and v == direct and hash(v) == hash(direct)
+        assert v.payload == n and type(v.payload) is int
+    assert SHARED_NATS == 256
+
+
+@pytest.mark.parametrize("n", [SHARED_NATS, SHARED_NATS + 1, 10**6, NAT_MASK])
+def test_naturals_above_the_table_are_built_fresh(n):
+    v = nat(n)
+    assert v == UValue(Tag.NAT, n) and v.payload == n and v is not nat(n)
+
+
+def test_an_int_subclass_below_the_table_keeps_its_payload():
+    # accepted as any int is (see the tests above), but not shared
+    v = nat(Small(7))
+    assert v == nat(7) and type(v.payload) is Small
 
 
 @pytest.mark.parametrize("index, bound", [(-1, 3), (3, 3), (4, 3), (0, 0)])
