@@ -18,18 +18,16 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, loop_mark
-from .core import Compute, Guard, ITree, ret, trigger, vis, write_at
+from .core import ITree, ret, trigger, vis
 from .events import (
-    INTERNED,
     LEFT,
     RIGHT,
     EventInstance,
     EventSig,
     KindSpec,
-    Site,
     event,
 )
-from .interp import interp_stores
+from .stores import INTERNED, Compute, Guard, Site, interp_stores, write_at
 from .values import (
     EMPTY_T,
     NAT_MASK,
@@ -200,7 +198,7 @@ _DONE_PATH = (RIGHT, RIGHT)
 
 
 # A unit's read events and write sites are interned per register or
-# address, in tables of ``INTERNED`` entries (see ``events.Site``).
+# address, in tables of ``INTERNED`` entries (see ``stores.Site``).
 
 @lru_cache(maxsize=INTERNED)
 def _get_reg_event(r: int) -> EventInstance:
@@ -249,19 +247,16 @@ def halt() -> ITree:
 # same ones, and a jump to an internal label is that label's loop mark.  A
 # register read or a load is a ``vis`` node over the event interned for its
 # register or address, built with its block unless it holds an earlier
-# answer.  Every register or memory write has the write
-# ``Site`` interned for its register or address, and its value goes to a
-# ``Write`` of that site, built with its block.  A write is an event node
-# built by its ``Write``, so a move of an immediate builds its write's
-# event once, with its block.  A move (``load``, ``mov`` or ``store`` of a
-# register) hands the ``Write`` to its read; ``add``, ``sub`` and ``mul``
-# continue their first read with a ``Compute`` of the second read, if any,
-# the operation and the ``Write``.  A ``brz r -> yes, no`` reads ``r`` into
-# a ``Guard`` of the jump to ``no`` (nonzero) and the jump to ``yes``
-# (zero).  The fused store fold answers the reads and the write of either
-# in place, building no event node, and picks a ``Guard``'s jump in place,
-# so no event is built and no guard is called at run time.  The value is a
-# checked answer or a ``nat``, so the write needs no check.
+# answer.  Every register or memory write's value goes to a ``Write`` at
+# the ``Site`` interned for its register or address, built with its block:
+# an immediate's write node is built then too, a move (``load``, ``mov`` or
+# ``store`` of a register) hands the ``Write`` to its read, and ``add``,
+# ``sub`` and ``mul`` continue their first read with a ``Compute`` of the
+# second read, if any, the operation and the ``Write``.  A
+# ``brz r -> yes, no`` reads ``r`` into a ``Guard`` of the jump to ``no``
+# (nonzero) and the jump to ``yes`` (zero).  ``stores`` says how the fused
+# fold answers them in place.  The value is a checked answer or a ``nat``,
+# so the write needs no check.
 
 def _read_then(op: Operand, k: Callable[[UValue], ITree]) -> ITree:
     """Read ``op``, then continue with ``k`` of its value; an immediate is

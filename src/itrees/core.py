@@ -11,16 +11,7 @@ nested ``tau`` nodes, and ``TauO.after`` lets a consumer skip any part of
 it at once.
 Return, run and event nodes are their own observations: ``observe``
 returns the node itself, or, with binds pending above it, a copy that
-carries them.  A store write at a prebuilt ``events.Site`` is continued
-by a ``Write``, and a write is an event node built by its ``Write`` when
-called with the value.  A computed write's reads, or a branch's, are
-continued by a ``Compute``, which feeds their answers to a pure function
-and its value to a ``Write``, a ``Guard`` or a branch.  A ``Guard`` is a
-test on a value: it picks one of two prebuilt trees by whether the value
-is zero.  The fused store fold (``interp.interp_stores``) answers moves,
-reads whose continuation is a ``Write``, and ``Compute``s without one: it
-answers their reads and write in place and calls nothing, and it picks a
-``Guard``'s tree in place too.
+carries them.
 """
 
 from __future__ import annotations
@@ -28,14 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .values import AnswerTagMismatch, UValue, nat
+from .values import AnswerTagMismatch, UValue
 
 
 # A tree's head is a return, silent-run or event node, which is its own
 # observation when no binds are pending (``RetO``, ``TauO``, ``VisO``), or
-# a deferred producer.  A write is an event node built by its ``Write``;
-# the fused store fold answers moves and ``Compute``s without one, and
-# picks a ``Guard``'s tree without calling it.
+# a deferred producer.
 
 class _Thunk:
     """Deferred tree producer and ``node``, the tree that holds it.  The
@@ -127,7 +116,7 @@ class TauO:
     ``_mark`` is set on loop marks, the shared back edges of loops (see
     ``combinators.loop_mark``), and
     ``_key`` on a batch of the fused store fold that ends at one, where it
-    holds the fold's state after the batch (see ``interp_stores``).
+    holds the fold's state after the batch (see ``stores.interp_stores``).
     """
 
     _tail: ITree
@@ -176,90 +165,6 @@ class VisO:
 
 
 Observation = RetO | TauO | VisO
-
-
-class Write:
-    """The continuation that writes its argument at the write site
-    ``site``, then runs ``rest``: called with a value, it returns the event
-    node of that write, whose continuation is a bound method of the
-    ``Write``, so two observations of one write compare equal.
-
-    A read continued by a ``Write`` is a move, whose answer is written
-    unchanged, and a ``Compute`` continued by one is a computed write; the
-    fused store fold sees the ``Write`` and does the write in place,
-    building no node and calling nothing.
-    """
-
-    __slots__ = ("site", "rest")
-
-    def __init__(self, site, rest: ITree):
-        self.site = site
-        self.rest = rest
-
-    def __call__(self, v: UValue) -> ITree:
-        return ITree(VisO(self.site.written(v), self._after_write))
-
-    def _after_write(self, _):
-        return self.rest
-
-
-class Guard:
-    """The continuation that tests a natural: called with a value, it
-    returns the tree ``zero`` when the value's payload is 0 and the tree
-    ``nonzero`` otherwise.  Both trees are built before the test runs.
-
-    An Imp ``if`` or ``while`` test and an Asm ``brz`` continue their value
-    with a ``Guard``; the fused store fold sees it after a read or a
-    ``Compute`` and picks the tree in place, calling nothing.  Its fields
-    are set once, and it compares by identity.
-    """
-
-    __slots__ = ("nonzero", "zero")
-
-    def __init__(self, nonzero: ITree, zero: ITree):
-        self.nonzero = nonzero
-        self.zero = zero
-
-    def __call__(self, v: UValue) -> ITree:
-        return self.zero if v.payload == 0 else self.nonzero
-
-
-class Compute:
-    """The continuation of a read whose answer, with the answers of the
-    reads ``reads`` still to come, feeds the pure ``fn``; the ``nat`` of
-    ``fn``'s int goes to ``then``, a ``Write`` (a computed write), a
-    ``Guard`` (a test) or a callable from that value to a tree (a branch).
-    ``fn`` takes the tuple of every read's payload, in order; ``got`` holds
-    those of the reads answered before this one.
-
-    Called with an answer, it builds the node of the next read, continued
-    by a ``Compute`` that holds the answers so far, or after the last read
-    it applies ``then`` to the value.  The fused store fold answers the
-    reads, computes the value and does a ``Write`` or picks a ``Guard``'s
-    tree in place instead.  Its fields are set once, and it compares by
-    identity.
-    """
-
-    __slots__ = ("reads", "fn", "then", "got")
-
-    def __init__(self, reads: tuple, fn: Callable[[tuple], int], then, got: tuple = ()):
-        self.reads = reads
-        self.fn = fn
-        self.then = then
-        self.got = got
-
-    def __call__(self, a: UValue) -> ITree:
-        got = self.got + (a.payload,)
-        reads = self.reads
-        if reads:
-            return ITree(VisO(reads[0], Compute(reads[1:], self.fn, self.then, got)))
-        return self.then(nat(self.fn(got)))
-
-
-def write_at(site, rest: ITree) -> Write:
-    """The continuation that writes its argument at the write site
-    ``site``, then runs ``rest`` (a ``Write``)."""
-    return Write(site, rest)
 
 
 def ret(v: UValue) -> ITree:

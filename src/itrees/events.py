@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .values import NAT_T, UNIT_T, Tag, UValue, VType, render_value
-
-_UNIT = Tag.UNIT
+from .values import NAT_T, UNIT_T, UValue, VType, render_value
 
 
 class WrongSignature(ValueError):
@@ -85,14 +83,13 @@ class EventInstance:
     shape the environment must answer with, is looked up at construction
     in a table the signature builds once.  Instances compare and hash by
     (sig, kind, args, path), and what an instance stands for never changes:
-    its one slot assigned after construction, ``memo``, is where the fused
-    store fold caches the event's route (see ``interp.interp_stores``), or
-    ``Site.written`` hands it its site's, so equality, hashing and ``repr``
+    its one slot assigned after construction, ``memo``, caches the event's
+    route for ``stores.interp_stores``, so equality, hashing and ``repr``
     leave it out.
 
     The class defines its own ``__init__``, which ``dataclass`` keeps, so
-    that building an instance, as a ``Write`` does for its ``Site`` each
-    time it is called, is one Python call rather than two.
+    that building an instance, as ``stores.Site.written`` does for each
+    write, is one Python call rather than two.
     """
 
     sig: EventSig
@@ -132,66 +129,6 @@ def event(sig: EventSig, kind: str, *args: UValue, path=()) -> EventInstance:
         if not vt.accepts(a):  # the message is built only for a mismatch
             vt.check(a, f"argument of {kind}")
     return EventInstance(sig, kind, args, tuple(path))
-
-
-# The entries in each table in which the Imp and Asm denotations intern
-# their read events and write sites, one per (kind, key).
-INTERNED = 1024
-
-
-class Site:
-    """A store write to one key.
-
-    The denotations intern one site per kind and key, and one read event
-    per kind and key, each in a bounded table of ``INTERNED`` entries:
-    every write to that key, in one program text and in every program
-    denoted while the site stays in the table, shares the site and the
-    route cached in it.  A key beyond the table's size evicts the least
-    recently used one, whose writes get a fresh site the next time they
-    are denoted.
-
-    A site's kind takes a key and a value and answers the unit, so the tree
-    after a write does not depend on the answer; any other kind is refused.
-    The key is known, and checked, here; the value is known only when the
-    write runs, so the site's event is not built here: ``written(value)``
-    builds it, without ``event``'s check of the value, when the site's
-    ``core.Write`` is called.  A write is an event node
-    built by its ``Write``; the fused store fold answers moves and
-    ``Compute``s without one.  Sites compare by identity, and what a site
-    stands for never changes, so sharing one is safe: its one assigned
-    slot, ``memo``, is where the fused store fold caches the site's route,
-    as it does an event's.
-    """
-
-    __slots__ = ("sig", "kind", "key", "path", "memo")
-
-    def __init__(self, sig: EventSig, kind: str, key: UValue, path: tuple[str, ...] = ()):
-        spec = sig.kind(kind)
-        params = spec.params
-        if len(params) != 2:
-            raise WrongSignature(f"{kind} takes {len(params)} args, not a key and a value")
-        if spec.answer.tag is not _UNIT:
-            raise WrongSignature(f"{kind} writes but answers {spec.answer!r}, not the unit")
-        if not params[0].accepts(key):  # the message is built only for a mismatch
-            params[0].check(key, f"key of {kind}")
-        self.sig = sig
-        self.kind = kind
-        self.key = key
-        self.path = tuple(path)
-        self.memo = (None, None)
-
-    def written(self, value: UValue) -> EventInstance:
-        """The event of this write site writing ``value``.  It shares the
-        site's path, kind, key and answer, so their routes are the same, and
-        it starts with the route the site has cached."""
-        e = EventInstance(self.sig, self.kind, (self.key, value), self.path)
-        e.memo = self.memo
-        return e
-
-    def __repr__(self):
-        where = "".join(self.path)
-        prefix = f"{where}:" if where else ""
-        return f"<site {prefix}{self.kind}({self.key.payload!r})>"
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,16 @@ from operator import itemgetter
 from typing import Callable, Union
 
 from .combinators import loop_mark
-from .core import Compute, Guard, ITree, RetO, lazy, ret, run_to_head, trigger, vis, write_at
+from .core import ITree, RetO, lazy, ret, run_to_head, trigger, vis
 from .events import (
-    INTERNED,
     LEFT,
     RIGHT,
     EventInstance,
     EventSig,
     KindSpec,
-    Site,
     event,
 )
-from .interp import interp_stores
+from .stores import INTERNED, Compute, Guard, Site, interp_stores, write_at
 from .values import (
     NAT_MASK,
     NAT_T,
@@ -340,7 +338,7 @@ IMP_STATE = EventSig(
 
 
 # A program's read events and write sites are interned per variable, in
-# tables of ``INTERNED`` entries (see ``events.Site``).
+# tables of ``INTERNED`` entries (see ``stores.Site``).
 
 @lru_cache(maxsize=INTERNED)
 def _get_var_event(name: str) -> EventInstance:
@@ -364,20 +362,17 @@ def set_var(name: str, v: UValue) -> ITree:
 # whose continuation builds or returns the next tree, so no event goes
 # through a ``trigger`` and a pending bind.  Every variable read in the text
 # is one ``vis`` node over the ``GetVar`` event interned for its variable.
-# Every assignment has the write ``Site`` interned for its variable, and its
-# value goes to a ``Write`` of that site, built with the denotation.  A
-# write is an event node built by its ``Write``, so a literal assignment's
-# is built once, when it is denoted.  A move (``x := y``) hands the
-# ``Write`` to its read; an expression with an operator continues its first
-# read with a ``Compute`` of the reads after it, the function of their
-# answers and the ``Write``, or a test's ``Guard``.  An ``if`` or ``while``
-# test goes to a ``Guard`` of its two trees, both built before it runs.
-# The fused store fold answers the reads and the write of either in place,
-# building no event node, and picks a ``Guard``'s tree in place, so no
-# event is built and no guard is called at run time.  A ``while`` is its
-# test: true runs the body into the loop's mark (``loop_mark``), one silent
-# step back to the test, and false goes on to the tree after the loop, as
-# ``iterate`` would.
+# Every assignment's value goes to a ``Write`` at the ``Site`` interned for
+# its variable, built with the denotation: a literal's write node is built
+# then too, a move (``x := y``) hands the ``Write`` to its read, and an
+# expression with an operator continues its first read with a ``Compute``
+# of the reads after it, the function of their answers and the ``Write``.
+# An ``if`` or ``while`` test goes to a ``Guard`` of its two trees, both
+# built before it runs, through the same ``Compute`` when it has an
+# operator.  ``stores`` says how the fused fold answers them in place.  A
+# ``while`` is its test: true runs the body into the loop's mark
+# (``loop_mark``), one silent step back to the test, and false goes on to
+# the tree after the loop, as ``iterate`` would.
 
 _OPS = {Plus: nat_add, Minus: nat_sub, Mult: nat_mul}
 

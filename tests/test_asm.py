@@ -64,7 +64,7 @@ from itrees.asm import (
     while_asm,
 )
 from itrees import asm, compiler
-from itrees.events import INTERNED
+from itrees.stores import INTERNED
 from itrees.values import AnswerTagMismatch
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import parse_imp

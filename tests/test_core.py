@@ -290,7 +290,7 @@ def test_a_write_node_is_its_own_observation():
             w.k(nat(0))
         assert observe(w.k(unit())) == RetO(unit())
     assert observe(bind(t, ret)) == observe(bind(t, ret))
-    # the continuation is a bound method of the ``Write``, so two calls of
+    # the continuation is the ``Guard`` the ``Write`` keeps, so two calls of
     # one ``Write`` with one value give equal observations
     write = write_at(Site(IMP_STATE, "SetVar", sym("x"), (LEFT,)), ret(nat(3)))
     assert observe(write(nat(5))) == observe(write(nat(5)))

@@ -6,9 +6,8 @@ layered stacks in ``helpers`` compose the renaming ``interp`` with one
 the CLI goldens and checker witnesses count steps, exactly step for step.
 """
 
-import importlib
 import os
-import sys
+import types
 
 import pytest
 
@@ -49,9 +48,9 @@ from itrees import (
     vis,
     write_at,
 )
-from itrees import asm, combinators, compiler, core, imp
+from itrees import asm, combinators, compiler, core, imp, stores
 from itrees.events import LEFT, RIGHT, EventInstance
-from itrees.interp import _BATCH_STEPS, _HARD_STEPS, _route_table
+from itrees.stores import _BATCH_STEPS, _HARD_STEPS, _route_table
 from itrees.asm import den_asm, interp_asm, load, store
 from itrees.compiler import MUTATIONS, SimConfig, compile_stmt, gen_program, initial_stores
 from itrees.imp import (
@@ -486,9 +485,8 @@ def test_guards_and_marks_cost_no_call_under_the_fused_fold(monkeypatch):
     # The fold picks a guard's tree in place, after a read or a ``Compute``,
     # and passes a loop mark without resolving it: neither the guard nor the
     # resolver is called once per iteration.
-    fold = importlib.import_module("itrees.interp")  # ``itrees.interp`` is the function
     counts = {"resolve": 0, "guard": 0}
-    resolve, guard = fold._resolve, core.Guard.__call__
+    resolve, guard = stores._resolve, stores.Guard.__call__
 
     def counted_resolve(head, konts):
         counts["resolve"] += 1
@@ -498,8 +496,8 @@ def test_guards_and_marks_cost_no_call_under_the_fused_fold(monkeypatch):
         counts["guard"] += 1
         return guard(self, v)
 
-    monkeypatch.setattr(fold, "_resolve", counted_resolve)
-    monkeypatch.setattr(core.Guard, "__call__", counted_guard)
+    monkeypatch.setattr(stores, "_resolve", counted_resolve)
+    monkeypatch.setattr(stores.Guard, "__call__", counted_guard)
     seen = {}
     for n in (50, 100):
         # the test is a read, or a ``Compute`` in Imp
@@ -516,6 +514,34 @@ def test_guards_and_marks_cost_no_call_under_the_fused_fold(monkeypatch):
                 seen.setdefault((lang, test), []).append(dict(counts))
     for case, (fifty, hundred) in seen.items():
         assert fifty == hundred, case
+
+
+def test_store_continuations_cost_no_call_under_the_fused_fold(monkeypatch):
+    # ``x := 5`` writes a literal, and the compiled loop writes immediates
+    # (``mov r0, 5`` and ``mov r1, 1``): the fold answers every store
+    # event's ``Write``, ``Compute`` or ``Guard`` in place, so no method of
+    # one runs once per iteration
+    counts = {}
+    for cls in (stores.Write, stores.Compute, stores.Guard):
+        for name, fn in list(vars(cls).items()):
+            if isinstance(fn, types.FunctionType):
+                def counted(*args, _fn=fn, _name=f"{cls.__name__}.{name}"):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+    seen = {}
+    for n in (50, 100):
+        s = parse_imp(f"c := {n}; while c do x := 5; c := c - 1 end")
+        for lang, t in (("imp", interp_imp(denote_stmt(s), env_of())),
+                        ("asm", interp_asm(den_asm(compile_stmt(s))(label(0, 1)), umap(), umap()))):
+            counts.clear()
+            ob, _ = run_to_head(t, 10**6)
+            # the variables, or the memory, first in the returned stores
+            assert type(ob) is RetO and ("x", nat(5)) in map_items(fst(ob.value))
+            seen.setdefault(lang, []).append(dict(counts))
+    for lang, (fifty, hundred) in seen.items():
+        assert fifty == hundred, lang
 
 
 _GUARDS = (
@@ -787,9 +813,8 @@ def test_runs_with_equal_routes_share_the_cached_routes(monkeypatch):
     # a denotation run again from another store, under the same routes,
     # finds every event's and site's route cached from the first run
     calls = []
-    fold = sys.modules["itrees.interp"]  # ``itrees.interp`` is the function
-    route = fold._route
-    monkeypatch.setattr(fold, "_route", lambda table, x: calls.append(x) or route(table, x))
+    route = stores._route
+    monkeypatch.setattr(stores, "_route", lambda table, x: calls.append(x) or route(table, x))
 
     def run(source, target, store):
         calls.clear()
@@ -1075,13 +1100,13 @@ def test_an_event_whose_key_is_not_a_value_raises_at_its_step():
 def _count_write_nodes(monkeypatch):
     # a write's event node is built only by calling its ``Write``
     built = []
-    call = core.Write.__call__
+    call = stores.Write.__call__
 
     def counting(self, v):
         built.append(self.site)
         return call(self, v)
 
-    monkeypatch.setattr(core.Write, "__call__", counting)
+    monkeypatch.setattr(stores.Write, "__call__", counting)
     return built
 
 
@@ -1155,6 +1180,47 @@ def test_a_move_across_a_batch_boundary_matches_layered():
     assert a == b == RetO(pair(env_of({"x": 6, "y": 6}), unit()))
 
 
+def test_an_immediate_write_across_a_batch_boundary_matches_layered():
+    # a write of a literal or an immediate, then another, whose steps end
+    # below the cap, at it or past it, or come after a batch already at its
+    # cap: the cap of a batch that has passed no mark, and the hard cap of
+    # one that has passed one (a silent step, then a mark)
+    env0 = env_of({"x": 6})
+    mem0, regs0 = umap({"b": nat(1)}), umap({2: nat(3)})
+    imms = (asm.Imov(1, asm.Oimm(5)), asm.Istore("a", asm.Oimm(7)))
+    cases = (
+        (lambda: denote_stmt(parse_imp("y := 5; z := 7")),
+         lambda t: interp_imp(t, env0), lambda t: layered_interp_imp(t, env0)),
+        (lambda: asm.denote_bk(asm.Block(imms, asm.Bjmp(0)), [ret(unit())]),
+         lambda t: interp_asm(t, mem0, regs0), lambda t: layered_interp_asm(t, mem0, regs0)),
+        (lambda: asm.denote_bk(asm.Block(imms[::-1], asm.Bjmp(0)), [ret(unit())]),
+         lambda t: interp_asm(t, mem0, regs0), lambda t: layered_interp_asm(t, mem0, regs0)),
+    )
+    for denote, fused, layered in cases:
+        for cap, marked in ((_BATCH_STEPS, False), (_HARD_STEPS, True)):
+            for pre in range(cap - 9, cap + 1):
+                def program():
+                    if marked:
+                        return taus(1, combinators.loop_mark(lambda: taus(pre - 2, denote())))
+                    return taus(pre, denote())
+
+                for fuel in range(pre - 1, pre + 10):
+                    a, a_steps = run_to_head(fused(program()), fuel)
+                    b, b_steps = run_to_head(layered(program()), fuel)
+                    assert (type(a), a_steps) == (type(b), b_steps), (cap, pre, fuel)
+                a, _ = run_to_head(fused(program()), FUEL + cap)
+                b, _ = run_to_head(layered(program()), FUEL + cap)
+                assert type(a) is RetO and a == b, (cap, pre)
+    # the write node's continuation gives the tree after it for the unit,
+    # and refuses any other answer
+    rest = ret(nat(3))
+    for site in (imp._set_var_site("y"), asm._set_reg_site(1), asm._store_site("a")):
+        ob = observe(write_at(site, rest)(nat(5)))
+        assert type(ob) is VisO and ob.k(unit()) is rest
+        with pytest.raises(AnswerTagMismatch):
+            ob.k(nat(0))
+
+
 def test_a_move_whose_write_is_unrouted_raises_like_the_layered_stack():
     # the read is routed (three steps), its ``Write`` site lies on (RIGHT,),
     # which names neither leaf and lies outside the outward prefix
@@ -1208,7 +1274,7 @@ def test_a_computed_write_whose_second_read_is_unrouted_raises_like_the_layered_
         first = event(IMP_STATE, "GetVar", sym("x"), path=(LEFT,))
         stray = event(IMP_STATE, "GetVar", sym("y"), path=(RIGHT,))
         write = write_at(Site(IMP_STATE, "SetVar", sym("z"), (LEFT,)), ret(unit()))
-        return taus(5, vis(first, core.Compute((stray,), lambda p: p[0] + p[1], write)))
+        return taus(5, vis(first, stores.Compute((stray,), lambda p: p[0] + p[1], write)))
 
     s0, s1 = env_of(), env_of()
     at, err = _least_raising_fuel(_fused_two_paths(program(), s0, s1), 100)
@@ -1222,7 +1288,7 @@ def test_a_compute_that_raises_raises_like_the_layered_stack():
     # the value or the branch raises once both reads are answered
     def program(fn, then):
         reads = (imp._get_var_event("x"), imp._get_var_event("y"))
-        return taus(5, vis(reads[0], core.Compute(reads[1:], fn, then)))
+        return taus(5, vis(reads[0], stores.Compute(reads[1:], fn, then)))
 
     write = write_at(imp._set_var_site("z"), ret(unit()))
     for fn, then in ((_boom, write), (lambda p: p[0] + p[1], _boom)):

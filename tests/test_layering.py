@@ -1,17 +1,23 @@
 """Module boundaries the design relies on, checked on the source text.
 
 The tree core keeps its node types, bind queue and resolver private.  Only
-the core itself and the fused store fold in ``interp`` may use them, so
+the core itself and the fused store fold in ``stores`` may use them, so
 there is one resolution loop and one fold that steps it directly.
 
-Store events and write sites cache their route in a ``memo`` slot that
-only ``events``, which defines it, and the fused store fold in ``interp``
-may read or assign: the fold's loop key relies on an event or a site never
-changing what it stands for, and the cache only saves a lookup.
+The in-place store path is one module: ``stores`` alone defines the write
+sites, the store continuations, the route lookup and the fused store fold,
+and the tree core, the event algebra, the values and the generic handlers
+import nothing from it.
 
-Both denotations iterate only through ``combinators.iterate``: ``imp`` and
-``asm`` use no other iteration combinator, and ``asm`` takes no sums apart
-itself, so every loop of either language is one ``iterate`` on one argument.
+Store events and write sites cache their route in a ``memo`` slot that
+only ``events``, which defines it for events, and ``stores`` may read or
+assign: the fold's loop key relies on an event or a site never changing
+what it stands for, and the cache only saves a lookup.
+
+Both denotations loop only through their shared loop marks
+(``combinators.loop_mark``): ``imp`` and ``asm`` use no iteration
+combinator and take no sums apart themselves, so every back edge of either
+language is one mark.
 
 Both denotations are in continuation-passing form: each event is one node,
 a ``vis`` node for a read and the node a ``Write`` builds for a write, so
@@ -28,7 +34,6 @@ The value functions the interpreters call per event, and the fused store
 fold itself, read ``Tag`` members through module-level aliases: reading a
 member off the ``Enum`` class costs about ten times a global name read.
 """
-
 import ast
 import os
 import types
@@ -36,7 +41,7 @@ import types
 import itrees
 
 SRC = os.path.dirname(itrees.__file__)
-MAY_USE_CORE_PRIVATES = {"core.py", "interp.py"}
+MAY_USE_CORE_PRIVATES = {"core.py", "stores.py"}
 
 
 def _core_privates(tree):
@@ -91,7 +96,83 @@ def test_the_check_sees_private_imports():
         assert _core_privates(ast.parse(text)) == want, text
 
 
-MAY_USE_ROUTE_CACHE = {"events.py", "interp.py"}
+STORE_PATH = {"Site", "Write", "Compute", "Guard", "write_at", "_route", "interp_stores"}
+BELOW_THE_STORE_PATH = ("core.py", "events.py", "values.py", "interp.py")
+
+
+def _top_level_definitions(tree):
+    """The names a module binds at top level by a definition or an
+    assignment."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def _imports_of_stores(tree):
+    """The lines where a module imports ``itrees.stores`` or a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            package = (node.level == 1 and not module) or module == "itrees"
+            if ((node.level == 1 and module == "stores") or module == "itrees.stores"
+                    or (package and any(a.name == "stores" for a in node.names))):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name == "itrees.stores" for a in node.names):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_store_path_is_defined_in_stores_only():
+    where = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for defined in _top_level_definitions(tree):
+                if defined in STORE_PATH:
+                    where.setdefault(defined, []).append(name)
+    assert where == {defined: ["stores.py"] for defined in STORE_PATH}
+
+
+def test_the_layers_below_the_store_path_import_nothing_from_it():
+    offenders = {}
+    for name in BELOW_THE_STORE_PATH:
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            used = _imports_of_stores(ast.parse(fh.read(), name))
+        if used:
+            offenders[name] = used
+    assert offenders == {}
+
+
+def test_the_check_sees_store_path_definitions_and_imports():
+    definitions = {
+        "class Write:\n    pass": ["Write"],
+        "write_at = Write\nSite: type = object": ["write_at", "Site"],
+        "def f():\n    Guard = 1": ["f"],
+        "from .stores import Guard": [],
+    }
+    for text, want in definitions.items():
+        assert _top_level_definitions(ast.parse(text)) == want, text
+    imports = {
+        "from .stores import Site": [1],
+        "from itrees.stores import interp_stores": [1],
+        "from . import core, stores": [1],
+        "from itrees import stores": [1],
+        "import itrees.stores": [1],
+        "from .interp import interp_map\nfrom .values import UNIT": [],
+    }
+    for text, want in imports.items():
+        assert _imports_of_stores(ast.parse(text)) == want, text
+
+
+MAY_USE_ROUTE_CACHE = {"events.py", "stores.py"}
 
 
 def _memo_uses(tree):
@@ -282,7 +363,7 @@ def test_the_package_exports_names_not_modules():
 HOT_PATHS = {
     "values.py": {"nat", "label", "pair", "fst", "snd", "un_sum", "map_items",
                   "VType.accepts"},
-    "interp.py": {"interp_stores"},
+    "stores.py": {"interp_stores"},
 }
 
 
