@@ -157,6 +157,26 @@ class AsmUnit:
     code: tuple[Block, ...]
 
     def __post_init__(self):
+        self.check()
+
+    @classmethod
+    def unchecked(cls, entries: int, exits: int, internal: int,
+                  code: tuple[Block, ...]) -> AsmUnit:
+        """The unit of these fields, built without ``check``: for the linking
+        combinators and the compiler, whose results are well formed whenever
+        their inputs are, and which check their inputs themselves.
+        ``compiler.compile_stmt`` checks the unit it returns once."""
+        u = object.__new__(cls)
+        u.entries = entries
+        u.exits = exits
+        u.internal = internal
+        u.code = code
+        return u
+
+    def check(self) -> None:
+        """Raise ``BoundViolation`` if a label count is negative, the block
+        table does not cover exactly the internal and entry labels, or a
+        branch targets a label outside internal+exits."""
         if min(self.entries, self.exits, self.internal) < 0:
             raise BoundViolation("negative label counts")
         if len(self.code) != self.internal + self.entries:
@@ -371,16 +391,17 @@ def app_asm(u1: AsmUnit, u2: AsmUnit) -> AsmUnit:
     blocks += [_relabel_block(u2.code[j], re2) for j in range(i2)]
     blocks += [_relabel_block(u1.code[i1 + a], re1) for a in range(u1.entries)]
     blocks += [_relabel_block(u2.code[i2 + c], re2) for c in range(u2.entries)]
-    return AsmUnit(u1.entries + u2.entries, u1.exits + u2.exits, i1 + i2, tuple(blocks))
+    return AsmUnit.unchecked(u1.entries + u2.entries, u1.exits + u2.exits, i1 + i2,
+                             tuple(blocks))
 
 
 def loop_asm(u: AsmUnit, wires: int) -> AsmUnit:
     """Internalize the first ``wires`` exits as back-edges into the first
     ``wires`` entries.  Label indices are already aligned, so only the
     classification changes."""
-    if u.entries < wires or u.exits < wires:
+    if not 0 <= wires <= min(u.entries, u.exits):
         raise BoundViolation(f"cannot wire {wires} ports on asm {u.entries}->{u.exits}")
-    return AsmUnit(u.entries - wires, u.exits - wires, u.internal + wires, u.code)
+    return AsmUnit.unchecked(u.entries - wires, u.exits - wires, u.internal + wires, u.code)
 
 
 def pure_asm(entries: int, exits: int, f: Callable[[int], int]) -> AsmUnit:
@@ -453,7 +474,7 @@ def chain_asm(units: Sequence[AsmUnit]) -> AsmUnit:
     for j in range(len(units) - 1, -1, -1):
         u = units[j]
         blocks += [_relabel_block(blk, fs[j]) for blk in u.code[u.internal:]]
-    return AsmUnit(units[0].entries, units[-1].exits, at, tuple(blocks))
+    return AsmUnit.unchecked(units[0].entries, units[-1].exits, at, tuple(blocks))
 
 
 TMP_IF = 0  # register the guard code leaves its result in
@@ -480,7 +501,7 @@ def if_asm(e: Sequence[Instr], t: AsmUnit, f: AsmUnit) -> AsmUnit:
     blocks.append(_relabel_block(t.code[i1], on_t))
     blocks.append(_relabel_block(f.code[i2], on_f))
     blocks.append(Block(tuple(e), Bbrz(TMP_IF, arms + 1, arms)))
-    return AsmUnit(1, t.exits, arms + 2, tuple(blocks))
+    return AsmUnit.unchecked(1, t.exits, arms + 2, tuple(blocks))
 
 
 def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
@@ -503,7 +524,7 @@ def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
     blocks.append(Block((), Bjmp(ip + 3)))
     blocks.append(Block(tuple(e), Bbrz(TMP_IF, ip + 1, ip)))
     blocks.append(Block((), Bjmp(guard)))
-    return AsmUnit(1, 1, ip + 3, tuple(blocks))
+    return AsmUnit.unchecked(1, 1, ip + 3, tuple(blocks))
 
 
 # Stateful interpretation: registers inner, memory outer.

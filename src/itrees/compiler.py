@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from . import asm
@@ -102,15 +102,15 @@ def _swap_branches(u: AsmUnit) -> AsmUnit:
     """Exchange the arms of every guard; they are the only ``brz`` blocks."""
     code = tuple(Block(b.instrs, Bbrz(b.branch.test, b.branch.no, b.branch.yes))
                  if isinstance(b.branch, Bbrz) else b for b in u.code)
-    return AsmUnit(u.entries, u.exits, u.internal, code)
+    return AsmUnit.unchecked(u.entries, u.exits, u.internal, code)
 
 
 def _lower(s: Stmt, low: _Lowering) -> AsmUnit:
     if isinstance(s, Skip):
         return asm.id_asm()
     if isinstance(s, Assign):
-        return AsmUnit(1, 1, 0, (Block(tuple(compile_assign(s.name, s.expr, low)),
-                                       Bjmp(0)),))
+        return AsmUnit.unchecked(1, 1, 0, (Block(tuple(compile_assign(s.name, s.expr, low)),
+                                                 Bjmp(0)),))
     if isinstance(s, Seq):
         items = []
         while isinstance(s, Seq):
@@ -127,13 +127,19 @@ def _lower(s: Stmt, low: _Lowering) -> AsmUnit:
     # The entry block jumps into the guard; send it to the exit instead.
     code = list(unit.code)
     code[unit.internal] = Block((), Bjmp(unit.internal))
-    return AsmUnit(unit.entries, unit.exits, unit.internal, tuple(code))
+    return AsmUnit.unchecked(unit.entries, unit.exits, unit.internal, tuple(code))
 
 
 def compile_stmt(s: Stmt, low: _Lowering = _CLEAN) -> AsmUnit:
-    """Compile a statement to an asm unit with one entry and one exit."""
+    """Compile a statement to an asm unit with one entry and one exit.
+
+    The units in between are built unchecked (``AsmUnit.unchecked``); the
+    one returned is checked once."""
     unit = _lower(s, low)
-    return _swap_branches(unit) if low.swap_branch else unit
+    if low.swap_branch:
+        unit = _swap_branches(unit)
+    unit.check()
+    return unit
 
 
 @dataclass(frozen=True)
@@ -183,24 +189,58 @@ def _initial_stores(samples: int, probes: tuple, seed: int) -> tuple:
     return tuple(stores)
 
 
+# The last check under a mutation: (program, initial stores, the program's
+# interpreted source tree from each store), or None.  See check_equivalent.
+_last_source = None
+
+
 def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
                      mutation: str | None = None) -> Verdict:
-    """Compare source and compiled behavior from related initial stores."""
+    """Compare source and compiled behavior from related initial stores.
+
+    Proven means equivalent from each of the ``cfg.samples + 1`` checked
+    stores (``initial_stores(cfg, seed)``: the empty store and the sampled
+    ones), within budgets.
+
+    A check under a seeded ``mutation`` keeps its program's interpreted
+    source trees until the next check.  The next check under a mutation
+    reuses them when it is for the same program object and the same store
+    tuple, so a scan of several mutations denotes and interprets the source
+    once.  The key is identity (``is``), never ``==``, which recurses down
+    a long ``Seq`` spine: ``initial_stores`` hands equal arguments one
+    tuple, and the key rests on nothing changing after construction, the
+    program, its stores or its trees (a forced lazy node keeps what it
+    produced, and ``eutt`` only reads trees).  Only one program's trees are
+    kept; a check without a mutation drops them and keeps none of its own.
+    """
+    global _last_source
     low = MUTATIONS[mutation] if mutation else _CLEAN
     unit = compile_stmt(s, low)
     rel = StateInvariantSpec().relspec()
     tau_budget, depth = cfg.budgets()
+    stores = initial_stores(cfg, seed)
     # Denotations do not change, so both are built once, an Asm block on
     # its first entry, and interpreted under every initial store; their
     # read events and write sites are interned, so the routes that earlier
     # checks cached in them serve this one too.
-    source = denote_stmt(s)
+    if not mutation:
+        _last_source = None
+        source = denote_stmt(s)
+        sources = map(partial(interp_imp, source), stores)
+    else:
+        last = _last_source
+        if last is None or last[0] is not s or last[1] is not stores:
+            _last_source = last = None  # the last program's trees go first
+            source = denote_stmt(s)
+            last = _last_source = (s, stores, tuple(map(partial(interp_imp, source), stores)))
+        sources = iter(last[2])
     target = asm.den_asm(unit)(label(0, 1))
+    # No name holds a source tree while eutt reads it, so a clean check
+    # frees the batches eutt has passed.
     return merge_verdicts(
-        eutt(rel, interp_imp(source, store),
-             asm.interp_asm(target, store, umap(), default=low.asm_default),
+        eutt(rel, next(sources), asm.interp_asm(target, store, umap(), default=low.asm_default),
              tau_budget, depth, cfg.nat_probe_set)
-        for store in initial_stores(cfg, seed))
+        for store in stores)
 
 
 # Program generation for the harness.

@@ -252,20 +252,23 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     builds starts with its site's (``Site.written``).
 
     An answered store event yields a value: a read its answer, a write the
-    unit.  When the answer passes its tag test and the batch is below its
-    cap, the pass tests the event's continuation once.  A ``Compute``: it
-    answers the reads still to come through their routes, computes the
-    value (the shared natural of ``values.NATS`` below
-    ``values.SHARED_NATS``) and goes on with its ``then``, calling it only
-    when it is neither a ``Write`` nor a ``Guard``.  A ``Write``: it writes
-    the value at the site and goes on with its tree.  A ``Guard``: it goes
-    on with the tree the ``Guard`` picks.  Anything else is called.  When a
-    read has no route or an answer that does not fit, a read's steps bring
-    the batch to its cap, the write site has no route, or the value or the
-    branch raises, the pass takes the node that calling the continuation
-    would build as it comes instead, so step counts and raises do not
-    change.  Each answer is checked once, by one tag test when the event's
-    declared answer shape is decided by its tag, and a mismatch raises
+    unit.  A write continued by a ``Guard``, the node a ``Write`` builds,
+    goes straight on with the ``Guard``'s tree when its kind answers the
+    unit and the batch is below its cap.  Otherwise, when the answer passes
+    its tag test and the batch is below its cap, the pass tests the event's
+    continuation once.  A ``Compute``: it answers the reads still to come
+    through their routes, computes the value (the shared natural of
+    ``values.NATS`` below ``values.SHARED_NATS``) and goes on with its
+    ``then``, calling it only when it is neither a ``Write`` nor a
+    ``Guard``.  A ``Write``: it writes the value at the site and goes on
+    with its tree.  A ``Guard``: it goes on with the tree the ``Guard``
+    picks.  Anything else is called.  When a read has no route or an
+    answer that does not fit, a read's steps bring the batch to its cap,
+    the write site has no route, or the value or the branch raises, the
+    pass takes the node that calling the continuation would build as it
+    comes instead, so step counts and raises do not change.  Each answer
+    is checked once, by one tag test when the event's declared answer
+    shape is decided by its tag, and a mismatch raises
     ``AnswerTagMismatch`` at the read that produced it, as ``VisO.k`` would.
 
     Store events are answered in place, in batches: the steps of a batch
@@ -388,6 +391,15 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                     d = dict(d)
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
                 d[key] = x.args[1]
+                if type(kont) is Guard and tag is _UNIT and total < limit:
+                    # the tree after a write (``Write``): the unit answer picks
+                    # ``nonzero``, and both of its trees are the same
+                    nxt = kont.nonzero
+                    head = nxt._head
+                    more = nxt._konts
+                    if more is not None:
+                        konts = more if konts is None else _Cat(more, konts)
+                    continue
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)

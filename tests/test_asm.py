@@ -385,6 +385,51 @@ def test_if_and_while_asm_are_their_wiring():
             while_asm([], p)
 
 
+def _rebuilt(u):
+    """``u`` built again through the checking constructor."""
+    return AsmUnit(u.entries, u.exits, u.internal, u.code)
+
+
+def test_combinators_build_well_formed_units():
+    # the combinators build their results unchecked (AsmUnit.unchecked), so
+    # every result must pass the check it skipped
+    rng = random.Random(73)
+    for _ in range(80):
+        a, b, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        u1 = gen_asm_unit(rng, a, b, rng.randint(0, 3), max_instrs=1)
+        u2 = gen_asm_unit(rng, b, c, rng.randint(0, 3), max_instrs=1)
+        t = gen_asm_unit(rng, 1, c, rng.randint(0, 3), max_instrs=1)
+        f = gen_asm_unit(rng, 1, c, rng.randint(0, 3), max_instrs=1)
+        p = gen_asm_unit(rng, 1, 1, rng.randint(0, 3), max_instrs=1)
+        e = [gen_instr(rng) for _ in range(rng.randint(0, 2))]
+        for u in (app_asm(u1, u2), loop_asm(u1, rng.randint(0, min(a, b))),
+                  chain_asm([u1, u2, p if c == 1 else gen_asm_unit(rng, c, 1, 1)]),
+                  seq_asm(u1, u2), if_asm(e, t, f), while_asm(e, p),
+                  while_asm(e, if_asm(e, p, p))):
+            assert _rebuilt(u) == u
+    u = gen_asm_unit(rng, 2, 2, 0)
+    for wires in (-1, 3):
+        with pytest.raises(BoundViolation):
+            loop_asm(u, wires)
+
+
+def test_compile_stmt_checks_the_unit_it_returns_once(monkeypatch):
+    checked = []
+    check = AsmUnit.check
+    monkeypatch.setattr(AsmUnit, "check", lambda u: checked.append(u) or check(u))
+    prog = parse_imp("x := 1; if x then y := x + 2 else while x do x := x - 1 end end; z := y")
+    for low in (None, *MUTATIONS):
+        checked.clear()
+        unit = compile_stmt(prog, MUTATIONS[low]) if low else compile_stmt(prog)
+        assert len(checked) == 1 and checked[0] is unit
+        assert _rebuilt(unit) == unit
+    for seed in range(40):
+        prog = gen_program(14, "bounded", seed)
+        for low in MUTATIONS.values():
+            unit = compile_stmt(prog, low)
+            assert _rebuilt(unit) == unit
+
+
 def _guard(rng, value):
     """Random scratch work, then force the test register to ``value``."""
     instrs = [Imov(rng.randint(1, 3), Oimm(rng.randint(0, 5)))

@@ -20,6 +20,7 @@ from itrees.asm import (
     den_asm,
     interp_asm,
 )
+from itrees import compiler
 from itrees.compiler import (
     MUTATIONS,
     SimConfig,
@@ -28,6 +29,7 @@ from itrees.compiler import (
     compile_expr,
     compile_stmt,
     gen_program,
+    initial_stores,
 )
 from itrees.imp import (
     Assign,
@@ -165,6 +167,71 @@ def test_all_mutants_refuted_on_a_small_corpus():
                 hit = prog
                 break
         assert hit is not None, f"{name} survived the corpus"
+
+
+def _count_denotations(monkeypatch):
+    """Count the calls ``check_equivalent`` makes to ``denote_stmt``."""
+    calls = []
+    denote = compiler.denote_stmt
+    monkeypatch.setattr(compiler, "denote_stmt", lambda s: calls.append(s) or denote(s))
+    return calls
+
+
+def test_a_scan_of_mutations_denotes_its_program_once(monkeypatch):
+    calls = _count_denotations(monkeypatch)
+    cfg = SimConfig(fuel=4000, samples=2)
+    a, b = gen_program(14, "bounded", 2000), gen_program(14, "bounded", 2001)
+    for m in MUTATIONS:
+        check_equivalent(a, cfg, mutation=m)
+    assert len(calls) == 1 and calls[0] is a
+    check_equivalent(b, cfg, mutation="drop-store")
+    assert len(calls) == 2 and calls[1] is b
+    # another seed is another store tuple
+    check_equivalent(b, cfg, seed=1, mutation="drop-store")
+    assert len(calls) == 3
+    for _ in range(2):
+        check_equivalent(b, cfg, seed=1)
+    assert len(calls) == 5
+    # a clean check left nothing to reuse
+    check_equivalent(b, cfg, seed=1, mutation="drop-store")
+    assert len(calls) == 6
+
+
+def test_reused_source_trees_give_the_fresh_verdicts(monkeypatch):
+    cfg = SimConfig(fuel=4000, samples=2)
+    a, b = gen_program(14, "bounded", 2000), gen_program(14, "bounded", 2001)
+    order = [(p, m) for p in (a, b, a) for m in MUTATIONS]
+    order += [(p, m) for m in MUTATIONS for p in (a, b)]
+    seen = [check_equivalent(p, cfg, seed=3, mutation=m) for p, m in order]
+    fresh = []
+    for p, m in order:
+        monkeypatch.setattr(compiler, "_last_source", None)
+        fresh.append(check_equivalent(p, cfg, seed=3, mutation=m))
+    assert seen == fresh
+    assert [repr(v.witness) for v in seen] == [repr(v.witness) for v in fresh]
+    assert any(v.refuted for v in seen) and any(v.witness for v in seen)
+
+
+def test_only_the_last_mutated_program_is_kept():
+    cfg = SimConfig(fuel=4000, samples=2)
+    prog = gen_program(14, "bounded", 2002)
+    check_equivalent(prog, cfg, mutation="swap-branch")
+    kept_prog, kept_stores, trees = compiler._last_source
+    assert kept_prog is prog and kept_stores is initial_stores(cfg, 0)
+    assert len(trees) == len(kept_stores)
+    check_equivalent(prog, cfg)
+    assert compiler._last_source is None
+
+
+def test_a_long_straight_line_is_checked_under_a_mutation():
+    # the program is keyed by identity: comparing two equal programs with ==
+    # would recurse down the Seq spine
+    text = "".join(f"x := {i};\n" for i in range(3000)) + "skip"
+    first, second = parse_imp(text), parse_imp(text)
+    assert check_equivalent(first, mutation="drop-store").refuted
+    assert check_equivalent(first, mutation="wrong-default").proven
+    assert check_equivalent(second, mutation="wrong-default").proven
+    assert compiler._last_source[0] is second
 
 
 def test_divergence_is_never_refuted():
