@@ -27,7 +27,7 @@ from .events import (
     KindSpec,
     event,
 )
-from .stores import INTERNED, Compute, Guard, Site, interp_stores, write_at
+from .stores import INTERNED, Compute, Guard, Site, _fold, _route_table, write_at
 from .values import (
     EMPTY_T,
     NAT_MASK,
@@ -431,8 +431,12 @@ def relabel_asm(entry_map: Sequence[int], exit_map: Sequence[int],
     return AsmUnit(len(entry_map), exits, i, tuple(blocks))
 
 
+# One identity unit, built and checked once: a unit never changes.
+_ID_ASM = pure_asm(1, 1, lambda a: a)
+
+
 def id_asm() -> AsmUnit:
-    return pure_asm(1, 1, lambda a: a)
+    return _ID_ASM
 
 
 def seq_asm(u1: AsmUnit, u2: AsmUnit) -> AsmUnit:
@@ -529,18 +533,21 @@ def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
 
 # Stateful interpretation: registers inner, memory outer.
 
+@lru_cache(maxsize=8, typed=True)
+def _asm_table(default: int) -> dict:
+    """The route table of ``interp_asm`` for absent cells reading
+    ``default``, built once per default while it stays in this cache."""
+    absent = nat(default)
+    return _route_table(2, (
+        ((_REG_PATH, "GetReg"), (1, absent)), ((_REG_PATH, "SetReg"), (1, None)),
+        ((_MEM_PATH, "Load"), (0, absent)), ((_MEM_PATH, "Store"), (0, None))))
+
+
 def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree:
     """Realize register and memory events as finite maps (absent cells read
     ``default``).  The result tree returns Pair(mem, Pair(regs, result));
     ``Done`` passes through."""
-    absent = nat(default)
-    routes = {
-        (_REG_PATH, "GetReg"): (1, absent),
-        (_REG_PATH, "SetReg"): (1, None),
-        (_MEM_PATH, "Load"): (0, absent),
-        (_MEM_PATH, "Store"): (0, None),
-    }
-    return interp_stores(t, (mem0, regs0), routes, _DONE_PATH)
+    return _fold(t, (mem0, regs0), _asm_table(default), _DONE_PATH)
 
 
 # Text format.

@@ -27,7 +27,7 @@ from .events import (
     KindSpec,
     event,
 )
-from .stores import INTERNED, Compute, Guard, Site, interp_stores, write_at
+from .stores import INTERNED, Compute, Guard, Site, _fold, _route_table, write_at
 from .values import (
     NAT_MASK,
     NAT_T,
@@ -455,10 +455,9 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
 
 # Variable events read and write the one store, absent variables reading 0;
 # events classified right belong to the caller's alphabet and pass through.
-_IMP_ROUTES = {
-    ((LEFT,), "GetVar"): (0, nat(0)),
-    ((LEFT,), "SetVar"): (0, None),
-}
+# The route table is built once, here.
+_IMP_TABLE = _route_table(1, ((((LEFT,), "GetVar"), (0, nat(0))),
+                              (((LEFT,), "SetVar"), (0, None))))
 
 
 def interp_imp(t: ITree, env0: UValue) -> ITree:
@@ -467,7 +466,7 @@ def interp_imp(t: ITree, env0: UValue) -> ITree:
     Returns a tree over E computing Pair(final env, result); reads of absent
     variables see 0.
     """
-    return interp_stores(t, (env0,), _IMP_ROUTES, (RIGHT,))
+    return _fold(t, (env0,), _IMP_TABLE, (RIGHT,))
 
 
 def env_of(bindings: dict[str, int] | None = None) -> UValue:

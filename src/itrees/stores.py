@@ -35,10 +35,10 @@ from .values import (
     UNIT,
     AnswerTagMismatch,
     UValue,
+    _store_map,
     map_items,
     nat,
     pair,
-    umap,
 )
 
 _UNIT = UNIT.tag
@@ -245,11 +245,14 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     event.  An event node or a silent run is already resolved, so when a
     continuation returns one, or the pass reaches a loop mark, it goes
     straight on without calling ``_resolve``.  A store event's route is read
-    from one flat table, (path, kind) -> (slot, default, steps), interned so
-    that calls with equal routes over as many stores share it, and only on
+    from one flat table, (path, kind) -> (slot, default, steps), and only on
     the first visit of the event or write site under that table: ``_route``
     caches it in the event's or site's ``memo``, and the event a ``Write``
-    builds starts with its site's (``Site.written``).
+    builds starts with its site's (``Site.written``).  Each call interns
+    ``routes`` (``_route_table``), so calls with equal routes over as many
+    stores share a table; ``interp_imp`` and ``interp_asm`` build theirs
+    off the run, Imp's at import and Asm's once per absent-cell default,
+    and hand it to the same fold.
 
     An answered store event yields a value: a read its answer, a write the
     unit.  A write continued by a ``Guard``, the node a ``Write`` builds,
@@ -295,7 +298,9 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
 
     A batch copies each store at most once, on its first write to it, and
     never writes the stores it was handed, so a batch that runs again, or
-    an outward event answered twice, starts from the same stores.  Grouping
+    an outward event answered twice, starts from the same stores.  At the
+    return each store's map is built from its dict, checking only the keys
+    (``values._store_map``).  Grouping
     steps into batches is not observable, so step counts do not change.
 
     A batch that ends at a mark carries in ``TauO._key`` the loop key: the
@@ -319,20 +324,42 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     and sites they hold) by identity, the marked ``TauO`` by its tail's
     identity, and the stores by content.
     """
+    return _fold(t, stores, _route_table(len(stores), tuple(routes.items())), outward)
+
+
+# The fold's deferred nodes, built here so that ``go``, the run's fold whose
+# identity the loop keys hold, keeps its state in plain locals, with no
+# closure cell.
+
+def _next_batch(go, head, konts, dicts) -> ITree:
+    return lazy(lambda: go(head, konts, dicts))
+
+
+def _answered(go, ob, dicts):
+    """The continuation of ``ob``, an outward or a refused event."""
+    return lambda x: _next_batch(go, _Thunk(lambda: ob.k(x)), None, dicts)
+
+
+def _raising(go, fn, then, got, konts, dicts) -> ITree:
+    return _next_batch(go, _Thunk(lambda: then(nat(fn(got)))), konts, dicts)
+
+
+def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
+          outward: tuple[str, ...]) -> ITree:
+    """``interp_stores`` over ``table``, which ``_route_table`` built for
+    ``len(stores)`` stores; ``interp_imp`` and ``interp_asm`` call it."""
     for m in stores:
         MAP_T.check(m, "initial map")
-    n = len(stores)
-    table = _route_table(n, tuple(routes.items()))
-    cut = len(outward)
-    outward_steps = 1 + cut + n
 
     # A batch looks ahead of its consumer, so it must not raise early: what
     # the source raises is left to a lazy node after the batch's steps,
     # which does the same work again and raises there.  A node whose
     # producer raised is forced again, so its batch runs again from the
     # stores it was handed; ``given`` keeps them to tell a batch's own
-    # copies from them.
-    def go(head, konts, dicts):
+    # copies from them.  The run's constants are defaults, so the loop reads
+    # them as plain locals.
+    def go(head, konts, dicts, table=table, cut=len(outward), outward=outward,
+           outward_steps=1 + len(outward) + len(stores)):
         given = dicts
         total = 0
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
@@ -367,7 +394,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 if kind is RetO:
                     v = head.value
                     for d in reversed(dicts):
-                        v = pair(umap(d), v)
+                        v = pair(_store_map(d), v)
                     return taus(total, ret(v)) if total else ret(v)
             x = head.event
             kont = head._kont
@@ -379,7 +406,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                 path = e.path
                 if path[:cut] == outward:
                     return taus(total + outward_steps, vis(
-                        e.at(path[cut:]), lambda x: lazy(lambda: resume(ob.k(x), dicts))))
+                        e.at(path[cut:]), _answered(go, ob, dicts)))
                 if not total:
                     raise UnhandledEvent(f"{e!r} has no route in interp_stores")
                 break
@@ -441,8 +468,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
                             continue
                     except Exception:
                         # the call raises again when observed, after the reads' steps
-                        return taus(total, lazy(lambda: go(
-                            _Thunk(lambda: then(nat(fn(got)))), konts, dicts)))
+                        return taus(total, _raising(go, fn, then, got, konts, dicts))
                     kont = then
                 if kind is Write:
                     x = kont.site
@@ -483,14 +509,11 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
             except Exception:
                 # VisO.k checks the answer again and raises what it raises
                 ob = observe(ITree(head, konts))
-                return taus(total, lazy(lambda: resume(ob.k(answer), dicts)))
+                return taus(total, _answered(go, ob, dicts)(answer))
             if more is not None:
                 konts = more if konts is None else _Cat(more, konts)
             if total >= limit:
                 break
-        return ITree(TauO(lazy(lambda: go(head, konts, dicts)), total, _key=loop_key))
-
-    def resume(t, dicts):
-        return go(t._head, t._konts, dicts)
+        return ITree(TauO(_next_batch(go, head, konts, dicts), total, _key=loop_key))
 
     return lazy(lambda: go(t._head, t._konts, tuple(dict(map_items(m)) for m in stores)))

@@ -185,11 +185,19 @@ def _sorted_entries(entries) -> tuple:
 
 def umap(items=()) -> UValue:
     entries = dict(items)
-    for k, v in entries.items():
-        if not isinstance(k, (str, int)) or isinstance(k, bool):
-            raise AnswerTagMismatch(f"bad map key: {k!r}")
+    for v in entries.values():
         if not isinstance(v, UValue):
             raise AnswerTagMismatch(f"bad map value: {v!r}")
+    return _store_map(entries)
+
+
+def _store_map(entries: dict) -> UValue:
+    """``umap(entries)`` for a dict of ``UValue``s, such as the interpreters'
+    stores: the dict is not copied, and only its keys are checked."""
+    for k in entries:
+        if type(k) is not str and type(k) is not int and (
+                not isinstance(k, (str, int)) or isinstance(k, bool)):
+            raise AnswerTagMismatch(f"bad map key: {k!r}")
     return UValue(_MAP, _sorted_entries(entries.items()))
 
 

@@ -417,12 +417,15 @@ def test_compile_stmt_checks_the_unit_it_returns_once(monkeypatch):
     checked = []
     check = AsmUnit.check
     monkeypatch.setattr(AsmUnit, "check", lambda u: checked.append(u) or check(u))
-    prog = parse_imp("x := 1; if x then y := x + 2 else while x do x := x - 1 end end; z := y")
+    # a ``skip`` lowers to the one shared identity unit, checked when built
+    prog = parse_imp("x := 1; if x then y := x + 2 else while x do skip; x := x - 1 end end; "
+                     "skip; z := y")
     for low in (None, *MUTATIONS):
         checked.clear()
         unit = compile_stmt(prog, MUTATIONS[low]) if low else compile_stmt(prog)
         assert len(checked) == 1 and checked[0] is unit
         assert _rebuilt(unit) == unit
+    assert asm.id_asm() is asm.id_asm()
     for seed in range(40):
         prog = gen_program(14, "bounded", seed)
         for low in MUTATIONS.values():

@@ -12,6 +12,7 @@ import types
 import pytest
 
 from itrees import (
+    BOOL_T,
     EQ,
     IOE,
     NAT_T,
@@ -801,12 +802,42 @@ def test_cached_routes_follow_the_route_tables_through_eviction():
     # routes under the dropped ones
     move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r1, r2\n  jmp 0\n")
     t = den_asm(move)(label(0, 1))
-    defaults = range(_route_table.cache_info().maxsize + 6)
+    defaults = range(max(_route_table.cache_info().maxsize,
+                         asm._asm_table.cache_info().maxsize) + 6)
     for default in list(defaults) * 2:
         regs = umap({1: nat(default)})
         assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
             RetO(pair(umap(), pair(regs, label(0, 1)))), 6)
     assert _route_table.cache_info().currsize < len(defaults)
+    assert asm._asm_table.cache_info().currsize < len(defaults)
+
+
+def test_interpreter_runs_build_no_route_table(monkeypatch):
+    # imp's table is built at import and asm's once per default, so a run
+    # after the first interns no routes; interp_stores interns them on every
+    # call, and its calls with equal routes share one table and its routes
+    calls = []
+    for module in (stores, asm):
+        monkeypatch.setattr(module, "_route_table",
+                            lambda n, items, build=_route_table: calls.append(items) or build(n, items))
+    asm._asm_table.cache_clear()
+    prog = parse_imp("x := x + 1; while x do x := x - 1 end")
+    source, target = denote_stmt(prog), den_asm(compile_stmt(prog))(label(0, 1))
+    for store in (umap(), umap({"x": nat(3)}), umap()):
+        for t in (interp_imp(source, store), interp_asm(target, store, umap())):
+            assert type(run_to_head(t, FUEL)[0]) is RetO
+    assert len(calls) == 1  # the first interp_asm run, for default 0
+    calls.clear()
+    looked_up = []
+    route = stores._route
+    monkeypatch.setattr(stores, "_route", lambda table, x: looked_up.append(x) or route(table, x))
+    routes = {((LEFT,), "GetVar"): (0, nat(0)), ((LEFT,), "SetVar"): (0, None)}
+    runs = [(store, run_to_head(interp_imp(source, store), FUEL))
+            for store in (umap(), umap({"x": nat(3)}))]
+    for store, want in runs:
+        looked_up.clear()
+        assert run_to_head(interp_stores(source, (store,), routes, (RIGHT,)), FUEL) == want
+    assert len(calls) == 2 and looked_up == []
 
 
 def test_runs_with_equal_routes_share_the_cached_routes(monkeypatch):
@@ -1318,3 +1349,38 @@ def test_a_return_over_a_store_whose_keys_mix_str_and_int():
     got = run_to_head(interp_stores(t, (umap(),), routes, (RIGHT, RIGHT)), 100)
     assert got == (RetO(pair(umap({"x": nat(8), 1: nat(7)}), unit())), 3 + 4)
     assert map_items(fst(got[0].value)) == ((1, nat(7)), ("x", nat(8)))
+
+
+def test_returned_maps_equal_umap_of_the_final_entries():
+    # a store whose keys mix str and int, before and after the run, comes
+    # back as the map ``umap`` builds from its final entries
+    routes = {((LEFT,), "SetReg"): (0, None), ((RIGHT, LEFT), "Store"): (0, None),
+              ((RIGHT, LEFT), "Load"): (0, nat(0))}
+    t = bind(asm.set_reg(3, nat(7)), lambda _: bind(
+        load("b"), lambda v: bind(store("a", v), lambda _: asm.set_reg(0, v))))
+    start = umap({"b": nat(5), 2: nat(1), "z": nat(0)})
+    (ob, _), = [run_to_head(interp_stores(t, (start,), routes, (RIGHT, RIGHT)), 100)]
+    final = {**dict(map_items(start)), 3: nat(7), "a": nat(5), 0: nat(5)}
+    assert fst(ob.value) == umap(final)
+    assert map_items(fst(ob.value)) == map_items(umap(final))
+
+
+def test_a_store_key_that_is_not_a_map_key_raises_at_the_return():
+    # a BOOL-keyed write is routed, but its key cannot key a map: the run
+    # raises at the return, after the write's and the silent run's steps
+    flags = EventSig("Flags", (KindSpec("SetFlag", (BOOL_T, NAT_T), UNIT_T),))
+    routes = {((LEFT,), "SetFlag"): (0, None)}
+    t = bind(trigger(event(flags, "SetFlag", boolean(True), nat(1), path=(LEFT,))),
+             lambda _: taus(600, ret(unit())))
+    run = interp_stores(t, (env_of({"x": 2}),), routes, (RIGHT,))
+    assert _least_raising_fuel(run, 1000) == (3 + 600, AnswerTagMismatch)
+    with pytest.raises(AnswerTagMismatch, match="bad map key: True"):
+        run_to_head(run, FUEL)
+
+
+def test_the_fold_keeps_no_closure_cell():
+    # the fold's state lives in plain locals; its deferred nodes are built
+    # by module-level helpers, so no inner function captures a local of it
+    go, = [c for c in stores._fold.__code__.co_consts
+           if isinstance(c, types.CodeType) and c.co_name == "go"]
+    assert go.co_cellvars == ()
