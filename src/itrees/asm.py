@@ -533,21 +533,26 @@ def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
 
 # Stateful interpretation: registers inner, memory outer.
 
-@lru_cache(maxsize=8, typed=True)
-def _asm_table(default: int) -> dict:
-    """The route table of ``interp_asm`` for absent cells reading
-    ``default``, built once per default while it stays in this cache."""
+def _asm_routes(default: int) -> tuple:
     absent = nat(default)
-    return _route_table(2, (
-        ((_REG_PATH, "GetReg"), (1, absent)), ((_REG_PATH, "SetReg"), (1, None)),
-        ((_MEM_PATH, "Load"), (0, absent)), ((_MEM_PATH, "Store"), (0, None))))
+    return (((_REG_PATH, "GetReg"), (1, absent)), ((_REG_PATH, "SetReg"), (1, None)),
+            ((_MEM_PATH, "Load"), (0, absent)), ((_MEM_PATH, "Store"), (0, None)))
+
+
+# The route tables of the absent-cell defaults in use, built once: 0, and 1
+# for the ``wrong-default`` lowering.
+_ASM_TABLES = {d: _route_table(2, _asm_routes(d)) for d in (0, 1)}
 
 
 def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree:
     """Realize register and memory events as finite maps (absent cells read
     ``default``).  The result tree returns Pair(mem, Pair(regs, result));
-    ``Done`` passes through."""
-    return _fold(t, (mem0, regs0), _asm_table(default), _DONE_PATH)
+    ``Done`` passes through.  A default other than 0 or 1 interns its
+    routes on each call, as ``interp_stores`` does."""
+    table = _ASM_TABLES.get(default) if type(default) is int else None
+    if table is None:
+        table = _route_table(2, _asm_routes(default))
+    return _fold(t, (mem0, regs0), table, _DONE_PATH)
 
 
 # Text format.

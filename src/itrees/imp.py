@@ -455,7 +455,6 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
 
 # Variable events read and write the one store, absent variables reading 0;
 # events classified right belong to the caller's alphabet and pass through.
-# The route table is built once, here.
 _IMP_TABLE = _route_table(1, ((((LEFT,), "GetVar"), (0, nat(0))),
                               (((LEFT,), "SetVar"), (0, None))))
 

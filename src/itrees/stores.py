@@ -250,9 +250,9 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     caches it in the event's or site's ``memo``, and the event a ``Write``
     builds starts with its site's (``Site.written``).  Each call interns
     ``routes`` (``_route_table``), so calls with equal routes over as many
-    stores share a table; ``interp_imp`` and ``interp_asm`` build theirs
-    off the run, Imp's at import and Asm's once per absent-cell default,
-    and hand it to the same fold.
+    stores share a table.  ``interp_imp`` builds its table at import, and
+    ``interp_asm`` those of the absent-cell defaults 0 and 1; both hand
+    them straight to the same fold.
 
     An answered store event yields a value: a read its answer, a write the
     unit.  A write continued by a ``Guard``, the node a ``Write`` builds,
@@ -299,9 +299,9 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     A batch copies each store at most once, on its first write to it, and
     never writes the stores it was handed, so a batch that runs again, or
     an outward event answered twice, starts from the same stores.  At the
-    return each store's map is built from its dict, checking only the keys
-    (``values._store_map``).  Grouping
-    steps into batches is not observable, so step counts do not change.
+    return, ``values._store_map`` builds each store's map from its dict
+    with ``umap``'s checks but no copy.  Grouping steps into batches is not
+    observable, so step counts do not change.
 
     A batch that ends at a mark carries in ``TauO._key`` the loop key: the
     fold, the marked head, the pending binds and the stores, the whole

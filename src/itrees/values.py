@@ -184,20 +184,18 @@ def _sorted_entries(entries) -> tuple:
 
 
 def umap(items=()) -> UValue:
-    entries = dict(items)
-    for v in entries.values():
-        if not isinstance(v, UValue):
-            raise AnswerTagMismatch(f"bad map value: {v!r}")
-    return _store_map(entries)
+    return _store_map(dict(items))
 
 
 def _store_map(entries: dict) -> UValue:
-    """``umap(entries)`` for a dict of ``UValue``s, such as the interpreters'
-    stores: the dict is not copied, and only its keys are checked."""
-    for k in entries:
+    """``umap(entries)`` without a copy of ``entries``: the interpreters
+    build each store's map from their own dict at the return."""
+    for k, v in entries.items():
         if type(k) is not str and type(k) is not int and (
                 not isinstance(k, (str, int)) or isinstance(k, bool)):
             raise AnswerTagMismatch(f"bad map key: {k!r}")
+        if type(v) is not UValue and not isinstance(v, UValue):
+            raise AnswerTagMismatch(f"bad map value: {v!r}")
     return UValue(_MAP, _sorted_entries(entries.items()))
 
 

@@ -802,32 +802,30 @@ def test_cached_routes_follow_the_route_tables_through_eviction():
     # routes under the dropped ones
     move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r1, r2\n  jmp 0\n")
     t = den_asm(move)(label(0, 1))
-    defaults = range(max(_route_table.cache_info().maxsize,
-                         asm._asm_table.cache_info().maxsize) + 6)
+    defaults = range(_route_table.cache_info().maxsize + 6)
     for default in list(defaults) * 2:
         regs = umap({1: nat(default)})
         assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
             RetO(pair(umap(), pair(regs, label(0, 1)))), 6)
     assert _route_table.cache_info().currsize < len(defaults)
-    assert asm._asm_table.cache_info().currsize < len(defaults)
 
 
 def test_interpreter_runs_build_no_route_table(monkeypatch):
-    # imp's table is built at import and asm's once per default, so a run
-    # after the first interns no routes; interp_stores interns them on every
-    # call, and its calls with equal routes share one table and its routes
+    # imp's table, and asm's for the absent-cell defaults 0 and 1, are built
+    # at import, so their runs intern no routes; interp_stores interns them
+    # on every call, and its calls with equal routes share one table and its
+    # routes
     calls = []
     for module in (stores, asm):
         monkeypatch.setattr(module, "_route_table",
                             lambda n, items, build=_route_table: calls.append(items) or build(n, items))
-    asm._asm_table.cache_clear()
     prog = parse_imp("x := x + 1; while x do x := x - 1 end")
     source, target = denote_stmt(prog), den_asm(compile_stmt(prog))(label(0, 1))
     for store in (umap(), umap({"x": nat(3)}), umap()):
-        for t in (interp_imp(source, store), interp_asm(target, store, umap())):
+        for t in (interp_imp(source, store), interp_asm(target, store, umap()),
+                  interp_asm(target, store, umap(), default=1)):
             assert type(run_to_head(t, FUEL)[0]) is RetO
-    assert len(calls) == 1  # the first interp_asm run, for default 0
-    calls.clear()
+    assert calls == []
     looked_up = []
     route = stores._route
     monkeypatch.setattr(stores, "_route", lambda table, x: looked_up.append(x) or route(table, x))
@@ -1365,17 +1363,26 @@ def test_returned_maps_equal_umap_of_the_final_entries():
     assert map_items(fst(ob.value)) == map_items(umap(final))
 
 
-def test_a_store_key_that_is_not_a_map_key_raises_at_the_return():
-    # a BOOL-keyed write is routed, but its key cannot key a map: the run
-    # raises at the return, after the write's and the silent run's steps
+def test_a_store_entry_that_is_not_a_map_entry_raises_at_the_return():
+    # a BOOL-keyed write is routed, but its key cannot key a map; and
+    # EventInstance and write sites skip event()'s check of the value, so
+    # the store takes a raw int.  With no read of it, each run raises at
+    # the return, after the write's and the silent run's steps
+    rest = taus(600, ret(unit()))
     flags = EventSig("Flags", (KindSpec("SetFlag", (BOOL_T, NAT_T), UNIT_T),))
-    routes = {((LEFT,), "SetFlag"): (0, None)}
-    t = bind(trigger(event(flags, "SetFlag", boolean(True), nat(1), path=(LEFT,))),
-             lambda _: taus(600, ret(unit())))
-    run = interp_stores(t, (env_of({"x": 2}),), routes, (RIGHT,))
-    assert _least_raising_fuel(run, 1000) == (3 + 600, AnswerTagMismatch)
-    with pytest.raises(AnswerTagMismatch, match="bad map key: True"):
-        run_to_head(run, FUEL)
+    set_flag = trigger(event(flags, "SetFlag", boolean(True), nat(1), path=(LEFT,)))
+    raw = EventInstance(IMP_STATE, "SetVar", (sym("x"), 3), (LEFT,))
+    site = Site(IMP_STATE, "SetVar", sym("x"), (LEFT,))
+    runs = [
+        (interp_stores(bind(set_flag, lambda _: rest), (env_of({"x": 2}),),
+                       {((LEFT,), "SetFlag"): (0, None)}, (RIGHT,)), "bad map key: True"),
+        (interp_imp(bind(trigger(raw), lambda _: rest), env_of({"y": 2})), "bad map value: 3"),
+        (interp_imp(write_at(site, rest)(3), env_of({"y": 2})), "bad map value: 3"),
+    ]
+    for run, message in runs:
+        assert _least_raising_fuel(run, 1000) == (3 + 600, AnswerTagMismatch)
+        with pytest.raises(AnswerTagMismatch, match=message):
+            run_to_head(run, FUEL)
 
 
 def test_the_fold_keeps_no_closure_cell():

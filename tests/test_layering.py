@@ -5,9 +5,9 @@ the core itself and the fused store fold in ``stores`` may use them, so
 there is one resolution loop and one fold that steps it directly.
 
 The in-place store path is one module: ``stores`` alone defines the write
-sites, the store continuations, the route lookup and the fused store fold,
-and the tree core, the event algebra, the values and the generic handlers
-import nothing from it.
+sites, the store continuations, the route tables and lookup and the fused
+store fold, and the tree core, the event algebra, the values and the
+generic handlers import nothing from it.
 
 Store events and write sites cache their route in a ``memo`` slot that
 only ``events``, which defines it for events, and ``stores`` may read or
@@ -96,7 +96,8 @@ def test_the_check_sees_private_imports():
         assert _core_privates(ast.parse(text)) == want, text
 
 
-STORE_PATH = {"Site", "Write", "Compute", "Guard", "write_at", "_route", "interp_stores"}
+STORE_PATH = {"Site", "Write", "Compute", "Guard", "write_at", "_route_table", "_route",
+              "interp_stores", "_fold"}
 BELOW_THE_STORE_PATH = ("core.py", "events.py", "values.py", "interp.py")
 
 
@@ -362,8 +363,8 @@ def test_the_package_exports_names_not_modules():
 
 HOT_PATHS = {
     "values.py": {"nat", "label", "pair", "fst", "snd", "un_sum", "map_items",
-                  "VType.accepts"},
-    "stores.py": {"interp_stores"},
+                  "_store_map", "VType.accepts"},
+    "stores.py": {"interp_stores", "_fold", "_next_batch", "_answered", "_raising"},
 }
 
 
