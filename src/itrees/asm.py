@@ -2,12 +2,12 @@
 
 A unit has entry, exit, and hidden internal labels; its denotation maps an
 entry label to the tree of register/memory events executed up to the exit
-label, a jump to a block going through the block's loop mark; each block's
-tree is built on the block's first entry, one node per event, and replayed
-on every later visit, and a block never entered is never denoted.  Linking
-is pure block-table surgery, every block relabeled once per combinator; the
-semantic equations tying surgery to combinators on denotations are checked
-by the test suite.
+label, a jump to a block going through the block's loop mark; an internal
+block's tree is built on the block's first jump, one node per event, and
+replayed on every later jump, an entry block's tree is built by each call,
+and a block never entered is never denoted.  Linking is pure block-table
+surgery, every block relabeled once per combinator; the semantic equations
+tying surgery to combinators on denotations are checked by the test suite.
 """
 
 from __future__ import annotations
@@ -340,26 +340,22 @@ def den_asm(u: AsmUnit) -> KTree:
     jump to each other directly.  A jump to internal label ``i`` is block
     ``i``'s loop mark (``loop_mark``), one silent step and then the block,
     and a jump to exit ``x`` returns ``x``.  The marks are built once per
-    call; each block's tree is built on the block's first entry, by its
-    mark or, for an entry block, by the call, and shared with every later
-    entry, so a block never entered is never denoted, and one that cannot
-    be denoted raises when, and each time, its entry is observed (an entry
-    block raises at the call).  Within a block, each event is one node
-    leading straight to the next instruction's tree, with no ``bind``.
+    ``den_asm`` call; an internal block's tree is built on its mark's first
+    entry and shared with every later jump, and an entry block's tree is
+    built by each call of the result (no branch targets an entry).  So a
+    block never entered is never denoted, and one that cannot be denoted
+    raises when, and each time, its entry is observed (an entry block
+    raises at the call).  Within a block, each event is one node leading
+    straight to the next instruction's tree, with no ``bind``.
     """
     code, internal = u.code, u.internal
     targets = tuple(loop_mark(lambda i=i: denote_bk(code[i], targets))
                     for i in range(internal))
     targets += tuple(ret(label(x, u.exits)) for x in range(u.exits))
-    entered = {}
     entry_t = label_t(u.entries)
 
     def go(a):
-        i = internal + entry_t.check(a, "entry label").payload
-        t = entered.get(i)
-        if t is None:
-            t = entered[i] = denote_bk(code[i], targets)
-        return t
+        return denote_bk(code[internal + entry_t.check(a, "entry label").payload], targets)
 
     return KTree(go, entry_t)
 
@@ -547,8 +543,8 @@ _ASM_TABLES = {d: _route_table(2, _asm_routes(d)) for d in (0, 1)}
 def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree:
     """Realize register and memory events as finite maps (absent cells read
     ``default``).  The result tree returns Pair(mem, Pair(regs, result));
-    ``Done`` passes through.  A default other than 0 or 1 interns its
-    routes on each call, as ``interp_stores`` does."""
+    ``Done`` passes through.  A default other than 0 or 1 builds its
+    route table on each call, as ``interp_stores`` does."""
     table = _ASM_TABLES.get(default) if type(default) is int else None
     if table is None:
         table = _route_table(2, _asm_routes(default))

@@ -4,10 +4,7 @@ A KTree is a function from a value to a tree; composition is bind.  Sums at
 the value level use the Pair(Bool,_) encoding from :mod:`itrees.values`, so
 ``case_``-style dispatch inspects the boolean side marker.  ``iterate`` is
 the loop primitive: one silent step per repeat, no guardedness requirement
-on the body.  It builds the tree for each label or unit payload once, so
-a body runs at most once per such payload and must be pure; other payload
-types enter and re-enter through a fresh tree each time.  Its shared
-re-entries are loop marks (``loop_mark``), as are the denotations' loops.
+on the body.  ``loop_mark`` builds the denotations' shared back edges.
 ``mrec`` ties recursive knots by treating calls as events and interpreting
 them against the remaining tree, so deep recursions never grow the host
 stack.
@@ -20,10 +17,7 @@ from typing import Callable
 
 from .core import ITree, RetO, TauO, bind, lazy, observe, ret, tau, trigger, vis
 from .events import LEFT, RIGHT, EventInstance, EventSig, WrongSignature, event
-from .values import Tag, UValue, VType, inl, inr, label, label_t, un_sum
-
-_LABEL = Tag.LABEL
-_UNIT = Tag.UNIT
+from .values import UValue, VType, inl, inr, label, label_t, un_sum
 
 
 @dataclass(frozen=True)
@@ -101,17 +95,6 @@ def merge_fin(n1: int, n2: int) -> KTree:
     return KTree(go)
 
 
-def _shared_key(v: UValue):
-    """The key ``iterate`` shares a label or unit payload's tree under, or
-    None for any other payload.  Hashing the UValue itself is slower."""
-    tag = v.tag
-    if tag is _LABEL:
-        return (v.payload, v.bound)
-    if tag is _UNIT:
-        return ()
-    return None
-
-
 def loop_mark(build: Callable[[], ITree]) -> ITree:
     """A loop's shared back edge: one silent step with ``TauO._mark`` set,
     then the tree ``build()`` returns, built on first entry.  It observes
@@ -124,47 +107,19 @@ def iterate(body: KTree) -> KTree:
     """Repeat ``body`` until it returns a Right.
 
     A Left(a') answer costs one silent step and re-enters with a'; a
-    Right(b) returns b.  Divergence is a legal outcome.
-
-    For a label or unit payload, the tree entered, by a call or by a
-    re-entry, and the re-entry node before it are built once per
-    ``iterate`` call and shared, so ``body`` runs at most once per such
-    payload and must be pure.  Labels and the unit are finite payload sets:
-    a block label, or the unit of a ``while``.  Any other payload enters
-    and re-enters through a fresh tree, so memory stays bounded.  A body
-    that raises keeps no tree: a call raises again, and a re-entry raises
-    again when observed again.
-
-    The shared re-entry nodes are loop marks (``loop_mark``); a fresh
-    re-entry node carries no mark.
+    Right(b) returns b.  Divergence is a legal outcome.  Each call and
+    each re-entry runs ``body`` afresh, so nothing is kept between them.
     """
 
     fn = body.fn
-    entered = {}
-    reentries = {}
-
-    def go(a):
-        key = _shared_key(a)
-        if key is None:
-            return bind(fn(a), step)
-        t = entered.get(key)
-        if t is None:
-            t = entered[key] = bind(fn(a), step)
-        return t
 
     def step(ab):
         is_left, payload = un_sum(ab)
         if not is_left:
             return ret(payload)
-        key = _shared_key(payload)
-        if key is None:
-            return tau(lazy(lambda: bind(fn(payload), step)))
-        node = reentries.get(key)
-        if node is None:
-            node = reentries[key] = loop_mark(lambda: go(payload))
-        return node
+        return tau(lazy(lambda: bind(fn(payload), step)))
 
-    return KTree(go, body.dom)
+    return KTree(lambda a: bind(fn(a), step), body.dom)
 
 
 def loop(body: KTree) -> KTree:

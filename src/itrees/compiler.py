@@ -165,6 +165,11 @@ class StateInvariantSpec:
                        lambda imp_out, asm_out: fst(imp_out) == fst(asm_out))
 
 
+# What every check shares: the final-state relation, and the empty register
+# map each compiled run starts from.
+_STATE_INVARIANT = StateInvariantSpec().relspec()
+_NO_REGS = umap()
+
 # The variables generated programs and sampled initial stores draw from.
 _VAR_POOL = ("x", "y", "z", "w", "v")
 
@@ -216,7 +221,6 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     global _last_source
     low = MUTATIONS[mutation] if mutation else _CLEAN
     unit = compile_stmt(s, low)
-    rel = StateInvariantSpec().relspec()
     tau_budget, depth = cfg.budgets()
     stores = initial_stores(cfg, seed)
     # Denotations do not change, so both are built once, an Asm block on
@@ -238,7 +242,8 @@ def check_equivalent(s: Stmt, cfg: SimConfig = SimConfig(), seed: int = 0,
     # No name holds a source tree while eutt reads it, so a clean check
     # frees the batches eutt has passed.
     return merge_verdicts(
-        eutt(rel, next(sources), asm.interp_asm(target, store, umap(), default=low.asm_default),
+        eutt(_STATE_INVARIANT, next(sources),
+             asm.interp_asm(target, store, _NO_REGS, default=low.asm_default),
              tau_budget, depth, cfg.nat_probe_set)
         for store in stores)
 

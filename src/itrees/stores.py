@@ -22,7 +22,6 @@ tree core, the event algebra and the generic handlers do not know of them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 from .core import ITree, RetO, TauO, VisO, _Cat, _Thunk, _resolve, lazy, observe, ret, taus, vis
@@ -184,11 +183,9 @@ _BATCH_STEPS = 256
 _HARD_STEPS = 4 * _BATCH_STEPS
 
 
-@lru_cache(maxsize=64)
-def _route_table(n: int, items: tuple) -> dict:
+def _route_table(n: int, items) -> dict:
     """(path, kind) -> (slot, default, steps) over ``n`` stores, for the
-    routes ``items``.  Calls with equal routes share one table, so the
-    route an event or write site caches (``memo``) serves them all."""
+    routes ``items``, the ((path, kind), (slot, default)) pairs."""
     return {where: (slot, default, 1 + len(where[0]) + n - slot)
             for where, (slot, default) in items}
 
@@ -248,11 +245,10 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     from one flat table, (path, kind) -> (slot, default, steps), and only on
     the first visit of the event or write site under that table: ``_route``
     caches it in the event's or site's ``memo``, and the event a ``Write``
-    builds starts with its site's (``Site.written``).  Each call interns
-    ``routes`` (``_route_table``), so calls with equal routes over as many
-    stores share a table.  ``interp_imp`` builds its table at import, and
-    ``interp_asm`` those of the absent-cell defaults 0 and 1; both hand
-    them straight to the same fold.
+    builds starts with its site's (``Site.written``).  Each call builds
+    its table from ``routes`` (``_route_table``).  ``interp_imp`` builds
+    its table at import, and ``interp_asm`` those of the absent-cell
+    defaults 0 and 1; both hand them straight to the same fold.
 
     An answered store event yields a value: a read its answer, a write the
     unit.  A write continued by a ``Guard``, the node a ``Write`` builds,
@@ -324,7 +320,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     and sites they hold) by identity, the marked ``TauO`` by its tail's
     identity, and the stores by content.
     """
-    return _fold(t, stores, _route_table(len(stores), tuple(routes.items())), outward)
+    return _fold(t, stores, _route_table(len(stores), routes.items()), outward)
 
 
 # The fold's deferred nodes, built here so that ``go``, the run's fold whose

@@ -116,34 +116,27 @@ def _rests(t, n):
     return out
 
 
-def test_iterate_shares_label_and_unit_reentries():
-    flip = iterate(KTree(lambda v: ret(inl(label(1 - v.payload, 2))), label_t(2)))
-    rests = _rests(flip(label(0, 2)), 5)
-    assert rests[0] is rests[2] is rests[4]
-    assert rests[1] is rests[3]
-    assert rests[0] is not rests[1]
-    assert flip(label(0, 2)) is flip(label(0, 2))
-    stay = iterate(KTree(lambda v: ret(inl(unit()))))
-    rests = _rests(stay(unit()), 3)
-    assert rests[0] is rests[1] is rests[2]
-    assert stay(unit()) is stay(unit())
-
-
 def test_iterate_reenters_other_payloads_fresh():
-    stay = iterate(KTree(lambda v: ret(inl(nat(v.payload)))))
-    rests = _rests(stay(nat(4)), 3)
-    assert len({id(t) for t in rests}) == 3
-    assert stay(nat(4)) is not stay(nat(4))
+    # every payload, a label and the unit too, re-enters through a fresh tree
+    stay = iterate(KTree(lambda v: ret(inl(v))))
+    for payload in (nat(4), label(0, 1), unit()):
+        rests = _rests(stay(payload), 3)
+        assert len({id(t) for t in rests}) == 3
+        assert stay(payload) is not stay(payload)
 
 
-def test_iterate_calls_never_share_reentries():
-    def stay_on_zero(v):
-        return ret(inl(label(0, 1)))
+def test_iterate_runs_the_body_on_every_reentry():
+    # the paper's iter: each Left re-enters through a fresh silent step, so
+    # a body whose answer depends on how often it ran still ends the loop
+    for payload in (unit(), label(0, 1)):
+        calls = []
 
-    first = _rests(iterate(KTree(stay_on_zero))(label(0, 1)), 2)
-    second = _rests(iterate(KTree(lambda v: stay_on_zero(v)))(label(0, 1)), 2)
-    assert first[0] is first[1]
-    assert first[0] is not second[0]
+        def third_time_out(v):
+            calls.append(v)
+            return ret(inr(v) if len(calls) == 3 else inl(v))
+
+        assert run_to_head(iterate(KTree(third_time_out))(payload), 100) == (RetO(payload), 2)
+        assert calls == [payload] * 3
 
 
 def test_iterate_keeps_no_tree_for_a_body_that_raised():

@@ -796,25 +796,10 @@ def test_a_site_follows_the_routes_of_each_run():
             RetO(pair(umap(), pair(regs, label(0, 1)))), 14)
 
 
-def test_cached_routes_follow_the_route_tables_through_eviction():
-    # more route sets than interp keeps tables for, twice round: tables are
-    # dropped and rebuilt while the unit's events and sites still cache
-    # routes under the dropped ones
-    move = asm.parse_asm("asm entries=1 exits=1 internal=0\nblock 0:\n  mov r1, r2\n  jmp 0\n")
-    t = den_asm(move)(label(0, 1))
-    defaults = range(_route_table.cache_info().maxsize + 6)
-    for default in list(defaults) * 2:
-        regs = umap({1: nat(default)})
-        assert run_to_head(interp_asm(t, umap(), umap(), default=default), FUEL) == (
-            RetO(pair(umap(), pair(regs, label(0, 1)))), 6)
-    assert _route_table.cache_info().currsize < len(defaults)
-
-
 def test_interpreter_runs_build_no_route_table(monkeypatch):
     # imp's table, and asm's for the absent-cell defaults 0 and 1, are built
-    # at import, so their runs intern no routes; interp_stores interns them
-    # on every call, and its calls with equal routes share one table and its
-    # routes
+    # at import, so their runs build no table; interp_stores builds one on
+    # every call, and its runs under imp's routes are imp's runs
     calls = []
     for module in (stores, asm):
         monkeypatch.setattr(module, "_route_table",
@@ -826,16 +811,11 @@ def test_interpreter_runs_build_no_route_table(monkeypatch):
                   interp_asm(target, store, umap(), default=1)):
             assert type(run_to_head(t, FUEL)[0]) is RetO
     assert calls == []
-    looked_up = []
-    route = stores._route
-    monkeypatch.setattr(stores, "_route", lambda table, x: looked_up.append(x) or route(table, x))
     routes = {((LEFT,), "GetVar"): (0, nat(0)), ((LEFT,), "SetVar"): (0, None)}
-    runs = [(store, run_to_head(interp_imp(source, store), FUEL))
-            for store in (umap(), umap({"x": nat(3)}))]
-    for store, want in runs:
-        looked_up.clear()
+    for n, store in enumerate((umap(), umap({"x": nat(3)})), 1):
+        want = run_to_head(interp_imp(source, store), FUEL)
         assert run_to_head(interp_stores(source, (store,), routes, (RIGHT,)), FUEL) == want
-    assert len(calls) == 2 and looked_up == []
+        assert len(calls) == n
 
 
 def test_runs_with_equal_routes_share_the_cached_routes(monkeypatch):
