@@ -26,7 +26,6 @@ from itrees import (
     kt_swap,
     ktree_equiv,
     label,
-    label_t,
     loop,
     mrec,
     nat,
