@@ -16,15 +16,17 @@ The Imp and Asm denotations build their store events from this vocabulary:
 Each is an ordinary continuation: called, it builds the tree it stands
 for, so a tree built from them observes and checks its answers like any
 other.  ``interp_stores`` instead answers a store event in place and tests
-its continuation once for these three kinds, calling none of them.  The
-tree core, the event algebra and the generic handlers do not know of them.
+its continuation once for these three kinds, calling none of them.  It
+goes on with every tree at one point of its loop, which ends a batch at its
+cap or attaches the tree's pending binds.  The tree core, the event algebra
+and the generic handlers do not know of them.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .core import ITree, RetO, TauO, VisO, _Cat, _Thunk, _resolve, lazy, observe, ret, taus, vis
+from .core import ITree, RetO, TauO, VisO, _Cat, _resolve, lazy, observe, ret, taus, vis
 from .events import EventInstance, EventSig, WrongSignature
 from .interp import UnhandledEvent
 from .values import (
@@ -32,7 +34,6 @@ from .values import (
     NATS,
     SHARED_NATS,
     UNIT,
-    AnswerTagMismatch,
     UValue,
     _store_map,
     map_items,
@@ -239,36 +240,42 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
 
     The pass steps the source itself: ``core._resolve`` yields each raw
     head with the binds pending above it, and no observation is built per
-    event.  An event node or a silent run is already resolved, so when a
-    continuation returns one, or the pass reaches a loop mark, it goes
-    straight on without calling ``_resolve``.  A store event's route is read
-    from one flat table, (path, kind) -> (slot, default, steps), and only on
-    the first visit of the event or write site under that table: ``_route``
-    caches it in the event's or site's ``memo``, and the event a ``Write``
-    builds starts with its site's (``Site.written``).  Each call builds
-    its table from ``routes`` (``_route_table``).  ``interp_imp`` builds
-    its table at import, and ``interp_asm`` those of the absent-cell
-    defaults 0 and 1; both hand them straight to the same fold.
+    event.  It goes on with every tree (a silent run's tail, what a
+    continuation returns, a tree a ``Write`` or ``Guard`` holds) at one
+    point, the top of its loop, which ends the batch at its cap or puts the
+    tree's binds above those pending.  An event node or a silent run is
+    already resolved, so when a continuation returns one, or the pass
+    reaches a loop mark, it goes straight on without calling ``_resolve``.
+    A store event's route is read from one flat table, (path, kind) ->
+    (slot, default, steps), and only on the first visit of the event or
+    write site under that table: ``_route`` caches it in the event's or
+    site's ``memo``, and the event a ``Write`` builds starts with its
+    site's (``Site.written``).  Each call builds its table from ``routes``
+    (``_route_table``).  ``interp_imp`` builds its table at import, and
+    ``interp_asm`` those of the absent-cell defaults 0 and 1; both hand
+    them straight to the same fold.
 
     An answered store event yields a value: a read its answer, a write the
     unit.  A write continued by a ``Guard``, the node a ``Write`` builds,
-    goes straight on with the ``Guard``'s tree when its kind answers the
-    unit and the batch is below its cap.  Otherwise, when the answer passes
-    its tag test and the batch is below its cap, the pass tests the event's
-    continuation once.  A ``Compute``: it answers the reads still to come
-    through their routes, computes the value (the shared natural of
-    ``values.NATS`` below ``values.SHARED_NATS``) and goes on with its
-    ``then``, calling it only when it is neither a ``Write`` nor a
-    ``Guard``.  A ``Write``: it writes the value at the site and goes on
-    with its tree.  A ``Guard``: it goes on with the tree the ``Guard``
-    picks.  Anything else is called.  When a read has no route or an
-    answer that does not fit, a read's steps bring the batch to its cap,
-    the write site has no route, or the value or the branch raises, the
-    pass takes the node that calling the continuation would build as it
-    comes instead, so step counts and raises do not change.  Each answer
-    is checked once, by one tag test when the event's declared answer
-    shape is decided by its tag, and a mismatch raises
-    ``AnswerTagMismatch`` at the read that produced it, as ``VisO.k`` would.
+    goes on with the ``Guard``'s tree when its kind answers the unit.
+    Otherwise, when the answer passes its tag test and the batch is below
+    its cap, the pass tests the event's continuation once.  A ``Compute``:
+    it answers the reads still to come through their routes, computes the
+    value (the shared natural of ``values.NATS`` below
+    ``values.SHARED_NATS``) and goes on with its ``then``, calling it only
+    when it is neither a ``Write`` nor a ``Guard``.  A ``Write``: it writes
+    the value at the site and goes on with its tree.  A ``Guard``: it goes
+    on with the tree the ``Guard`` picks.  Anything else is called.  When a
+    read has no route or an answer that does not fit, a read's steps bring
+    the batch to its cap, the write site has no route, the value raises, or
+    a called continuation raises or returns no tree, the pass takes the
+    node that calling the continuation would build as it comes instead, so
+    step counts and raises do not change.  Each answer is checked once, by
+    one tag test when the event's declared answer shape is decided by its
+    tag, and a mismatch raises ``AnswerTagMismatch`` at the read that
+    produced it, as ``VisO.k`` would, also for a store entry that is not a
+    value (which a hand-built event or a ``Write`` of a raw value leaves);
+    an entry that is never read raises at the return.
 
     Store events are answered in place, in batches: the steps of a batch
     are one counted node (``taus``), so consumers that take silent runs
@@ -279,7 +286,7 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
     - at a return;
     - at an outward event, after its steps;
     - at a store event whose answer does not fit or whose continuation
-      raises, after its steps, leaving the raise to the event's ``VisO.k``;
+      fails, after its steps, leaving the raise to the event's ``VisO.k``;
     - or before a node, as one silent-run node whose tail runs the next
       batch: before a node whose producer raises, or an event that has no
       route and is not outward, so the tree raises at the step it would
@@ -325,19 +332,20 @@ def interp_stores(t: ITree, stores: tuple[UValue, ...], routes: dict,
 
 # The fold's deferred nodes, built here so that ``go``, the run's fold whose
 # identity the loop keys hold, keeps its state in plain locals, with no
-# closure cell.
+# closure cell.  A batch's state is (nxt, konts, dicts): the tree to go on
+# with, the binds pending above it and the stores.
 
-def _next_batch(go, head, konts, dicts) -> ITree:
-    return lazy(lambda: go(head, konts, dicts))
+def _next_batch(go, nxt, konts, dicts) -> ITree:
+    return lazy(lambda: go(nxt, konts, dicts))
 
 
 def _answered(go, ob, dicts):
     """The continuation of ``ob``, an outward or a refused event."""
-    return lambda x: _next_batch(go, _Thunk(lambda: ob.k(x)), None, dicts)
+    return lambda x: _next_batch(go, lazy(lambda: ob.k(x)), None, dicts)
 
 
 def _raising(go, fn, then, got, konts, dicts) -> ITree:
-    return _next_batch(go, _Thunk(lambda: then(nat(fn(got)))), konts, dicts)
+    return _next_batch(go, lazy(lambda: then(nat(fn(got)))), konts, dicts)
 
 
 def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
@@ -352,15 +360,21 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
     # which does the same work again and raises there.  A node whose
     # producer raised is forced again, so its batch runs again from the
     # stores it was handed; ``given`` keeps them to tell a batch's own
-    # copies from them.  The run's constants are defaults, so the loop reads
-    # them as plain locals.
-    def go(head, konts, dicts, table=table, cut=len(outward), outward=outward,
+    # copies from them.  Every path that goes on with a tree sets ``nxt``
+    # and continues: the loop's top is the one place that ends a batch at
+    # its cap and puts ``nxt``'s binds above ``konts``.  The run's
+    # constants are defaults, so the loop reads them as plain locals.
+    def go(nxt, konts, dicts, table=table, cut=len(outward), outward=outward,
            outward_steps=1 + len(outward) + len(stores)):
         given = dicts
         total = 0
         limit = _BATCH_STEPS  # _HARD_STEPS once the batch passes a mark
         loop_key = None  # set only by a batch that ends at a mark
-        while True:
+        while total < limit:
+            head = nxt._head
+            more = nxt._konts
+            if more is not None:
+                konts = more if konts is None else _Cat(more, konts)
             kind = type(head)
             if kind is not VisO:  # an event node is resolved
                 if kind is not TauO:  # and so is a silent run
@@ -369,6 +383,7 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                     except Exception:
                         if not total:
                             raise
+                        nxt = ITree(head)
                         break
                     kind = type(head)
                 if kind is TauO:
@@ -376,16 +391,11 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                         # at the cap here only if the batch passed a mark
                         if total >= _BATCH_STEPS:
                             loop_key = (go, head, konts, dicts)
+                            nxt = ITree(head)
                             break
                         limit = _HARD_STEPS
                     total += head.run
-                    tail = head._tail
-                    head = tail._head
-                    more = tail._konts
-                    if more is not None:
-                        konts = more if konts is None else _Cat(more, konts)
-                    if total >= limit:
-                        break
+                    nxt = head._tail
                     continue
                 if kind is RetO:
                     v = head.value
@@ -397,14 +407,13 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
             memo = x.memo
             route = memo[1] if memo[0] is table else _route(table, x)
             if not route:
-                ob = observe(ITree(head, konts))
-                e = ob.event
-                path = e.path
+                path = x.path
                 if path[:cut] == outward:
                     return taus(total + outward_steps, vis(
-                        e.at(path[cut:]), _answered(go, ob, dicts)))
+                        x.at(path[cut:]), _answered(go, observe(ITree(head, konts)), dicts)))
                 if not total:
-                    raise UnhandledEvent(f"{e!r} has no route in interp_stores")
+                    raise UnhandledEvent(f"{x!r} has no route in interp_stores")
+                nxt = ITree(head)
                 break
             slot, default, steps, key, tag = route
             total += steps
@@ -414,19 +423,19 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                     d = dict(d)
                     dicts = dicts[:slot] + (d,) + dicts[slot + 1:]
                 d[key] = x.args[1]
-                if type(kont) is Guard and tag is _UNIT and total < limit:
+                if type(kont) is Guard and tag is _UNIT:
                     # the tree after a write (``Write``): the unit answer picks
                     # ``nonzero``, and both of its trees are the same
                     nxt = kont.nonzero
-                    head = nxt._head
-                    more = nxt._konts
-                    if more is not None:
-                        konts = more if konts is None else _Cat(more, konts)
                     continue
                 answer = UNIT
             else:
                 answer = dicts[slot].get(key, default)
-            if answer.tag is tag and total < limit:
+            try:
+                fits = answer.tag is tag
+            except AttributeError:  # an entry no write checked: refused below
+                fits = False
+            if fits and total < limit:
                 kind = type(kont)
                 if kind is Compute:
                     # the reads still to come, each through its route
@@ -436,19 +445,21 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                     for e in reads:
                         memo = e.memo
                         route = memo[1] if memo[0] is table else _route(table, e)
-                        if not route:
+                        if not route or route[1] is None:  # no route, or a write
                             break
                         slot, default, steps, key, tag = route
-                        if default is None:
-                            break
                         answer = dicts[slot].get(key, default)
-                        if answer.tag is not tag or total + steps >= limit:
+                        try:
+                            if answer.tag is not tag or total + steps >= limit:
+                                break
+                        except AttributeError:  # refused at its own node
                             break
                         total += steps
                         got += (answer.payload,)
                         j += 1
                     if j < len(reads):  # the read node the call would build
-                        head = VisO(reads[j], Compute(reads[j + 1:], kont.fn, kont.then, got))
+                        nxt = ITree(VisO(reads[j], Compute(
+                            reads[j + 1:], kont.fn, kont.then, got)))
                         continue
                     fn, then = kont.fn, kont.then
                     kind = type(then)
@@ -457,10 +468,8 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                         answer = NATS[v] if type(v) is int and 0 <= v < SHARED_NATS else nat(v)
                         if kind is not Write and kind is not Guard:  # a branch
                             nxt = then(answer)
-                            head = nxt._head
-                            more = nxt._konts
-                            if more is not None:
-                                konts = more if konts is None else _Cat(more, konts)
+                            if type(nxt) is not ITree:
+                                raise TypeError
                             continue
                     except Exception:
                         # the call raises again when observed, after the reads' steps
@@ -471,7 +480,7 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                     memo = x.memo
                     route = memo[1] if memo[0] is table else _route(table, x)
                     if not route:  # the event node the call would build
-                        head = kont(answer)._head
+                        nxt = kont(answer)
                         continue
                     # a move or a computed write: answered here, with no node
                     slot, _, steps, key, _ = route
@@ -482,34 +491,21 @@ def _fold(t: ITree, stores: tuple[UValue, ...], table: dict,
                     d[key] = answer
                     total += steps
                     nxt = kont.rest
-                    head = nxt._head
-                    more = nxt._konts
-                    if more is not None:
-                        konts = more if konts is None else _Cat(more, konts)
-                    if total >= limit:
-                        break
                     continue
                 if kind is Guard:  # a test, or the tree after a write: picked here
                     nxt = kont.zero if answer.payload == 0 else kont.nonzero
-                    head = nxt._head
-                    more = nxt._konts
-                    if more is not None:
-                        konts = more if konts is None else _Cat(more, konts)
                     continue
             try:
-                if answer.tag is not tag:
-                    raise AnswerTagMismatch
-                nxt = kont(answer)
-                more = nxt._konts
-                head = nxt._head
+                nxt = kont(answer) if fits else None
+                if type(nxt) is ITree:
+                    continue
             except Exception:
-                # VisO.k checks the answer again and raises what it raises
-                ob = observe(ITree(head, konts))
-                return taus(total, _answered(go, ob, dicts)(answer))
-            if more is not None:
-                konts = more if konts is None else _Cat(more, konts)
-            if total >= limit:
-                break
-        return ITree(TauO(_next_batch(go, head, konts, dicts), total, _key=loop_key))
+                pass
+            # refused, or the call raised or built no tree: after the batch's
+            # steps, VisO.k checks the answer and calls the continuation again,
+            # and raises what it raises
+            ob = observe(ITree(head, konts))
+            return taus(total, _answered(go, ob, dicts)(answer))
+        return ITree(TauO(_next_batch(go, nxt, konts, dicts), total, _key=loop_key))
 
-    return lazy(lambda: go(t._head, t._konts, tuple(dict(map_items(m)) for m in stores)))
+    return lazy(lambda: go(t, None, tuple(dict(map_items(m)) for m in stores)))

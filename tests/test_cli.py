@@ -1,6 +1,7 @@
 """Command-line behavior against the frozen golden corpus."""
 
 import contextlib
+import gc
 import inspect
 import io
 import os
@@ -101,6 +102,9 @@ ENDLESS = "while 1 do x := x + 1 end"
 
 
 def _peak(run):
+    # garbage an earlier test left behind would otherwise be freed, or not,
+    # during the traced run, and the free lists it fills are counted as in use
+    gc.collect()
     tracemalloc.start()
     try:
         run()

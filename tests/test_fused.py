@@ -1365,6 +1365,55 @@ def test_a_store_entry_that_is_not_a_map_entry_raises_at_the_return():
             run_to_head(run, FUEL)
 
 
+def test_a_store_entry_that_is_not_a_value_raises_at_its_read():
+    # the store takes a raw int as above; a read of it, on an event node or
+    # in a ``Compute``'s reads still to come, refuses it as an answer that
+    # does not fit, at the read's step: after the write's and the read of
+    # z's three steps each
+    def site():
+        return write_at(Site(IMP_STATE, "SetVar", sym("x"), (LEFT,)), rest())
+
+    def hand_built():
+        raw = EventInstance(IMP_STATE, "SetVar", (sym("x"), 3), (LEFT,))
+        return bind(trigger(raw), lambda _: rest())
+
+    for rest in (lambda: bind(get_var("z"), lambda _: get_var("x")),
+                 lambda: vis(imp._get_var_event("z"), stores.Compute(
+                     (imp._get_var_event("x"),), sum, write_at(imp._set_var_site("y"), ret(unit()))))):
+        for run in (lambda: site()(3), hand_built):
+            assert _least_raising_fuel(interp_imp(run(), env_of()), 100) == (9, AnswerTagMismatch)
+            with pytest.raises(AnswerTagMismatch, match="answer 3 does not fit nat"):
+                run_to_head(interp_imp(run(), env_of()), FUEL)
+
+
+def _no_tree(_):
+    return 5
+
+
+@pytest.mark.parametrize("lead", [5, _BATCH_STEPS - 4, _BATCH_STEPS + 5])
+def test_a_continuation_that_builds_no_tree_raises_at_its_step(lead):
+    # the fold goes on with what a store event's continuation, or a
+    # ``Compute``'s branch, returns only when it is a tree; anything else
+    # raises TypeError when observed, after the steps of the reads that
+    # produced it, as a deferred producer that returns no tree does
+    runs = (
+        (lambda t: interp_imp(t, env_of()), (imp._get_var_event("x"), imp._get_var_event("y"))),
+        (lambda t: interp_asm(t, umap(), umap()), (asm._get_reg_event(0), asm._load_event("x"))),
+    )
+    for run, reads in runs:
+        def tree(k, both):
+            if both:
+                return taus(lead, vis(reads[0], stores.Compute(reads[1:], sum, k)))
+            return taus(lead, vis(reads[0], k))
+
+        for both in (False, True):
+            ob, at = run_to_head(run(tree(ret, both)), FUEL)
+            assert type(ob) is RetO
+            assert _least_raising_fuel(run(tree(_no_tree, both)), FUEL) == (at, TypeError)
+            with pytest.raises(TypeError, match="returned 5, not an ITree"):
+                run_to_head(run(tree(_no_tree, both)), FUEL)
+
+
 def test_the_fold_keeps_no_closure_cell():
     # the fold's state lives in plain locals; its deferred nodes are built
     # by module-level helpers, so no inner function captures a local of it

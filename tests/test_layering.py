@@ -2,7 +2,10 @@
 
 The tree core keeps its node types, bind queue and resolver private.  Only
 the core itself and the fused store fold in ``stores`` may use them, so
-there is one resolution loop and one fold that steps it directly.
+there is one resolution loop and one fold that steps it directly.  The fold
+uses two of them, the bind queue's node ``_Cat`` and the resolver
+``_resolve``: it defers work through ``lazy``, not through a thunk of its
+own.
 
 The in-place store path is one module: ``stores`` alone defines the write
 sites, the store continuations, the route tables and lookup and the fused
@@ -81,6 +84,12 @@ def test_only_core_and_the_store_fold_use_core_privates():
         if used:
             offenders[name] = used
     assert offenders == {}
+
+
+def test_the_store_fold_uses_only_the_bind_queue_and_the_resolver():
+    with open(os.path.join(SRC, "stores.py"), encoding="utf-8") as fh:
+        used = _core_privates(ast.parse(fh.read(), "stores.py"))
+    assert sorted(set(used)) == ["_Cat", "_resolve"]
 
 
 def test_the_check_sees_private_imports():
