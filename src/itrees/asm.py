@@ -14,20 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .combinators import KTree, loop_mark
 from .core import ITree, ret, trigger, vis
-from .events import (
-    LEFT,
-    RIGHT,
-    EventInstance,
-    EventSig,
-    KindSpec,
-    event,
-)
-from .stores import INTERNED, Compute, Guard, Site, _fold, _route_table, write_at
+from .events import LEFT, RIGHT, EventSig, KindSpec, event
+from .stores import Compute, Guard, StoreEvents, _fold, _route_table, write_at
 from .values import (
     EMPTY_T,
     NAT_MASK,
@@ -216,44 +208,12 @@ _REG_PATH = (LEFT,)
 _MEM_PATH = (RIGHT, LEFT)
 _DONE_PATH = (RIGHT, RIGHT)
 
-
-# A unit's read events and write sites are interned per register or
-# address, in tables of ``INTERNED`` entries (see ``stores.Site``).
-
-@lru_cache(maxsize=INTERNED)
-def _get_reg_event(r: int) -> EventInstance:
-    return event(REG_E, "GetReg", nat(r), path=_REG_PATH)
-
-
-@lru_cache(maxsize=INTERNED)
-def _load_event(addr: str) -> EventInstance:
-    return event(MEM_E, "Load", sym(addr), path=_MEM_PATH)
-
-
-@lru_cache(maxsize=INTERNED)
-def _set_reg_site(r: int) -> Site:
-    return Site(REG_E, "SetReg", nat(r), _REG_PATH)
-
-
-@lru_cache(maxsize=INTERNED)
-def _store_site(addr: str) -> Site:
-    return Site(MEM_E, "Store", sym(addr), _MEM_PATH)
-
-
-def get_reg(r: int) -> ITree:
-    return trigger(_get_reg_event(r))
-
-
-def set_reg(r: int, v: UValue) -> ITree:
-    return trigger(event(REG_E, "SetReg", nat(r), v, path=_REG_PATH))
-
-
-def load(addr: str) -> ITree:
-    return trigger(_load_event(addr))
-
-
-def store(addr: str, v: UValue) -> ITree:
-    return trigger(event(MEM_E, "Store", sym(addr), v, path=_MEM_PATH))
+# The two stores: registers, by number, and memory, by address.
+_REGS = StoreEvents(REG_E, "GetReg", "SetReg", _REG_PATH, nat)
+_MEM = StoreEvents(MEM_E, "Load", "Store", _MEM_PATH, sym)
+_get_reg_event, _set_reg_site = _REGS.read, _REGS.write
+_load_event, _store_site = _MEM.read, _MEM.write
+get_reg, set_reg, load, store = _REGS.get, _REGS.set, _MEM.get, _MEM.set
 
 
 def halt() -> ITree:
@@ -529,15 +489,13 @@ def while_asm(e: Sequence[Instr], p: AsmUnit) -> AsmUnit:
 
 # Stateful interpretation: registers inner, memory outer.
 
-def _asm_routes(default: int) -> tuple:
-    absent = nat(default)
-    return (((_REG_PATH, "GetReg"), (1, absent)), ((_REG_PATH, "SetReg"), (1, None)),
-            ((_MEM_PATH, "Load"), (0, absent)), ((_MEM_PATH, "Store"), (0, None)))
+def _asm_table(absent: UValue) -> dict:
+    return _route_table(2, _REGS.routes(1, absent) + _MEM.routes(0, absent))
 
 
 # The route tables of the absent-cell defaults in use, built once: 0, and 1
 # for the ``wrong-default`` lowering.
-_ASM_TABLES = {d: _route_table(2, _asm_routes(d)) for d in (0, 1)}
+_ASM_TABLES = {d: _asm_table(nat(d)) for d in (0, 1)}
 
 
 def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree:
@@ -547,7 +505,7 @@ def interp_asm(t: ITree, mem0: UValue, regs0: UValue, default: int = 0) -> ITree
     route table on each call, as ``interp_stores`` does."""
     table = _ASM_TABLES.get(default) if type(default) is int else None
     if table is None:
-        table = _route_table(2, _asm_routes(default))
+        table = _asm_table(nat(default))
     return _fold(t, (mem0, regs0), table, _DONE_PATH)
 
 

@@ -13,21 +13,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Union
 
 from .combinators import loop_mark
-from .core import ITree, RetO, lazy, ret, run_to_head, trigger, vis
-from .events import (
-    LEFT,
-    RIGHT,
-    EventInstance,
-    EventSig,
-    KindSpec,
-    event,
-)
-from .stores import INTERNED, Compute, Guard, Site, _fold, _route_table, write_at
+from .core import ITree, RetO, lazy, ret, run_to_head, vis
+from .events import LEFT, RIGHT, EventSig, KindSpec
+from .stores import Compute, Guard, StoreEvents, _fold, _route_table, write_at
 from .values import (
     NAT_MASK,
     NAT_T,
@@ -336,26 +328,10 @@ IMP_STATE = EventSig(
     ),
 )
 
-
-# A program's read events and write sites are interned per variable, in
-# tables of ``INTERNED`` entries (see ``stores.Site``).
-
-@lru_cache(maxsize=INTERNED)
-def _get_var_event(name: str) -> EventInstance:
-    return event(IMP_STATE, "GetVar", sym(name), path=(LEFT,))
-
-
-@lru_cache(maxsize=INTERNED)
-def _set_var_site(name: str) -> Site:
-    return Site(IMP_STATE, "SetVar", sym(name), (LEFT,))
-
-
-def get_var(name: str) -> ITree:
-    return trigger(_get_var_event(name))
-
-
-def set_var(name: str, v: UValue) -> ITree:
-    return trigger(event(IMP_STATE, "SetVar", sym(name), v, path=(LEFT,)))
+# The one store: variables, classified left.
+_VARS = StoreEvents(IMP_STATE, "GetVar", "SetVar", (LEFT,), sym)
+_get_var_event, _set_var_site = _VARS.read, _VARS.write
+get_var, set_var = _VARS.get, _VARS.set
 
 
 # The denotations are in continuation-passing form: each event is one node
@@ -455,8 +431,7 @@ def _stmt_then(s: Stmt, rest: ITree) -> ITree:
 
 # Variable events read and write the one store, absent variables reading 0;
 # events classified right belong to the caller's alphabet and pass through.
-_IMP_TABLE = _route_table(1, ((((LEFT,), "GetVar"), (0, nat(0))),
-                              (((LEFT,), "SetVar"), (0, None))))
+_IMP_TABLE = _route_table(1, _VARS.routes(0, nat(0)))
 
 
 def interp_imp(t: ITree, env0: UValue) -> ITree:

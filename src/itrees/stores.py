@@ -1,10 +1,12 @@
-"""The in-place store path: write sites, store continuations and the fused
-store fold that answers them.
+"""The in-place store path: store declarations, write sites, store
+continuations and the fused store fold that answers them.
 
 The Imp and Asm denotations build their store events from this vocabulary:
 
-- a ``Site`` is a store write to one key, interned per kind and key in a
-  bounded table of ``INTERNED`` entries, as the read events are;
+- a ``StoreEvents`` declares one store: its signature, read and write
+  kinds, path and key type, its interned read events and write sites, its
+  single-event trees and its route entries;
+- a ``Site`` is a store write to one key;
 - a ``Write`` (``write_at``) continues a value with its write at a site,
   then a tree;
 - a ``Compute`` continues a read with the reads still to come, a pure
@@ -24,10 +26,12 @@ and the generic handlers do not know of them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
-from .core import ITree, RetO, TauO, VisO, _Cat, _resolve, lazy, observe, ret, taus, vis
-from .events import EventInstance, EventSig, WrongSignature
+from .core import (ITree, RetO, TauO, VisO, _Cat, _resolve, lazy, observe, ret, taus,
+                   trigger, vis)
+from .events import EventInstance, EventSig, WrongSignature, event
 from .interp import UnhandledEvent
 from .values import (
     MAP_T,
@@ -43,21 +47,13 @@ from .values import (
 
 _UNIT = UNIT.tag
 
-# The entries in each table in which the Imp and Asm denotations intern
-# their read events and write sites, one per (kind, key).
+# The entries in each table in which a ``StoreEvents`` interns its read
+# events and write sites, one per key.
 INTERNED = 1024
 
 
 class Site:
-    """A store write to one key.
-
-    The denotations intern one site per kind and key, and one read event
-    per kind and key, each in a bounded table of ``INTERNED`` entries:
-    every write to that key, in one program text and in every program
-    denoted while the site stays in the table, shares the site and the
-    route cached in it.  A key beyond the table's size evicts the least
-    recently used one, whose writes get a fresh site the next time they
-    are denoted.
+    """A store write to one key, interned per key by ``StoreEvents.write``.
 
     A site's kind takes a key and a value and answers the unit, so the tree
     after a write does not depend on the answer; any other kind is refused.
@@ -173,6 +169,49 @@ def write_at(site: Site, rest: ITree) -> Write:
     """The continuation that writes its argument at the write site
     ``site``, then runs ``rest`` (a ``Write``)."""
     return Write(site, rest)
+
+
+class StoreEvents:
+    """The events of one store, declared once: the signature ``sig``, whose
+    kind ``read`` takes a key and ``write`` a key and a value, classified
+    under ``path``, over the key ``key(k)`` of each name ``k`` (a variable,
+    a register, an address).
+
+    ``read(k)`` is the read event of key ``key(k)`` and ``write(k)`` its
+    write ``Site``, each interned in a bounded ``lru_cache`` table of
+    ``INTERNED`` entries: every read of, or write to, that key, in one
+    program text and in every program denoted while the entry stays in the
+    table, shares the event or site and the route cached in it.  A key
+    beyond the table's size evicts the least recently used one, whose reads
+    or writes get a fresh event or site the next time they are denoted.
+    """
+
+    __slots__ = ("sig", "path", "key", "kinds", "read", "write")
+
+    def __init__(self, sig: EventSig, read: str, write: str, path: tuple[str, ...],
+                 key: Callable[..., UValue]):
+        path = tuple(path)
+        self.sig = sig
+        self.path = path
+        self.key = key
+        self.kinds = (read, write)
+        self.read = lru_cache(maxsize=INTERNED)(lambda k: event(sig, read, key(k), path=path))
+        self.write = lru_cache(maxsize=INTERNED)(lambda k: Site(sig, write, key(k), path))
+
+    def get(self, k) -> ITree:
+        """The tree that reads key ``k`` and returns its value."""
+        return trigger(self.read(k))
+
+    def set(self, k, v: UValue) -> ITree:
+        """The tree that writes ``v`` at key ``k``, its event checked."""
+        return trigger(event(self.sig, self.kinds[1], self.key(k), v, path=self.path))
+
+    def routes(self, slot: int, default: UValue) -> tuple:
+        """The store's two entries for ``_route_table``: its reads and writes
+        go to ``stores[slot]``, a read of an absent key answering
+        ``default``."""
+        read, write = self.kinds
+        return (((self.path, read), (slot, default)), ((self.path, write), (slot, None)))
 
 
 # The silent steps after which a batch of ``interp_stores`` ends, so that

@@ -2,8 +2,10 @@
 
 The Imp interpreter is written directly on the syntax and a dict
 environment, the Asm machine directly on blocks and dict stores; neither
-touches interaction trees, so agreement with the tree pipelines is a real
-check rather than the same code twice.
+touches interaction trees nor the library's arithmetic, so agreement with
+the tree pipelines is a real check rather than the same code twice.  Both
+compute on 64-bit naturals: addition and multiplication wrap, and
+subtraction saturates at 0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,20 @@ from itrees.asm import (
     Isub,
     Oreg,
 )
-from itrees.values import nat_add, nat_mul, nat_sub
+
+_WORD = 2 ** 64
+
+
+def _add(a: int, b: int) -> int:
+    return (a + b) % _WORD
+
+
+def _sub(a: int, b: int) -> int:
+    return max(a - b, 0)
+
+
+def _mul(a: int, b: int) -> int:
+    return (a * b) % _WORD
 
 
 class OutOfSteps(Exception):
@@ -36,10 +51,10 @@ def eval_expr(e, env: dict) -> int:
         return env.get(e.name, 0)
     a, b = eval_expr(e.lhs, env), eval_expr(e.rhs, env)
     if isinstance(e, imp.Plus):
-        return nat_add(a, b)
+        return _add(a, b)
     if isinstance(e, imp.Minus):
-        return nat_sub(a, b)
-    return nat_mul(a, b)
+        return _sub(a, b)
+    return _mul(a, b)
 
 
 def exec_stmt(s, env: dict, limit: int) -> int:
@@ -103,11 +118,11 @@ def run_machine(u: AsmUnit, entry: int, mem: dict, regs: dict,
             if isinstance(i, Imov):
                 regs[i.dst] = _operand(i.src, regs)
             elif isinstance(i, Iadd):
-                regs[i.dst] = nat_add(regs.get(i.lhs, 0), _operand(i.rhs, regs))
+                regs[i.dst] = _add(regs.get(i.lhs, 0), _operand(i.rhs, regs))
             elif isinstance(i, Isub):
-                regs[i.dst] = nat_sub(regs.get(i.lhs, 0), _operand(i.rhs, regs))
+                regs[i.dst] = _sub(regs.get(i.lhs, 0), _operand(i.rhs, regs))
             elif isinstance(i, Imul):
-                regs[i.dst] = nat_mul(regs.get(i.lhs, 0), _operand(i.rhs, regs))
+                regs[i.dst] = _mul(regs.get(i.lhs, 0), _operand(i.rhs, regs))
             elif isinstance(i, Iload):
                 regs[i.dst] = mem.get(i.addr, 0)
             else:

@@ -142,6 +142,19 @@ def test_unit_validation():
         AsmUnit(1, 1, 0, (Block((), Bjmp(1)),))  # target 1 >= internal+exits
     with pytest.raises(BoundViolation):
         AsmUnit(1, 1, 1, (Block((), Bjmp(0)),))  # table too small
+    with pytest.raises(BoundViolation, match="negative label counts"):
+        AsmUnit(-1, 1, 0, ())
+
+
+@pytest.mark.parametrize("entry_map, exit_map, message", [
+    ((0,), (0,), "exit map must cover every exit"),
+    ((0,), (0, 2), "exit map escapes the new exit bound"),
+    ((1,), (0, 1), "entry map references entry 1"),
+])
+def test_relabel_asm_rejects_maps_out_of_bounds(entry_map, exit_map, message):
+    u = AsmUnit(1, 2, 0, (Block((), Bjmp(1)),))
+    with pytest.raises(BoundViolation, match=message):
+        relabel_asm(entry_map, exit_map, u, 2)
 
 
 def test_print_parse_round_trip_on_compile_output():
@@ -176,6 +189,20 @@ def test_parse_asm_errors():
         with pytest.raises(AsmSyntaxError) as err:
             parse_asm(head + body)
         assert err.value.line == 3
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "empty input"),
+    ("asm entries=1 exits=1 internal=0\nblock 1:\n  jmp 0", 2, "expected 'block 0:'"),
+    ("asm entries=1 exits=1 internal=0\n  jmp 0\nblock 0:\n  jmp 0", 2,
+     "instruction outside any block"),
+    ("asm entries=1 exits=1 internal=0\nblock 0:\n  mov 5, 1\n  jmp 0", 3,
+     "expected a register, found '5'"),
+])
+def test_parse_asm_rejects_malformed_units(text, line, message):
+    with pytest.raises(AsmSyntaxError, match=message) as err:
+        parse_asm(text)
+    assert err.value.line == line
 
 
 def test_machine_oracle_agrees_with_denotation():

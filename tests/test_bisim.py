@@ -7,10 +7,12 @@ import pytest
 
 from itrees import (
     EQ,
+    MAP_T,
     NAT_T,
     KTree,
     Reason,
     RelSpec,
+    event,
     eutt,
     is_trace_of,
     kt_cat,
@@ -23,6 +25,7 @@ from itrees import (
     ret,
     spin,
     bind,
+    state_sig,
     strong_bisim,
     tau,
     taus,
@@ -238,6 +241,22 @@ def test_ktree_equiv_examples():
     f = kt_pure(lambda v: nat(v.payload + 1))
     g = kt_pure(lambda v: nat(v.payload + 2))
     assert ktree_equiv(EQ, f, g, [nat(0)]).refuted
+
+
+def test_a_map_answer_space_is_unknown_to_both_checkers():
+    get = event(state_sig(MAP_T), "Get")
+    for verdict in (eutt(EQ, trigger(get), trigger(get), 10, 10),
+                    strong_bisim(trigger(get), trigger(get), 10)):
+        assert verdict.unknown and verdict.reason is Reason.ANSWER_SPACE
+        assert repr(verdict) == "Unknown(answer-space-too-large)"
+
+
+def test_ktree_equiv_without_inputs_needs_an_enumerable_domain():
+    with pytest.raises(ValueError, match="declares no domain"):
+        ktree_equiv(EQ, KTree(ret), KTree(ret))
+    f = KTree(ret, MAP_T)
+    verdict = ktree_equiv(EQ, f, f)
+    assert verdict.unknown and verdict.reason is Reason.ANSWER_SPACE
 
 
 def test_ktree_and_trace_witnesses_can_be_checked():

@@ -56,6 +56,14 @@ def test_compile_golden(name):
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
+def test_compile_to_a_file_writes_the_golden(tmp_path, name):
+    out_path = tmp_path / f"{name}.asm"
+    code, out = run_cli(["compile", os.path.join(CORPUS, f"{name}.imp"), "-o", str(out_path)])
+    assert code == 0 and out == ""
+    assert out_path.read_text(encoding="utf-8") == golden(f"{name}.asm")
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
 def test_run_asm_golden(name):
     code, out = run_cli(["run-asm", os.path.join(GOLDEN, f"{name}.asm")])
     assert code == 0
@@ -161,6 +169,7 @@ def test_check_equiv_exit_codes(tmp_path):
     (["trace", "{imp}", "--event-depth", "-1"], 1),
     (["trace", "{imp}", "--tau-budget", "-1"], 1),
     (["compile", "{imp}", "--bogus"], 1),
+    (["compile", "{imp}", "-o", "{imp}-missing/out.asm"], 1),
     (["run-imp"], 1),
     (["check-equiv", "{imp}", "--fuel", "abc"], 3),
     (["check-equiv", "{imp}", "--fuel", "-5"], 3),

@@ -6,10 +6,14 @@ import pytest
 
 from itrees import (
     EQ,
+    IOE,
     KTree,
+    RecHandler,
     RetO,
     TauO,
+    VisO,
     WrongSignature,
+    bind,
     boolean,
     eutt,
     inl,
@@ -312,6 +316,38 @@ def test_mrec_rejects_foreign_events():
     rh = even_odd_handler()
     with pytest.raises(WrongSignature):
         mrec(rh, ackermann_event(1, 1))
+
+
+def test_mrec_passes_silent_steps_and_outward_events_through():
+    # The body steps silently, then emits Output and Input under RIGHT; each
+    # surfaces with its prefix stripped, and its answer continues the body.
+    def body(e):
+        out = event(IOE, "Output", e.args[0], path=("R",))
+        inp = event(IOE, "Input", path=("R",))
+        return tau(bind(trigger(out), lambda u: bind(trigger(inp), lambda x: ret(pair(u, x)))))
+
+    t = mrec(RecHandler(EVEN_ODD_E, body), event(EVEN_ODD_E, "Even", nat(3)))
+    ob = observe(t)
+    assert type(ob) is TauO
+    ob = observe(ob.rest)
+    assert type(ob) is VisO and ob.event == event(IOE, "Output", nat(3))
+    ob = observe(ob.k(unit()))
+    assert type(ob) is TauO
+    ob = observe(ob.rest)
+    assert type(ob) is VisO and ob.event == event(IOE, "Input")
+    ob, _ = run_to_head(ob.k(nat(7)), 10)
+    assert ob == RetO(pair(unit(), nat(7)))
+
+
+def test_mrec_rejects_a_call_event_of_a_foreign_signature():
+    def body(e):
+        return tau(trigger(event(IOE, "Output", nat(1), path=("L",))))
+
+    t = mrec(RecHandler(EVEN_ODD_E, body), event(EVEN_ODD_E, "Even", nat(3)))
+    ob = observe(t)
+    assert type(ob) is TauO
+    with pytest.raises(WrongSignature, match="not a call event"):
+        observe(ob.rest)
 
 
 def test_loop_agrees_with_small_step_reference():

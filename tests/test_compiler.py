@@ -34,6 +34,8 @@ from itrees.compiler import (
 from itrees.imp import (
     Assign,
     Lit,
+    Minus,
+    Mult,
     Plus,
     Seq,
     Skip,
@@ -76,6 +78,24 @@ def test_compile_expr_differential_on_random_envs():
         out = run_machine(_expr_unit(compile_expr(0, e)), 0, env, {})
         assert out.outcome == "exit"
         assert out.regs.get(0, 0) == eval_expr(e, env)
+
+
+def test_the_reference_arithmetic_wraps_and_saturates():
+    # The oracle's own 64-bit arithmetic at its edges, which the small
+    # random values above never reach; the compiled code agrees.
+    top = 2**64 - 1
+    edges = [
+        (Plus(Lit(top), Lit(1)), 0),
+        (Minus(Lit(0), Lit(1)), 0),
+        (Mult(Lit(2**63), Lit(2)), 0),
+        (Plus(Lit(top), Lit(2)), 1),
+        (Minus(Lit(5), Lit(3)), 2),
+        (Mult(Lit(2**32), Lit(2**31)), 2**63),
+    ]
+    for e, want in edges:
+        assert eval_expr(e, {}) == want, e
+        out = run_machine(_expr_unit(compile_expr(0, e)), 0, {}, {})
+        assert out.regs.get(0, 0) == want, e
 
 
 def test_sim_rel_clauses_for_compile_expr():

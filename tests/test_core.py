@@ -72,6 +72,16 @@ def test_bind_of_ret_observes_through():
     assert observe(t) == RetO(nat(2))
 
 
+def test_a_continuation_that_returns_no_tree_raises_when_observed():
+    t = bind(ret(nat(1)), lambda x: 3)  # built without a call
+    with pytest.raises(TypeError, match="continuation returned 3, not an ITree"):
+        observe(t)
+    t = bind(trigger(input_ev()), lambda x: x.payload)
+    ob = observe(t)
+    with pytest.raises(TypeError, match="continuation returned 3, not an ITree"):
+        observe(ob.k(nat(3)))
+
+
 def test_bind_through_vis_defers_continuation():
     k2 = lambda x: ret(nat(x.payload * 2))
     t = bind(trigger(input_ev()), k2)

@@ -1066,6 +1066,17 @@ def test_a_site_whose_route_reads_where_it_writes_has_no_route():
             run_to_head(interp_stores(t, (env_of(),), routes, (RIGHT,)), FUEL)
 
 
+def test_a_write_site_routed_as_a_read_raises_after_the_read():
+    # the read of x is routed (three steps); the write of y its ``Write``
+    # holds has no route, so the run raises at step 3 and not before
+    routes = {((LEFT,), "GetVar"): (0, nat(0)), ((LEFT,), "SetVar"): (0, nat(0))}
+    t = vis(imp._get_var_event("x"), write_at(imp._set_var_site("y"), ret(unit())))
+    at, err = _least_raising_fuel(interp_stores(t, (env_of(),), routes, (RIGHT,)), 100)
+    assert at == 3 and issubclass(err, UnhandledEvent)
+    with pytest.raises(UnhandledEvent, match=r"L:SetVar\('y',0\)"):
+        run_to_head(interp_stores(t, (env_of(),), routes, (RIGHT,)), FUEL)
+
+
 def test_an_event_whose_arguments_do_not_fit_its_route_raises_at_its_step():
     # EventInstance skips event()'s arity check; a GetVar without its key
     # has no route, so it raises at its own step, the layered stack's

@@ -7,10 +7,12 @@ uses two of them, the bind queue's node ``_Cat`` and the resolver
 ``_resolve``: it defers work through ``lazy``, not through a thunk of its
 own.
 
-The in-place store path is one module: ``stores`` alone defines the write
-sites, the store continuations, the route tables and lookup and the fused
-store fold, and the tree core, the event algebra, the values and the
-generic handlers import nothing from it.
+The in-place store path is one module: ``stores`` alone defines the store
+declarations, the write sites, the store continuations, the route tables
+and lookup and the fused store fold, and the tree core, the event algebra,
+the values and the generic handlers import nothing from it.  Each store of
+``imp`` and ``asm`` is one ``StoreEvents`` declaration, which interns its
+events and sites, so neither module interns anything itself.
 
 Store events and write sites cache their route in a ``memo`` slot that
 only ``events``, which defines it for events, and ``stores`` may read or
@@ -24,8 +26,8 @@ language is one mark.
 
 Both denotations are in continuation-passing form: each event is one node,
 a ``vis`` node for a read and the node a ``Write`` builds for a write, so
-``imp`` and ``asm`` use ``trigger`` only in their public single-event
-helpers.
+``imp`` and ``asm`` use ``trigger`` only in ``halt``, their one
+single-event helper that is not a ``StoreEvents`` method.
 
 The package exports its functions and types by an explicit list, which
 names no submodule.
@@ -105,8 +107,8 @@ def test_the_check_sees_private_imports():
         assert _core_privates(ast.parse(text)) == want, text
 
 
-STORE_PATH = {"Site", "Write", "Compute", "Guard", "write_at", "_route_table", "_route",
-              "interp_stores", "_fold"}
+STORE_PATH = {"StoreEvents", "Site", "Write", "Compute", "Guard", "write_at", "_route_table",
+              "_route", "interp_stores", "_fold"}
 BELOW_THE_STORE_PATH = ("core.py", "events.py", "values.py", "interp.py")
 
 
@@ -149,6 +151,35 @@ def test_the_store_path_is_defined_in_stores_only():
                 if defined in STORE_PATH:
                     where.setdefault(defined, []).append(name)
     assert where == {defined: ["stores.py"] for defined in STORE_PATH}
+
+
+def _interning(tree):
+    """The names ``lru_cache`` and ``INTERNED`` wherever a module imports or
+    reads them."""
+    return _uses(tree, {"lru_cache", "INTERNED"})
+
+
+def test_the_denotations_intern_only_through_store_declarations():
+    offenders = {}
+    for name in ("imp.py", "asm.py"):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            used = _interning(ast.parse(fh.read(), name))
+        if used:
+            offenders[name] = used
+    assert offenders == {}
+
+
+def test_the_check_sees_interning():
+    samples = {
+        "from functools import lru_cache": ["lru_cache"],
+        "import functools\n@functools.lru_cache(maxsize=8)\ndef f(k):\n    pass":
+            ["lru_cache"],
+        "from .stores import INTERNED, Guard": ["INTERNED"],
+        "from . import stores\nn = stores.INTERNED": ["INTERNED"],
+        "_VARS = StoreEvents(IMP_STATE, 'GetVar', 'SetVar', (LEFT,), sym)": [],
+    }
+    for text, want in samples.items():
+        assert _interning(ast.parse(text)) == want, text
 
 
 def test_the_layers_below_the_store_path_import_nothing_from_it():
@@ -320,7 +351,9 @@ def test_the_check_sees_other_iteration():
         assert _uses(ast.parse(text), forbidden) == want, text
 
 
-SINGLE_EVENT_HELPERS = {"get_var", "set_var", "get_reg", "set_reg", "load", "store", "halt"}
+# The store helpers (``get_var``, ``set_reg``, ``load``, ...) are bound
+# ``StoreEvents`` methods, which trigger in ``stores``.
+SINGLE_EVENT_HELPERS = {"halt"}
 
 
 def _triggers_outside(tree, allowed):
@@ -353,12 +386,13 @@ def test_the_denotations_trigger_only_in_single_event_helpers():
 
 def test_the_check_sees_triggers():
     samples = {
-        "from .core import trigger\ndef get_var(n):\n    return trigger(e(n))": [],
+        "from .core import trigger\ndef halt():\n    return trigger(e)": [],
         "def denote(s):\n    return bind(trigger(e), k)": ["denote"],
         "def denote(s):\n    def go(v):\n        return trigger(v)\n    return go": ["denote"],
-        "def get_var(n):\n    return trigger(e)\ndef f():\n    return core.trigger(e)": ["f"],
+        "def halt():\n    return trigger(e)\ndef f():\n    return core.trigger(e)": ["f"],
         "h = KTree(trigger)": [None],
-        "class Get_var:\n    def get_var(self):\n        return trigger(e)": ["Get_var"],
+        "class Halt:\n    def halt(self):\n        return trigger(e)": ["Halt"],
+        "def get_var(n):\n    return trigger(e(n))": ["get_var"],
         "def denote(s):\n    return vis(e, lambda v: rest)": [],
     }
     for text, want in samples.items():

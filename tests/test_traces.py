@@ -27,6 +27,7 @@ from itrees import (
     tau,
     trace_equiv,
     trace_refines,
+    umap,
     unit,
     vis,
 )
@@ -55,6 +56,12 @@ def test_is_trace_of_echo_prefix():
                            TEventResponse(output_ev(6), unit(), TEND))
     assert is_trace_of(echo(), wrong, 10) is False
     assert is_trace_of(echo(), TEventEnd(input_ev()), 10) is True
+
+
+def test_is_trace_of_refuses_an_answer_of_the_wrong_shape():
+    # kill9's Input answers a natural, so a map answer is no trace of it
+    assert is_trace_of(kill9(), TEventResponse(input_ev(), umap(), TEND), 10) is False
+    assert is_trace_of(kill9(), TEventResponse(input_ev(), nat(3), TEND), 10) is True
 
 
 def test_enumerate_traces_ret():
