@@ -169,7 +169,6 @@ def test_check_equiv_exit_codes(tmp_path):
     (["trace", "{imp}", "--event-depth", "-1"], 1),
     (["trace", "{imp}", "--tau-budget", "-1"], 1),
     (["compile", "{imp}", "--bogus"], 1),
-    (["compile", "{imp}", "-o", "{imp}-missing/out.asm"], 1),
     (["run-imp"], 1),
     (["check-equiv", "{imp}", "--fuel", "abc"], 3),
     (["check-equiv", "{imp}", "--fuel", "-5"], 3),
@@ -178,6 +177,7 @@ def test_check_equiv_exit_codes(tmp_path):
     (["check-equiv"], 3),
     (["no-such-command"], 1),
     (["trace", "{imp}", "--event-depth", str(MAX_EVENT_DEPTH + 1)], 1),
+    (["compile", "{imp}", "-o", "{imp}-missing/out.asm"], 1),
 ])
 def test_usage_errors_exit_with_the_input_error_code(tmp_path, capsys, argv, code):
     imp_src = tmp_path / "ok.imp"
